@@ -80,12 +80,16 @@ from .intervals import (
 from .paths import (
     EndSums,
     Path,
+    PathTable,
     TranslationIdentityReport,
     aggregate_equal_length,
+    cluster_ends,
     cumulative_sums,
+    end_sums,
     enumerate_paths,
     local_translation_identities,
     path_sum_by_end,
+    path_table,
     predicted_path_count,
 )
 from .spectrum import (

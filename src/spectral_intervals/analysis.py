@@ -131,7 +131,9 @@ def structure_suite(
 
     gap_ok = True
     gap_detail = []
-    for k, gap in enumerate(omega.gaps):
+    for gap in omega.gaps:
+        if gap <= omega.tol():
+            continue  # a shared endpoint: the adjacency check covers it
         decomps = gap_decomposition(omega, gap)
         gap_detail.append((gap, decomps))
         if not decomps:

@@ -33,7 +33,7 @@ from .evolution import (
     probe_points,
 )
 from .intervals import new_interval_union, translation_congruence_to_interval
-from .paths import enumerate_paths, local_translation_identities, path_sum_by_end
+from .paths import end_sums, enumerate_paths, local_translation_identities
 from .spectrum import compute_spectrum, spectral_matrix_check
 
 
@@ -138,7 +138,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _build_function(spec: str, omega, b, window, data):
+def _build_function(spec: str, omega, b, window):
     """Function specs: 'bump', or 'eigenfunction:K' for the K-th eigenvalue."""
     if spec == "bump":
         return PiecewiseExpPoly.from_atoms(
@@ -161,7 +161,7 @@ def cmd_evolve(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
     t0 = time.perf_counter()
-    f = _build_function(args.function, omega, b, _window(args, data), data)
+    f = _build_function(args.function, omega, b, _window(args, data))
     result = apply_U_paths(omega, b, args.t, f)
     xs = probe_points(result.function, args.samples)
     vals = result.function.evaluate(xs)
@@ -273,14 +273,13 @@ def cmd_classify(args) -> int:
 def cmd_paths(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
-    paths = enumerate_paths(omega, b, args.x, args.t)
-    sums = path_sum_by_end(paths)
+    sums = end_sums(omega, b, args.x, args.t)
     out = _base_report("paths", args, digest)
     out.update(
         {
             "x": args.x,
             "t": args.t,
-            "path_count": len(paths),
+            "path_count": sums.path_count,
             "end_sums": [
                 {"end": end, "weight": _complex_out(s)} for end, s in sums.sums
             ],
@@ -288,7 +287,7 @@ def cmd_paths(args) -> int:
         }
     )
     if omega.index_of(args.x + args.t) is not None:
-        identities = local_translation_identities(omega, b, args.x, args.t)
+        identities = local_translation_identities(omega, b, args.x, args.t, sums=sums)
         out["identities"] = {
             "passed": identities.passed,
             "target": identities.target,
@@ -298,6 +297,7 @@ def cmd_paths(args) -> int:
             ],
         }
     if args.list_paths:
+        paths = enumerate_paths(omega, b, args.x, args.t)
         out["paths"] = [
             {
                 "word": list(p.word),
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
         p.add_argument("--grid-step", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")

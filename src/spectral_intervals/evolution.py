@@ -17,7 +17,7 @@ import numpy as np
 from .boundary import cis, reflected_boundary_matrix
 from .errors import NotEigenCombination, XNotInOmega
 from .intervals import IntervalUnion, reflect as reflect_set
-from .paths import cumulative_sums, enumerate_paths
+from .paths import check_path_guard, cumulative_sums, path_table, states_at
 from .spectrum import SpectrumReport
 
 MAX_DEGREE = 8
@@ -332,9 +332,12 @@ def apply_U_paths(
     """Apply U(t) through the admissible-path sum, exactly.
 
     Each interval is cut where the path set (or the piece of f hit by a path
-    end) changes; on each sub-piece every path contributes a shifted, scaled
-    copy of the atoms of f at its end.
+    end) changes; on each sub-piece every end state of the interval's path
+    table that is admissible there contributes a shifted, scaled copy of the
+    atoms of f at its end.  That copy is the same on every sub-piece where
+    the state hits the same piece of f, so it is built once.
     """
+    check_path_guard(omega, t, max_paths)
     b = np.asarray(b, dtype=complex)
     n = omega.n
     csums = cumulative_sums(omega, abs(t))
@@ -374,18 +377,26 @@ def apply_U_paths(
                 dedup.append(x)
         refinement[i] = dedup
         edges = [alo] + dedup + [ahi]
+        table = path_table(omega, b, i, t, max_paths)
+        state_shift = table.shift.tolist()
+        state_weight = table.weight.tolist()
+        state_count = table.count.tolist()
+        shifted: dict[tuple[int, int], list[Atom]] = {}
         for lo, hi in zip(edges, edges[1:]):
             if hi - lo <= 1e-13:
                 continue
             xm = (lo + hi) / 2
-            paths = enumerate_paths(omega, b, xm, t, max_paths)
-            total_paths += len(paths)
             atoms = []
-            for path in paths:
-                delta = path.end - xm
-                src = f.piece_containing(path.end)
-                for atom in src.atoms:
-                    atoms.append(atom.shifted(delta, path.weight))
+            idx, ends = table.select(xm)
+            for s, end in zip(idx.tolist(), ends.tolist()):
+                total_paths += state_count[s]
+                src = f.piece_containing(end)
+                key = (s, id(src))
+                if key not in shifted:
+                    shifted[key] = [
+                        atom.shifted(state_shift[s], state_weight[s]) for atom in src.atoms
+                    ]
+                atoms.extend(shifted[key])
             new_pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
     result = PiecewiseExpPoly(omega, tuple(new_pieces))
     return EvolutionResult(result, refinement, total_paths)
@@ -393,11 +404,8 @@ def apply_U_paths(
 
 def evolve_point(omega: IntervalUnion, b, x: float, t: float, f: PiecewiseExpPoly) -> complex:
     """[U(t)f](x) through the path sum, for a single point."""
-    paths = enumerate_paths(omega, b, x, t)
-    ends = np.array([p.end for p in paths])
-    vals = f.evaluate(ends)
-    weights = np.array([p.weight for p in paths])
-    return complex(np.sum(weights * vals))
+    states = states_at(omega, b, x, t)
+    return complex(np.sum(states.weight * f.evaluate(states.end)))
 
 
 def eigenfunction(

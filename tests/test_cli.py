@@ -62,6 +62,25 @@ def test_verify(problem, capsys):
     assert rep["evidence"]["max_offdiagonal"] < 1e-8
 
 
+def test_verify_adjacent_tiling_pair(tmp_path, capsys):
+    # pieces of [0, 3) moved by multiples of 3, the first two touching at 1;
+    # B sends each right end to the next left end (a 3-cycle)
+    prob = {
+        "intervals": [[0, 1], [1, 2], [5, 6]],
+        "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        "window": [-2.1, 2.1],
+    }
+    path = tmp_path / "adjacent.json"
+    path.write_text(json.dumps(prob))
+    code, rep = run_json(capsys, ["verify", str(path), "--trials", "10"])
+    assert code == 0
+    assert rep["verdict"].startswith("spectral")
+    assert rep["local_translation"]["passed"]
+    checks = {c["name"]: c["status"] for c in rep["structure"]}
+    assert checks["gap_lengths"] == "pass"
+    assert checks["adjacency"] == "pass"
+
+
 def test_verify_not_spectral(tmp_path, capsys):
     prob = dict(PAIR, matrix=[[0, 1], [1, 0]])
     path = tmp_path / "swap.json"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.stats import unitary_group
 
 from spectral_intervals.errors import NotEigenCombination, XNotInOmega
 from spectral_intervals.evolution import (
     Atom,
+    Piece,
     PiecewiseExpPoly,
+    _merge_atoms,
     apply_U_paths,
     apply_U_spectral,
     boundary_condition_check,
@@ -21,6 +24,7 @@ from spectral_intervals.evolution import (
     shift_poly,
 )
 from spectral_intervals.intervals import new_interval_union
+from spectral_intervals.paths import cumulative_sums, enumerate_paths
 from spectral_intervals.spectrum import compute_spectrum
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -232,3 +236,80 @@ def test_piece_containing_outside():
     f = PiecewiseExpPoly.exponential(OM, 0.0)
     with pytest.raises(XNotInOmega):
         f.piece_containing(1.5)
+
+
+# -- path table against per-sub-piece enumeration ------------------------------
+
+
+def _reference_apply_U(omega, b, t, f):
+    """U(t)f with the paths enumerated afresh at the midpoint of every sub-piece."""
+    n = omega.n
+    csums = cumulative_sums(omega, abs(t))
+    bps = sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces})
+    tol = omega.tol()
+    sign = 1 if t >= 0 else -1
+    ends_from = omega.rights if t >= 0 else omega.lefts
+    ends_to = omega.lefts if t >= 0 else omega.rights
+    shifts = {t} | {
+        ends_to[j] - ends_from[i] + t - sign * c
+        for i in range(n)
+        for j in range(n)
+        for c in csums
+    }
+    pieces, refinement, count = [], {}, 0
+    for i, (alo, ahi) in enumerate(omega.endpoints):
+        cands = {ends_from[i] - t + sign * c for c in csums}
+        cands |= {bp - s for bp in bps for s in shifts}
+        cuts = []
+        for x in sorted(x for x in cands if alo + tol < x < ahi - tol):
+            if not cuts or x - cuts[-1] > 1e-12:
+                cuts.append(x)
+        refinement[i] = cuts
+        edges = [alo] + cuts + [ahi]
+        for lo, hi in zip(edges, edges[1:]):
+            if hi - lo <= 1e-13:
+                continue
+            xm = (lo + hi) / 2
+            paths = enumerate_paths(omega, b, xm, t)
+            count += len(paths)
+            atoms = [
+                atom.shifted(path.end - xm, path.weight)
+                for path in paths
+                for atom in f.piece_containing(path.end).atoms
+            ]
+            pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
+    return PiecewiseExpPoly(omega, tuple(pieces)), refinement, count
+
+
+@pytest.mark.parametrize(
+    "endpoints,t",
+    [
+        (((0, 1), (2, 3.3)), 2.7),
+        (((0, 1), (2, 3.3)), -3.1),
+        (((0, 0.9), (1.4, 2.5), (3.1, 4.0)), 2.3),
+        (((0, 0.9), (1.4, 2.5), (3.1, 4.0)), -2.6),
+        (((0, 1.05), (1.5, 2.4), (3.2, 4.3), (5.0, 5.95)), 1.9),
+        (((0, 1.05), (1.5, 2.4), (3.2, 4.3), (5.0, 5.95)), -2.2),
+        # a spectral tiling pair: pieces of [0, 3) moved by multiples of 3
+        (((0, 1), (4, 5), (8, 9)), 4.4),
+        (((0, 1), (4, 5), (8, 9)), -5.2),
+    ],
+)
+def test_apply_U_paths_matches_per_subpiece_enumeration(endpoints, t):
+    om = new_interval_union(endpoints)
+    n = om.n
+    if endpoints == ((0, 1), (4, 5), (8, 9)):
+        b = np.roll(np.eye(n), 1, axis=1).astype(complex)
+    else:
+        b = unitary_group.rvs(n, random_state=n)
+    # an evolved function: several pieces per interval, so that one end state
+    # hits different pieces of f on different sub-pieces
+    f = apply_U_paths(om, b, 0.4, random_domain_function(om, b, np.random.default_rng(n))).function
+    assert len(f.pieces) > n
+    res = apply_U_paths(om, b, t, f)
+    ref, refinement, count = _reference_apply_U(om, b, t, f)
+    assert res.refinement == refinement
+    assert res.path_count == count
+    assert [(p.lo, p.hi) for p in res.function.pieces] == [(p.lo, p.hi) for p in ref.pieces]
+    xs = probe_points(ref, 8)
+    assert np.max(np.abs(res.function(xs) - ref(xs))) < 1e-12

@@ -13,10 +13,13 @@ from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import (
     MAX_PATHS_ENV,
     aggregate_equal_length,
+    cluster_ends,
     cumulative_sums,
+    end_sums,
     enumerate_paths,
     local_translation_identities,
     path_sum_by_end,
+    path_table,
     predicted_path_count,
 )
 
@@ -148,3 +151,97 @@ def test_cumulative_sums():
     assert sums == [0.0, 1.0, 2.0]
     om = new_interval_union([(0, 1), (2, 3.5)])
     assert cumulative_sums(om, 2.6) == [0.0, 1.0, 1.5, 2.0, 2.5]
+
+
+# -- end-state table ---------------------------------------------------------
+
+
+def _random_set(n, rng):
+    lengths = rng.uniform(0.7, 1.3, size=n)
+    gaps = rng.uniform(0.2, 1.5, size=n - 1)
+    eps, pos = [], float(rng.uniform(-2, 2))
+    for k in range(n):
+        if k:
+            pos += gaps[k - 1]
+        eps.append((pos, pos + lengths[k]))
+        pos += lengths[k]
+    return new_interval_union(eps)
+
+
+def _assert_same_end_sums(om, b, x, t):
+    want = path_sum_by_end(enumerate_paths(om, b, x, t))
+    got = end_sums(om, b, x, t)
+    assert got.path_count == want.path_count
+    assert len(got.sums) == len(want.sums)
+    for (e1, w1), (e2, w2) in zip(got.sums, want.sums):
+        assert abs(e1 - e2) < 1e-12
+        assert abs(w1 - w2) < 1e-12
+    assert len(got.flagged) == len(want.flagged)
+
+
+def test_end_sums_match_enumeration_random():
+    rng = np.random.default_rng(7)
+    draws = 0
+    for n in (2, 3, 4):
+        for trial in range(80):
+            om = _random_set(n, rng)
+            b = unitary_group.rvs(n, random_state=rng.integers(2**31))
+            i = int(rng.integers(n))
+            a, c = om.endpoints[i]
+            x = float(rng.uniform(a, c))
+            t = float(rng.uniform(0, 3.2 if n < 4 else 2.4)) * (-1) ** trial
+            _assert_same_end_sums(om, b, x, t)
+            draws += 1
+    assert draws >= 200
+
+
+def test_end_sums_exact_exit():
+    # x = 0.5, t = 0.5 leaves interval 0 exactly at t: remainder 0 in both
+    # successors, no path stays in interval 0
+    for x, t in ((0.5, 0.5), (2.5, -0.5)):
+        _assert_same_end_sums(OM, SQRT_SWAP, x, t)
+    sums = end_sums(OM, SQRT_SWAP, 0.5, 0.5)
+    assert sums.path_count == 2
+    assert sums.ends == pytest.approx([0.0, 2.0])
+    assert sums.sum_at(0.0) == pytest.approx(SQRT_SWAP[0, 0])
+    assert sums.sum_at(2.0) == pytest.approx(SQRT_SWAP[0, 1])
+
+
+def test_end_sums_barely_crossing():
+    # the paths cross a whole interval with 1e-6 to spare
+    for x, t in ((1 - 1e-6, 1 + 2e-6), (2 + 1e-6, -(1 + 2e-6))):
+        _assert_same_end_sums(OM, SQRT_SWAP, x, t)
+        assert end_sums(OM, SQRT_SWAP, x, t).path_count == 4
+
+
+def test_path_table_states():
+    table = path_table(OM, SQRT_SWAP, 0, 2.0)
+    assert np.all(table.lo < table.hi)
+    assert np.all((table.lo >= 0.0) & (table.hi <= 1.0))
+    # the state counts add up to the number of paths at every start point
+    for x in (0.1, 0.5, 0.9):
+        states = table.at(x)
+        assert int(states.count.sum()) == len(enumerate_paths(OM, SQRT_SWAP, x, 2.0))
+        idx, ends = table.select(x)
+        assert np.all((table.lo[idx] <= x) & (x < table.hi[idx]))
+        assert ends == pytest.approx(x + table.shift[idx])
+    # no path stays in interval 0 for t = 2 > l_0
+    assert not np.any((table.final == 0) & (table.shift == 2.0))
+
+
+def test_path_table_guard_before_states(monkeypatch):
+    monkeypatch.setenv(MAX_PATHS_ENV, "10")
+    with pytest.raises(GuardExceeded):
+        path_table(OM, SQRT_SWAP, 0, 3.0)
+    with pytest.raises(GuardExceeded):
+        end_sums(OM, SQRT_SWAP, 0.5, 3.0)
+
+
+def test_cluster_ends_flags_near_ends():
+    sums = cluster_ends([(2.0, 3.0), (1.0 + 1e-11, 2.0), (1.0, 1.0)], path_count=3)
+    assert sums.path_count == 3
+    assert len(sums.sums) == 2
+    assert sums.sums[0][0] == pytest.approx(1.0 + 0.5e-11, abs=1e-15)
+    assert sums.sums[0][1] == 3.0
+    assert sums.flagged == [(1.0, 1.0 + 1e-11)]
+    assert cluster_ends([]).sums == []
