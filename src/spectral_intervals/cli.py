@@ -33,7 +33,7 @@ from .evolution import (
     probe_points,
 )
 from .intervals import new_interval_union, translation_congruence_to_interval
-from .paths import end_sums, enumerate_paths, local_translation_identities
+from .paths import enumerate_paths, local_translation_identities, states_at
 from .spectrum import compute_spectrum, spectral_matrix_check
 
 
@@ -273,7 +273,8 @@ def cmd_classify(args) -> int:
 def cmd_paths(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
-    sums = end_sums(omega, b, args.x, args.t)
+    states = states_at(omega, b, args.x, args.t)
+    sums = states.sums()
     out = _base_report("paths", args, digest)
     out.update(
         {
@@ -287,7 +288,9 @@ def cmd_paths(args) -> int:
         }
     )
     if omega.index_of(args.x + args.t) is not None:
-        identities = local_translation_identities(omega, b, args.x, args.t, sums=sums)
+        identities = local_translation_identities(
+            omega, b, args.x, args.t, states=states
+        )
         out["identities"] = {
             "passed": identities.passed,
             "target": identities.target,

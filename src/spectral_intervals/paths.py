@@ -140,6 +140,11 @@ class EndStates:
     weight: np.ndarray
     count: np.ndarray
 
+    def sums(self, tol: float | None = None) -> EndSums:
+        """Weights per distinct end, clustered with ``cluster_ends``."""
+        pairs = zip(self.end.tolist(), self.weight.tolist())
+        return cluster_ends(pairs, tol, int(self.count.sum()))
+
 
 @dataclass(frozen=True)
 class PathTable:
@@ -152,7 +157,8 @@ class PathTable:
     x they spend r = |t| - (exit(x) + cum[s]) in the final interval, entered
     at ``entry[s]``; they are admissible when 0 <= r < ``length[s]`` and end
     at x + ``shift[s]``.  That is the start range [lo, hi) forward and
-    (lo, hi] backward, clipped to the start interval.  The row of the path
+    (lo, hi] backward; rows whose range misses the start interval are
+    dropped.  The row of the path
     that stays in the start interval i has cum = -l_i: its remainder, like
     every other, is measured from the entry edge of its final interval.
     """
@@ -164,8 +170,6 @@ class PathTable:
     entry: np.ndarray
     length: np.ndarray
     cum: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     shift: np.ndarray
     weight: np.ndarray
     count: np.ndarray
@@ -214,9 +218,8 @@ def path_table(
             hi = a + big_t - cum
             lo = hi - lengths[j]
             entry, shift = rights[j], rights[j] - a + t + cum
-        lo, hi = max(lo, a), min(hi, c)
-        if lo < hi:
-            rows.append((j, entry, lengths[j], cum, lo, hi, shift, weight, count))
+        if max(lo, a) < min(hi, c):
+            rows.append((j, entry, lengths[j], cum, shift, weight, count))
 
     add_row(i, -lengths[i], 1.0 + 0j, 1)
     # one generation holds the states with |k| full traversals:
@@ -241,7 +244,7 @@ def path_table(
         level = nxt
 
     cols = list(zip(*rows))
-    dtypes = (int, float, float, float, float, float, float, complex, np.int64)
+    dtypes = (int, float, float, float, float, complex, np.int64)
     return PathTable(
         forward,
         big_t,
@@ -250,14 +253,12 @@ def path_table(
     )
 
 
-def states_at(
-    omega: IntervalUnion, b, x: float, t: float, max_paths: int | None = None
-) -> EndStates:
+def states_at(omega: IntervalUnion, b, x: float, t: float) -> EndStates:
     """The end states admissible from the single start point x."""
     i = omega.index_of(x)
     if i is None:
         raise XNotInOmega(f"x={x} is not in an open interval of the set")
-    return path_table(omega, b, i, t, max_paths).at(x)
+    return path_table(omega, b, i, t).at(x)
 
 
 @dataclass
@@ -319,9 +320,7 @@ def end_sums(
     omega: IntervalUnion, b, x: float, t: float, tol: float | None = None
 ) -> EndSums:
     """Path weights per distinct end for one (x, t), from the end-state table."""
-    states = states_at(omega, b, x, t)
-    pairs = zip(states.end.tolist(), states.weight.tolist())
-    return cluster_ends(pairs, tol, int(states.count.sum()))
+    return states_at(omega, b, x, t).sums(tol)
 
 
 @dataclass
@@ -341,18 +340,20 @@ def local_translation_identities(
     x: float,
     t: float,
     tol: float = 1e-10,
-    sums: EndSums | None = None,
+    states: EndStates | None = None,
 ) -> TranslationIdentityReport:
     """Check the spectral-set path-sum identities for one (x, t) pair.
 
-    ``sums`` reuses end sums already computed for (x, t).
+    ``states`` reuses the end states already read for (x, t); their ends are
+    clustered here with the identities' own tolerance.
     """
     target = x + t
     if omega.index_of(target) is None:
         raise XPlusTNotInOmega(f"x+t={target} is not in an open interval of the set")
     end_tol = 1e-9 * max(1.0, abs(omega.endpoints[-1][1]))
-    if sums is None:
-        sums = end_sums(omega, b, x, t, end_tol)
+    if states is None:
+        states = states_at(omega, b, x, t)
+    sums = states.sums(end_tol)
     target_sum = sums.sum_at(target, tol=end_tol)
     offending = []
     others = []

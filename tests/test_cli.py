@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spectral_intervals.cli import main
@@ -136,6 +137,47 @@ def test_paths(problem, capsys):
     assert rep["identities"]["passed"]
     assert rep["identities"]["target_sum"] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert len(rep["paths"]) == 4
+
+
+def test_paths_identities_use_their_own_end_tolerance(tmp_path, capsys):
+    # crossing interval 2 instead of 0 or 1 ends the path 5e-8 short of x+t;
+    # the report's end sums merge the two ends (their tolerance grows with
+    # the ends near -1000), the identities (tolerance from the right end of
+    # the set, 1e-9) keep them apart
+    from spectral_intervals.intervals import new_interval_union
+    from spectral_intervals.paths import enumerate_paths, path_sum_by_end
+
+    delta = 5e-8
+    intervals = [[-1000, -999], [-3, -2], [-1, delta]]
+    matrix = (np.array([[2, -1, 2], [2, 2, -1], [-1, 2, 2]]) / 3).tolist()
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"intervals": intervals, "matrix": matrix}))
+    x, t = -2.5, 1.8
+    code, rep = run_json(capsys, ["paths", str(path), "--x", str(x), "--t", str(t)])
+    assert code == 0
+
+    omega = new_interval_union(intervals)
+    paths = enumerate_paths(omega, np.array(matrix), x, t)
+    end_tol = 1e-9 * max(1.0, abs(omega.endpoints[-1][1]))
+    split = path_sum_by_end(paths, end_tol)
+    merged = path_sum_by_end(paths)
+    assert len(split.sums) == 2 * len(merged.sums)
+    assert [e["end"] for e in rep["end_sums"]] == pytest.approx(merged.ends, abs=1e-12)
+    flat = [e for pair in merged.flagged for e in pair]
+    assert [e for pair in rep["flagged_clusters"] for e in pair] == pytest.approx(flat, abs=1e-12)
+
+    target = x + t
+    want_target = split.sum_at(target, end_tol)
+    want_offending = [(e, s) for e, s in split.sums if abs(e - target) > end_tol and abs(s) > 1e-10]
+    assert abs(want_target - 1) > 1e-10
+    ident = rep["identities"]
+    assert not ident["passed"]
+    assert ident["target_sum"] == pytest.approx([want_target.real, want_target.imag], abs=1e-12)
+    got = [(o["end"], complex(*o["weight"])) for o in ident["offending"]]
+    want = [(target, want_target)] + want_offending
+    assert [e for e, _ in got] == pytest.approx([e for e, _ in want], abs=1e-12)
+    assert [w for _, w in got] == pytest.approx([w for _, w in want], abs=1e-12)
+    assert any(abs(e - (target - delta)) < 1e-12 for e, _ in got)
 
 
 def test_congruence(problem, capsys):

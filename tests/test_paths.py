@@ -216,15 +216,17 @@ def test_end_sums_barely_crossing():
 
 def test_path_table_states():
     table = path_table(OM, SQRT_SWAP, 0, 2.0)
-    assert np.all(table.lo < table.hi)
-    assert np.all((table.lo >= 0.0) & (table.hi <= 1.0))
     # the state counts add up to the number of paths at every start point
     for x in (0.1, 0.5, 0.9):
         states = table.at(x)
         assert int(states.count.sum()) == len(enumerate_paths(OM, SQRT_SWAP, x, 2.0))
         idx, ends = table.select(x)
-        assert np.all((table.lo[idx] <= x) & (x < table.hi[idx]))
         assert ends == pytest.approx(x + table.shift[idx])
+    # every row is admissible from some start point of interval 0
+    seen = set()
+    for x in np.linspace(0.0, 1.0, 201)[1:-1]:
+        seen.update(table.select(x)[0].tolist())
+    assert seen == set(range(len(table.final)))
     # no path stays in interval 0 for t = 2 > l_0
     assert not np.any((table.final == 0) & (table.shift == 2.0))
 
