@@ -36,7 +36,6 @@ from .boundary import (
     is_unitary,
     matrix_from_spectrum,
     permutation_matrix,
-    power,
     rational_order_check,
     reflected_boundary_matrix,
     require_unitary,

@@ -219,14 +219,6 @@ def forelli_weight_check(
     return True
 
 
-def power(b, p: int) -> np.ndarray:
-    """B^p for a positive integer p."""
-    if p < 1:
-        raise ValueError("exponent must be >= 1")
-    b = np.asarray(b, dtype=complex)
-    return np.linalg.matrix_power(b, p)
-
-
 def rational_order_check(b, d: int, n: int) -> bool:
     """Whether B^(d*n) = I, the consequence of a rational spectrum of common
     denominator d on an equal-length set of measure 1 with n intervals."""

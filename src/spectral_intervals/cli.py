@@ -112,13 +112,7 @@ def cmd_spectrum(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
     t0 = time.perf_counter()
-    report = compute_spectrum(
-        omega,
-        b,
-        window=_window(args, data),
-        grid_step=args.grid_step,
-        jobs=args.jobs,
-    )
+    report = compute_spectrum(omega, b, window=_window(args, data), grid_step=args.grid_step)
     flags = report.constant_flags()
     out = _base_report("spectrum", args, digest)
     out.update(
@@ -129,7 +123,7 @@ def cmd_spectrum(args) -> int:
             "dims": report.dims,
             "constant_flags": flags,
             "residuals": report.residuals,
-            "warnings": report.warnings,
+            "root_count": report.root_count,
             "elapsed_s": time.perf_counter() - t0,
         }
     )
@@ -138,7 +132,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _build_function(spec: str, omega, b, window):
+def _build_function(spec: str, omega, b, window, grid_step):
     """Function specs: 'bump', or 'eigenfunction:K' for the K-th eigenvalue."""
     if spec == "bump":
         return PiecewiseExpPoly.from_atoms(
@@ -146,8 +140,7 @@ def _build_function(spec: str, omega, b, window):
         )
     if spec.startswith("eigenfunction:"):
         k = int(spec.split(":", 1)[1])
-        check = spectral_matrix_check(omega, b, window)
-        report = check.report
+        report = spectral_matrix_check(omega, b, window, grid_step=grid_step).report
         if not 0 <= k < len(report.eigenvalues):
             raise ValidationError(
                 f"eigenfunction index {k} out of range (found {len(report.eigenvalues)})"
@@ -161,7 +154,7 @@ def cmd_evolve(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
     t0 = time.perf_counter()
-    f = _build_function(args.function, omega, b, _window(args, data))
+    f = _build_function(args.function, omega, b, _window(args, data), args.grid_step)
     result = apply_U_paths(omega, b, args.t, f)
     xs = probe_points(result.function, args.samples)
     vals = result.function.evaluate(xs)
@@ -189,13 +182,14 @@ def cmd_verify(args) -> int:
     b = _require_matrix(b)
     t0 = time.perf_counter()
     window = _window(args, data)
-    check = spectral_matrix_check(omega, b, window)
+    check = spectral_matrix_check(omega, b, window, grid_step=args.grid_step)
     out = _base_report("verify", args, digest)
     out.update(
         {
             "verdict": check.verdict,
             "eigenvalues": check.report.eigenvalues,
             "dims": check.report.dims,
+            "root_count": check.report.root_count,
         }
     )
     if check.witness_lambda is not None:
@@ -341,19 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
-        p.add_argument("--grid-step", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None)
-        p.set_defaults(grid_step=None)
 
     p = sub.add_parser("spectrum", help="eigenvalues in a window")
     common(p)
+    p.add_argument("--grid-step", type=float, help="grid step of the spectrum scan")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("evolve", help="apply the unitary group to a function")
     common(p)
+    p.add_argument("--grid-step", type=float, help="grid step of the spectrum scan")
     p.add_argument("--t", type=float, required=True, help="evolution time")
     p.add_argument(
         "--function",
@@ -365,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="spectrality verdict and structure checks")
     common(p)
+    p.add_argument("--grid-step", type=float, help="grid step of the spectrum scan")
     p.add_argument("--trials", type=int, default=0, help="random local translation trials")
     p.set_defaults(func=cmd_verify)
 

@@ -9,7 +9,7 @@ class SpectralIntervalsError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(SpectralIntervalsError):
+class ValidationError(SpectralIntervalsError, ValueError):
     """Bad input data (exit code 1)."""
 
 

@@ -16,6 +16,7 @@ from .errors import (
     MoveCollision,
     NonFinite,
     OverlappingIntervals,
+    ValidationError,
 )
 
 #: cap on the number of nodes visited by the gap decomposition search
@@ -219,8 +220,8 @@ def translation_congruence_to_interval(
     Returns the congruence map, or None if no assignment of shifts in a*Z
     tiles the target interval with the intervals of omega.
     """
-    if a <= 0:
-        raise ValueError("modulus must be positive")
+    if not a > 0:
+        raise ValidationError(f"modulus must be positive, got {a}")
     tol = omega.tol() if tol is None else tol
     target_lo = omega.endpoints[0][0]
     lengths = omega.lengths

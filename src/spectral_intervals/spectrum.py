@@ -3,35 +3,42 @@
 A real lambda belongs to the spectrum iff 1 is an eigenvalue of the unitary
 transfer matrix M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec); the
 eigenspace is spanned by the null vectors of I - M(lambda).  The general
-solver scans a grid of the indicator h(lambda) = min_j |1 - mu_j(M(lambda))|
-and refines the dips; the equal-length shortcut reads the spectrum off the
-eigenphases of B.
+solver counts the roots of every grid cell from the eigenphases of M at its
+ends (det M(lambda) = det B e^{-2 pi i lambda L}) and locates them; the
+equal-length shortcut reads the spectrum off the eigenphases of B.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .boundary import cis, eig_unitary, require_unitary
-from .errors import ConvergenceFailure, NotEqualLength
+from .errors import ConvergenceFailure, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
-TOL_ROOT = 1e-10
+#: absolute tolerance of brentq on a root
+TOL_ROOT = 1e-13
+#: singular values of I - M(lambda) below this span the eigenspace
 TOL_EIG = 1e-8
-#: refined minima of h above this value are rejected as spurious dips
-ACCEPT_H = 1e-7
+#: a cell's phase count must lie this close to an integer
+TOL_COUNT = 1e-6
+#: cells narrower than this, relative to max(1, |lambda|), hold one root
+MIN_CELL = 1e-11
+#: grid points per stacked eigendecomposition, which bounds its memory
+CHUNK = 256
 
 
-def transfer_matrix(omega: IntervalUnion, b, lam: float) -> np.ndarray:
-    """M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec), unitary for real lambda."""
+def transfer_matrix(omega: IntervalUnion, b, lam) -> np.ndarray:
+    """M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec), unitary for real lambda;
+    stacked along the first axes for an array of lambdas."""
     b = np.asarray(b, dtype=complex)
+    lam = np.asarray(lam, dtype=float)[..., None]
     left = np.conj(cis(lam * np.array(omega.rights)))
     right = cis(lam * np.array(omega.lefts))
-    return left[:, None] * b * right[None, :]
+    return left[..., :, None] * b * right[..., None, :]
 
 
 def eigenvalue_distance(omega: IntervalUnion, b, lam: float) -> float:
@@ -40,23 +47,90 @@ def eigenvalue_distance(omega: IntervalUnion, b, lam: float) -> float:
     return float(np.min(np.abs(1.0 - mu)))
 
 
-def _nearest_eigenvalue_angle(omega: IntervalUnion, b, lam: float) -> float:
-    """Signed angle of the eigenvalue of M(lambda) closest to 1.
+def _phase_data(omega: IntervalUnion, b, lams: np.ndarray):
+    """For each lambda, the sum of the eigenphases of M(lambda) in [0, 2pi)
+    and the signed angle of its eigenvalue closest to 1.
 
     Every eigenphase of M is strictly decreasing in lambda (each interval
-    has positive length), so this crosses zero transversally at spectrum
-    points and supports bracketed root finding to machine precision.
+    has positive length), so the nearest angle falls through zero at
+    spectrum points and jumps only upwards, where two eigenvalues are
+    equally close to 1.
     """
-    mu = np.linalg.eigvals(transfer_matrix(omega, b, lam))
-    return float(np.angle(mu[np.argmin(np.abs(1.0 - mu))]))
+    sums = np.empty(len(lams))
+    nearest = np.empty(len(lams))
+    for s in range(0, len(lams), CHUNK):
+        ang = np.angle(np.linalg.eigvals(transfer_matrix(omega, b, lams[s:s + CHUNK])))
+        sums[s:s + CHUNK] = np.mod(ang, 2 * np.pi).sum(axis=1)
+        pick = np.argmin(np.abs(ang), axis=1)[:, None]
+        nearest[s:s + CHUNK] = np.take_along_axis(ang, pick, axis=1)[:, 0]
+    return sums, nearest
 
 
-def nullspace_at(omega: IntervalUnion, b, lam: float, tol_eig: float = TOL_EIG):
+def _nearest_eigenvalue_angle(omega: IntervalUnion, b, lam: float) -> float:
+    """``_phase_data``'s nearest angle at one lambda, without the stacking."""
+    ang = np.angle(np.linalg.eigvals(transfer_matrix(omega, b, lam)))
+    return float(ang[np.argmin(np.abs(ang))])
+
+
+def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
+    """Spectrum points, with multiplicity, between consecutive edges.
+
+    The eigenphases fall by L*(c - a) turns in total over a cell [a, c], so
+    it holds L*(c - a) + (sum(c) - sum(a))/2pi roots.
+    """
+    raw = omega.measure * np.diff(edges) + np.diff(sums) / (2 * np.pi)
+    counts = np.rint(raw)
+    bad = (np.abs(raw - counts) > TOL_COUNT) | (counts < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConvergenceFailure(
+            f"phase count {raw[k]:.9g} on [{edges[k]!r}, {edges[k + 1]!r}] "
+            "is not a non-negative integer"
+        )
+    return counts.astype(int)
+
+
+def _refine(omega, b, left, right, count, roots) -> None:
+    """Append the ``count`` roots in a cell to ``roots``.
+
+    ``left`` and ``right`` are the (lambda, phase sum, nearest angle) of the
+    cell's ends.  The root of a one-root cell is located by brentq when the
+    nearest angle falls through zero across the cell, which there happens
+    only at the root.  Other cells are halved and each half counted again,
+    down to a width at which their roots are one root of that multiplicity,
+    located by brentq in the same way, or else at the cell's midpoint.
+    """
+    (a, sa, ga), (c, sc, gc) = left, right
+    mid = 0.5 * (a + c)
+    floor = c - a < MIN_CELL * max(1.0, abs(mid))
+    # an end where the angle is exactly 0 is a root of the cell it starts:
+    # the phase sums take angles in [0, 2pi)
+    if (count == 1 or floor) and ga >= 0 > gc:
+        ends = {a: ga, c: gc}  # brentq sees the end values tested here
+
+        def angle(lam):
+            return ends[lam] if lam in ends else _nearest_eigenvalue_angle(omega, b, lam)
+
+        roots.append(float(scipy.optimize.brentq(angle, a, c, xtol=TOL_ROOT, rtol=1e-15)))
+        return
+    if floor:
+        roots.append(float(mid))
+        return
+    (smid,), (gmid,) = _phase_data(omega, b, np.array([mid]))
+    middle = (mid, smid, gmid)
+    left_count, right_count = _cell_counts(omega, [a, mid, c], [sa, smid, sc])
+    if left_count:
+        _refine(omega, b, left, middle, left_count, roots)
+    if right_count:
+        _refine(omega, b, middle, right, right_count, roots)
+
+
+def nullspace_at(omega: IntervalUnion, b, lam: float):
     """Orthonormal basis of {c : B E(lambda a)c = E(lambda b)c}; [] off spectrum."""
     m = transfer_matrix(omega, b, lam)
     n = omega.n
     _, s, vh = np.linalg.svd(np.eye(n) - m)
-    return [vh[k].conj() for k in range(n) if s[k] < tol_eig]
+    return [vh[k].conj() for k in range(n) if s[k] < TOL_EIG]
 
 
 def default_grid_step(omega: IntervalUnion) -> float:
@@ -69,31 +143,38 @@ def default_window(omega: IntervalUnion) -> tuple[float, float]:
     return (-half, half)
 
 
+def _checked(omega: IntervalUnion, window, grid_step) -> tuple[float, float, float]:
+    """The window and the grid step, defaults filled in; bad values raise."""
+    lo, hi = default_window(omega) if window is None else window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"window must be finite with lo < hi, got ({lo}, {hi})")
+    step = default_grid_step(omega) if grid_step is None else grid_step
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"grid_step must be positive and finite, got {grid_step}")
+    return lo, hi, step
+
+
 @dataclass
 class SpectrumReport:
-    """Eigenvalues of D_B in a window, with eigenspace data."""
+    """Eigenvalues of D_B in a window, with eigenspace data.
+
+    root_count is the number of spectrum points in the window counted with
+    multiplicity; every report has sum(dims) == root_count.
+    """
 
     eigenvalues: list[float]
     eigenspaces: list[list[np.ndarray]]
     residuals: list[float]
     window: tuple[float, float]
     method: str
-    warnings: list[str] = field(default_factory=list)
+    root_count: int
 
     @property
     def dims(self) -> list[int]:
         return [len(basis) for basis in self.eigenspaces]
 
     def constant_flags(self, tol: float = 1e-6) -> list[bool]:
-        flags = []
-        for basis in self.eigenspaces:
-            if len(basis) != 1:
-                flags.append(False)
-                continue
-            v = basis[0]
-            u = np.ones(len(v)) / math.sqrt(len(v))
-            flags.append(bool(np.linalg.norm(v - (u @ v.conj()).conjugate() * u) < tol))
-        return flags
+        return [len(basis) == 1 and _is_constant(basis[0], tol) for basis in self.eigenspaces]
 
 
 def _boundary_residual(omega, b, lam, c):
@@ -107,112 +188,46 @@ def compute_spectrum(
     b,
     window: tuple[float, float] | None = None,
     grid_step: float | None = None,
-    tol_root: float = TOL_ROOT,
-    tol_eig: float = TOL_EIG,
-    jobs: int = 1,
 ) -> SpectrumReport:
-    """Scan-and-refine solver for the spectrum in a window.
+    """Count-certified solver for the spectrum in a window.
 
-    Grid-scans h(lambda), brackets the dips below a phase-speed threshold,
-    refines each by bounded golden-section minimization, and attaches
-    eigenspaces.  Flags suspiciously wide gaps between consecutive roots.
+    Cuts the window into grid cells of about ``grid_step``, counts the roots
+    of each cell from the eigenphases at its ends (stacked eigendecompositions
+    of the whole grid), locates the roots of the cells that hold any, and
+    attaches eigenspaces.  Raises ConvergenceFailure unless every count is an
+    integer, every eigenspace is nonempty and their dimensions add up to the
+    count of the window.
     """
     b = require_unitary(b)
-    if window is None:
-        window = default_window(omega)
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
-    if grid_step is None:
-        grid_step = default_grid_step(omega)
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-
-    # eigenphases of M move at most this fast in lambda
-    phase_speed = 2 * np.pi * (
-        max(abs(v) for v in omega.lefts) + max(abs(v) for v in omega.rights)
-    )
-    threshold = max(0.75 * phase_speed * grid_step, 1e-6)
-
-    grid = np.arange(lo, hi + grid_step, grid_step)
-    grid[-1] = min(grid[-1], hi)
-
-    def scan(chunk):
-        return [eigenvalue_distance(omega, b, lam) for lam in chunk]
-
-    if jobs > 1:
-        chunks = np.array_split(grid, jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            h = np.concatenate([np.array(r) for r in pool.map(scan, chunks)])
-    else:
-        h = np.array(scan(grid))
-
-    brackets = []
-    for k in range(len(grid)):
-        if h[k] >= threshold:
-            continue
-        left_ok = k == 0 or h[k] <= h[k - 1]
-        right_ok = k == len(grid) - 1 or h[k] <= h[k + 1]
-        if left_ok and right_ok:
-            a = grid[max(k - 1, 0)]
-            c = grid[min(k + 1, len(grid) - 1)]
-            brackets.append((a, c))
-
+    lo, hi, grid_step = _checked(omega, window, grid_step)
+    # the window is closed: widened by the bisection floor, the counted range
+    # holds a root on its edge
+    edges = (lo - MIN_CELL * max(1.0, abs(lo)), hi + MIN_CELL * max(1.0, abs(hi)))
+    grid = np.linspace(*edges, max(2, math.ceil((hi - lo) / grid_step) + 1))
+    sums, nearest = _phase_data(omega, b, grid)
+    counts = _cell_counts(omega, grid, sums)
     roots: list[float] = []
-    for a, c in brackets:
-        ga = _nearest_eigenvalue_angle(omega, b, a)
-        gc = _nearest_eigenvalue_angle(omega, b, c)
-        if ga == 0.0 or gc == 0.0 or ga * gc < 0:
-            # the signed angle crosses zero: locate it to machine precision
-            root = scipy.optimize.brentq(
-                lambda lam: _nearest_eigenvalue_angle(omega, b, lam),
-                a,
-                c,
-                xtol=min(tol_root * 1e-2, 1e-13),
-                rtol=1e-15,
-            )
-            if eigenvalue_distance(omega, b, root) < ACCEPT_H:
-                roots.append(float(root))
-            continue
-        # no sign change: minimize to distinguish a grazing dip from noise
-        res = scipy.optimize.minimize_scalar(
-            lambda lam: eigenvalue_distance(omega, b, lam),
-            bounds=(a, c),
-            method="bounded",
-            options={"xatol": min(tol_root * 1e-2, 1e-12)},
-        )
-        if not res.success:
-            raise ConvergenceFailure(f"refinement failed in bracket ({a}, {c})")
-        if res.fun < ACCEPT_H:
-            roots.append(float(res.x))
-
-    roots.sort()
-    merged: list[float] = []
-    merge_tol = max(10 * tol_root, 1e-12 * max(1.0, abs(lo), abs(hi)))
+    for k in np.flatnonzero(counts):
+        ends = [(grid[j], sums[j], nearest[j]) for j in (k, k + 1)]
+        _refine(omega, b, *ends, int(counts[k]), roots)
+    # rounding can count the eigenvalues of a multiple root on both sides of
+    # a cell edge: roots closer than the bisection floor are one root
+    eigenvalues: list[float] = []
     for r in roots:
-        if merged and r - merged[-1] < merge_tol:
-            continue
-        merged.append(r)
-    merged = [r for r in merged if lo - merge_tol <= r <= hi + merge_tol]
-
-    warnings = []
-    max_gap = 1.1 / omega.lmin
-    for r1, r2 in zip(merged, merged[1:]):
-        if r2 - r1 > max_gap:
-            warnings.append(
-                f"suspected missed root between {r1:.6g} and {r2:.6g}: "
-                f"gap {r2 - r1:.6g} exceeds {max_gap:.6g}; refine the grid"
-            )
-
-    eigenspaces = []
-    residuals = []
-    for r in merged:
-        basis = nullspace_at(omega, b, r, tol_eig)
-        eigenspaces.append(basis)
-        residuals.append(
-            max((_boundary_residual(omega, b, r, c) for c in basis), default=0.0)
+        if not eigenvalues or r - eigenvalues[-1] >= MIN_CELL * max(1.0, abs(r)):
+            eigenvalues.append(r)
+    eigenspaces = [nullspace_at(omega, b, r) for r in eigenvalues]
+    residuals = [
+        max((_boundary_residual(omega, b, r, c) for c in basis), default=0.0)
+        for r, basis in zip(eigenvalues, eigenspaces)
+    ]
+    report = SpectrumReport(eigenvalues, eigenspaces, residuals, (lo, hi), "scan", int(counts.sum()))
+    if sum(report.dims) != report.root_count or 0 in report.dims:
+        raise ConvergenceFailure(
+            f"eigenspace dimensions {report.dims} do not add up to the "
+            f"{report.root_count} roots counted in ({lo}, {hi})"
         )
-    return SpectrumReport(merged, eigenspaces, residuals, (lo, hi), "scan", warnings)
+    return report
 
 
 def equal_length_spectrum(
@@ -226,9 +241,7 @@ def equal_length_spectrum(
     if not omega.equal_lengths():
         raise NotEqualLength("intervals do not all have the same length")
     b = require_unitary(b)
-    if window is None:
-        window = default_window(omega)
-    lo, hi = window
+    lo, hi, _ = _checked(omega, window, None)
     ell = omega.measure / omega.n
     eig = eig_unitary(b)
     alphas = np.array(omega.lefts)
@@ -251,7 +264,9 @@ def equal_length_spectrum(
         max((_boundary_residual(omega, b, lam, c) for c in basis), default=0.0)
         for lam, basis in entries
     ]
-    return SpectrumReport(eigenvalues, eigenspaces, residuals, (lo, hi), "equal_length")
+    return SpectrumReport(
+        eigenvalues, eigenspaces, residuals, (lo, hi), "equal_length", sum(map(len, eigenspaces))
+    )
 
 
 @dataclass
@@ -284,7 +299,7 @@ def spectral_matrix_check(
     b,
     window: tuple[float, float] | None = None,
     tol_const: float = 1e-6,
-    **solver_kwargs,
+    grid_step: float | None = None,
 ) -> SpectralCheck:
     """Decide whether B is a spectral boundary matrix for omega.
 
@@ -292,7 +307,10 @@ def spectral_matrix_check(
     constant vector.  Equal-length sets whose left endpoints are congruent
     modulo the common length admit an exact verdict from the finite
     eigenphase set; otherwise the verdict is limited to the window.
+    ``grid_step`` is the scan's; the equal-length shortcut needs no grid but
+    still rejects a bad one, like a bad window.
     """
+    _checked(omega, window, grid_step)
     if omega.equal_lengths():
         report = equal_length_spectrum(omega, b, window)
         ell = omega.measure / omega.n
@@ -306,17 +324,12 @@ def spectral_matrix_check(
             if len(basis) > 1 or not _is_constant(basis[0], tol_const):
                 return SpectralCheck("not_spectral", lam, basis, report)
         offsets = [(a - omega.lefts[0]) / ell for a in omega.lefts]
-        exact = all(abs(o - round(o)) < omega.tol() for o in offsets)
-        if exact:
+        if all(abs(o - round(o)) < omega.tol() for o in offsets):
             return SpectralCheck("spectral_exact", None, None, report)
-        for lam, basis in zip(report.eigenvalues, report.eigenspaces):
-            if len(basis) > 1 or not _is_constant(basis[0], tol_const):
-                return SpectralCheck("not_spectral", lam, basis, report)
-        return SpectralCheck("spectral_on_window", None, None, report)
-
-    report = compute_spectrum(omega, b, window, **solver_kwargs)
-    if not report.eigenvalues:
-        return SpectralCheck("undecided", None, None, report)
+    else:
+        report = compute_spectrum(omega, b, window, grid_step)
+        if not report.eigenvalues:
+            return SpectralCheck("undecided", None, None, report)
     for lam, basis in zip(report.eigenvalues, report.eigenspaces):
         if len(basis) != 1 or not _is_constant(basis[0], tol_const):
             return SpectralCheck("not_spectral", lam, basis, report)

@@ -37,6 +37,7 @@ def test_spectrum_json(problem, capsys):
     want = sorted(k + r for k in range(-3, 3) for r in (0.0, 0.25) if -2.2 <= k + r <= 2.2)
     assert got == pytest.approx(want, abs=1e-9)
     assert all(rep["constant_flags"])
+    assert rep["root_count"] == sum(rep["dims"]) == len(want)
 
 
 def test_spectrum_csv_and_out(problem, capsys, tmp_path):
@@ -61,6 +62,7 @@ def test_verify(problem, capsys):
     assert rep["local_translation"]["passed"]
     assert {c["name"] for c in rep["structure"]} >= {"gap_lengths", "diagonal"}
     assert rep["evidence"]["max_offdiagonal"] < 1e-8
+    assert rep["root_count"] == sum(rep["dims"])
 
 
 def test_verify_adjacent_tiling_pair(tmp_path, capsys):
@@ -199,3 +201,39 @@ def test_exit_code_validation(tmp_path, capsys):
 def test_exit_code_guard(problem, monkeypatch, capsys):
     monkeypatch.setenv("SPECTRAL_INTERVALS_MAX_PATHS", "4")
     assert main(["paths", problem, "--x", "0.5", "--t", "3.0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--window", "1", "1"],
+        ["spectrum", "--grid-step", "0"],
+        ["verify", "--grid-step", "0"],
+        ["evolve", "--t", "0.3", "--function", "eigenfunction:0", "--grid-step", "-1"],
+        ["congruence", "--modulus", "0"],
+    ],
+)
+def test_bad_numbers_exit_1_without_traceback(problem, capsys, argv):
+    assert main([argv[0], problem, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unmet_count_certificate_exits_2(tmp_path, capsys, monkeypatch):
+    # with a zero SVD cut-off no eigenspace is found: the solver must refuse
+    # to report roots without eigenvectors
+    from spectral_intervals import spectrum
+
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(dict(PAIR, intervals=[[0, 1], [2, 3.5]])))
+    monkeypatch.setattr(spectrum, "TOL_EIG", 0.0)
+    assert main(["spectrum", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command", ["classify", "paths", "congruence"])
+def test_grid_step_only_where_a_spectrum_is_scanned(problem, command):
+    extra = ["--x", "0.5", "--t", "1.0"] if command == "paths" else []
+    with pytest.raises(SystemExit):
+        main([command, problem, *extra, "--grid-step", "0.1"])

@@ -1,5 +1,11 @@
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from spectral_intervals.errors import NotEqualLength
@@ -16,6 +22,26 @@ from spectral_intervals.spectrum import (
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+#: problems on which an earlier grid-dip solver missed roots or reported an
+#: eigenvalue with an empty eigenspace, without a warning
+MISSED_ROOTS = json.loads((Path(__file__).parent / "fixtures" / "missed_roots.json").read_text())
+
+
+def phase_count(intervals, b, lo, hi) -> int:
+    """Roots of det(I - M(lambda)) in [lo, hi], with multiplicity, by numpy alone.
+
+    det M = det B e^{-2 pi i lambda L}: the eigenphases fall by L(hi - lo)
+    turns in total, and every root adds one turn to their sum in [0, 2pi).
+    """
+    ivs = np.asarray(intervals, dtype=float)
+
+    def phase_sum(lam):
+        m = np.exp(-2j * np.pi * lam * ivs[:, 1])[:, None] * b * np.exp(2j * np.pi * lam * ivs[:, 0])
+        return np.mod(np.angle(np.linalg.eigvals(m)), 2 * np.pi).sum()
+
+    n = np.sum(ivs[:, 1] - ivs[:, 0]) * (hi - lo) + (phase_sum(hi) - phase_sum(lo)) / (2 * np.pi)
+    assert abs(n - round(n)) < 1e-6
+    return round(n)
 
 
 @pytest.fixture
@@ -132,16 +158,94 @@ def test_spectral_check_undecided():
     assert check.verdict == "undecided"
 
 
-def test_jobs_parallel_scan(pair):
-    om, b = pair
-    serial = compute_spectrum(om, b, window=(-2.2, 2.2))
-    parallel = compute_spectrum(om, b, window=(-2.2, 2.2), jobs=4)
-    assert serial.eigenvalues == pytest.approx(parallel.eigenvalues, abs=1e-12)
-
-
 def test_bad_window_and_grid(pair):
     om, b = pair
     with pytest.raises(ValueError):
         compute_spectrum(om, b, window=(1, 1))
     with pytest.raises(ValueError):
         compute_spectrum(om, b, grid_step=0)
+
+
+@pytest.mark.parametrize("name", sorted(MISSED_ROOTS))
+def test_root_count_certificate_regressions(name):
+    prob = MISSED_ROOTS[name]
+    om = new_interval_union(prob["intervals"])
+    b = np.array([[complex(*z) for z in row] for row in prob["matrix"]])
+    window = tuple(prob["window"])
+    rep = compute_spectrum(om, b, window=window)
+    assert min(rep.dims) >= 1
+    assert sum(rep.dims) == phase_count(prob["intervals"], b, *window)
+    assert rep.root_count == sum(rep.dims)
+    assert max(eigenvalue_distance(om, b, lam) for lam in rep.eigenvalues) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "intervals, window",
+    [
+        # lengths 1, 1 and 1.5: dims 3, 1, 2, 1, 3, 1, 2, 1, 3
+        ([(0, 1), (1.5, 2.5), (4, 5.5)], (-2.2, 2.2)),
+        # lengths 2.25, 2 and 0.25: every edge of these windows is a root,
+        # 8, 4, 0 and -4 are triple roots
+        ([(0, 2.25), (3, 5), (6, 6.25)], (2, 8)),
+        ([(0, 2.25), (3, 5), (6, 6.25)], (-4, 0)),
+        # double roots far out, where the bisection floor is 1e-8 wide
+        ([(0, 1), (2, 4)], (1000.3, 1003.7)),
+    ],
+)
+def test_multiple_roots_of_the_identity(intervals, window):
+    # B = I decouples the intervals: lambda is a root once for every length
+    # l_j with lambda * l_j an integer
+    lo, hi = window
+    want: dict[Fraction, int] = {}
+    for a, c in intervals:
+        ell = Fraction(c) - Fraction(a)
+        for k in range(math.ceil(lo * ell), math.floor(hi * ell) + 1):
+            want[k / ell] = want.get(k / ell, 0) + 1
+    rep = compute_spectrum(new_interval_union(intervals), np.eye(len(intervals)), window=window)
+    assert rep.eigenvalues == pytest.approx([float(x) for x in sorted(want)], abs=1e-9)
+    assert rep.dims == [want[x] for x in sorted(want)]
+    assert rep.root_count == sum(want.values())
+    assert all(r < 1e-8 for r in rep.residuals)
+
+
+@pytest.mark.parametrize(
+    "intervals, b, window",
+    [
+        # a root (0) on a grid point, where its angle is exactly 0, at the
+        # end of a cell that holds another root
+        ([(0, 1.3415)], np.eye(1), (-6, 10)),
+        # double roots (-4, 0, 4) whose eigenvalues rounding puts on both
+        # sides of 1 at a grid point
+        (
+            [(0.0, 1.25), (1.75, 2.5), (3.0, 4.25), (4.75, 5.75), (6.25, 7.0)],
+            np.eye(5)[[1, 0, 2, 3, 4]] * np.exp(2j * np.pi * np.array([2, 2, 0, 1, 1]) / 4)[:, None],
+            (-4, 4),
+        ),
+    ],
+)
+def test_roots_on_grid_points(intervals, b, window):
+    lo, hi = window
+    rep = compute_spectrum(new_interval_union(intervals), b, window=window, grid_step=1.0)
+    assert min(rep.dims) >= 1
+    # the window is closed: count over a slightly wider one
+    assert sum(rep.dims) == rep.root_count == phase_count(intervals, b, lo - 1e-6, hi + 1e-6)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.sampled_from([None, 0.1, 0.5]))
+def test_count_certificate_haar(n, seed, grid_step):
+    # coarse grids put several roots, and jumps of the nearest angle, into
+    # one cell
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.2, 1.5, n)
+    gaps = rng.uniform(0.05, 1.5, n - 1)
+    lefts = rng.uniform(-3, 3) + np.concatenate([[0.0], np.cumsum(lengths[:-1] + gaps)])
+    intervals = [(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)]
+    b = unitary_group.rvs(n, random_state=rng)
+    lo = float(rng.uniform(-9, 3))
+    hi = lo + float(rng.uniform(0.5, 9))
+    rep = compute_spectrum(new_interval_union(intervals), b, window=(lo, hi), grid_step=grid_step)
+    assert all(d >= 1 for d in rep.dims)
+    assert sum(rep.dims) == rep.root_count == phase_count(intervals, b, lo, hi)
+    assert all(lo - 1e-9 <= lam <= hi + 1e-9 for lam in rep.eigenvalues)
+    assert all(r < 1e-8 for r in rep.residuals)
