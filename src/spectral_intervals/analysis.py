@@ -23,7 +23,7 @@ from .errors import (
     SpectralIntervalsError,
     WrongStructure,
 )
-from .evolution import PiecewiseExpPoly, inner_product
+from .evolution import PiecewiseExpPoly, _poly_exp_integral, inner_product
 from .intervals import (
     IntervalUnion,
     gap_decomposition,
@@ -37,17 +37,10 @@ from .spectrum import SpectralCheck, SpectrumReport, spectral_matrix_check
 def exp_gram(omega: IntervalUnion, lambdas) -> np.ndarray:
     """Gram matrix of the exponentials e_lambda over L^2(omega), closed form."""
     lambdas = np.asarray(list(lambdas), dtype=float)
-    m = len(lambdas)
-    alphas = np.array(omega.lefts)
-    betas = np.array(omega.rights)
-    g = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        for l in range(m):
-            s = lambdas[k] - lambdas[l]
-            if abs(s) < 1e-13:
-                g[k, l] = omega.measure
-            else:
-                g[k, l] = np.sum((cis(s * betas) - cis(s * alphas)) / (2j * np.pi * s))
+    diff = lambdas[:, None] - lambdas[None, :]
+    g = np.zeros(diff.shape, dtype=complex)
+    for a, b in omega.endpoints:
+        g += _poly_exp_integral((1.0,), diff, a, b)
     return g
 
 
@@ -89,10 +82,13 @@ def spectral_pair_evidence(
             ],
         )
     norm2 = inner_product(omega, probe, probe).real
-    coeff2 = 0.0
-    for lam in lambdas:
-        e = PiecewiseExpPoly.exponential(omega, lam)
-        coeff2 += abs(inner_product(omega, probe, e)) ** 2 / omega.measure
+    # <probe, e_lambda> for every lambda at once, one integral per atom
+    lams = np.array(lambdas)
+    coeffs = np.zeros(len(lams), dtype=complex)
+    for piece in probe.pieces:
+        for atom in piece.atoms:
+            coeffs += _poly_exp_integral(atom.coeffs, atom.freq - lams, piece.lo, piece.hi)
+    coeff2 = float(np.sum(np.abs(coeffs) ** 2)) / omega.measure
     return SpectralVerdict(max_off < tol, max_off, density, norm2 - coeff2)
 
 

@@ -91,7 +91,7 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -158,6 +158,7 @@ def cmd_evolve(args) -> int:
     result = apply_U_paths(omega, b, args.t, f)
     xs = probe_points(result.function, args.samples)
     vals = result.function.evaluate(xs)
+    samples = list(zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist()))
     out = _base_report("evolve", args, digest)
     out.update(
         {
@@ -165,15 +166,11 @@ def cmd_evolve(args) -> int:
             "function": args.function,
             "path_count": result.path_count,
             "breakpoints": {str(k): v for k, v in result.refinement.items()},
-            "samples": [
-                {"x": float(x), "value": _complex_out(complex(v))}
-                for x, v in zip(xs, vals)
-            ],
+            "samples": [{"x": x, "value": [re, im]} for x, re, im in samples],
             "elapsed_s": time.perf_counter() - t0,
         }
     )
-    rows = [(float(x), complex(v).real, complex(v).imag) for x, v in zip(xs, vals)]
-    _emit(args, out, rows, ["x", "re", "im"])
+    _emit(args, out, samples, ["x", "re", "im"])
     return 0
 
 

@@ -238,53 +238,64 @@ def probe_points(f: PiecewiseExpPoly, per_piece: int = PROBE_POINTS_PER_PIECE):
 # -- closed-form integration -------------------------------------------------
 
 _TAYLOR_TERMS = 22
+_CHUNK_PHASE = 0.25  # |2*pi*s| * chunk half-width where the Taylor series is used
+# [a, b] -> integral of w^(a+b) over (-1, 1), for products of two atoms' polynomials
+_MONOMIAL = np.array(
+    [[2.0 / (a + b + 1) if (a + b) % 2 == 0 else 0.0 for b in range(_TAYLOR_TERMS)]
+     for a in range(2 * MAX_DEGREE + 1)]
+)
+_INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(_TAYLOR_TERMS)])
 
 
-def _poly_exp_integral(coeffs, s: float, lo: float, hi: float) -> complex:
+def _poly_exp_integral(coeffs, s, lo: float, hi: float):
     """Integral of p(x) * e^{2*pi*i*s*x} over (lo, hi), p given by coeffs.
 
-    Degree zero uses the exact antiderivative (series for small phase).
-    Higher degrees integrate a centered Taylor expansion of the exponential
-    on chunks short enough that the expansion is exact to machine precision.
+    ``s`` is a scalar or an array of frequencies; the result has the shape
+    of ``s`` (a complex for a scalar).  With c = 2*pi*i*s and h the half-width of (lo, hi):
+    where |c|*h > max(1, deg p) the exact antiderivative
+    e^{cx} * sum_k (-1)^k p^(k)(x) / c^(k+1) is used, whose terms do not
+    cancel there; elsewhere (lo, hi) is cut into at most 4*max(1, deg p)
+    equal chunks on which |c| times the half-width is at most 1/4, and the
+    Taylor series of e^{cx} about each chunk's centre is integrated against
+    p.  The cost does not grow with |s|.
     """
-    c = 2j * np.pi * s
-    width = hi - lo
-    if width <= 0:
-        return 0j
-    if len(coeffs) == 1:
-        p0 = coeffs[0]
-        arg = c * width
-        if abs(arg) < 0.1:
-            # e^{c*lo} * width * sum (c*width)^k / (k+1)!
-            total = 0j
-            term = 1.0 + 0j
-            for k in range(_TAYLOR_TERMS):
-                total += term / math.factorial(k + 1)
-                term *= arg
-            return p0 * np.exp(c * lo) * width * total
-        return p0 * (np.exp(c * hi) - np.exp(c * lo)) / c
+    s = np.asarray(s, dtype=float)
+    c = 2j * np.pi * s.ravel()
+    out = np.zeros(c.shape, dtype=complex)
+    h = (hi - lo) / 2
+    if h > 0:
+        deg = len(coeffs) - 1
+        phase = np.abs(c) * h
+        big = phase > max(1, deg)
+        if big.any():
+            out[big] = _antiderivative(coeffs, c[big], hi) - _antiderivative(coeffs, c[big], lo)
+        small = ~big
+        if small.any():
+            out[small] = _taylor_chunks(coeffs, c[small], lo, h, float(phase[small].max()))
+    return out.reshape(s.shape) if s.ndim else complex(out[0])
 
-    nchunks = max(1, math.ceil(abs(c) * width / 0.5))
-    edges = np.linspace(lo, hi, nchunks + 1)
-    total = 0j
-    for u0, u1 in zip(edges, edges[1:]):
-        mid = (u0 + u1) / 2
-        h = (u1 - u0) / 2
-        centered = shift_poly(coeffs, mid)  # p(mid + u) in u
-        # e^{c(mid+u)} = e^{c*mid} * sum c^k u^k / k!
-        expo = [complex(np.exp(c * mid))]
-        for k in range(1, _TAYLOR_TERMS):
-            expo.append(expo[-1] * c / k)
-        # product polynomial in u, integrate monomials over (-h, h)
-        acc = 0j
-        for a_pow, a_c in enumerate(centered):
-            if a_c == 0:
-                continue
-            for b_pow, b_c in enumerate(expo):
-                j = a_pow + b_pow
-                if j % 2 == 0:
-                    acc += a_c * b_c * 2.0 * h ** (j + 1) / (j + 1)
-        total += acc
+
+def _antiderivative(coeffs, c: np.ndarray, x: float) -> np.ndarray:
+    """e^{cx} * sum_k (-1)^k p^(k)(x) / c^(k+1) for each c."""
+    at_x = shift_poly(coeffs, x)  # p^(k)(x) / k!
+    signed = np.array([(-1) ** k * math.factorial(k) * a for k, a in enumerate(at_x)])
+    inv = 1.0 / c
+    return np.exp(c * x) * (inv[:, None] ** np.arange(1, len(at_x) + 1) @ signed)
+
+
+def _taylor_chunks(coeffs, c: np.ndarray, lo: float, h: float, phase: float) -> np.ndarray:
+    """Sum over equal chunks of the integral of p times the Taylor series of
+    e^{cx} about the chunk's centre, for |c|*h <= phase."""
+    nchunks = max(1, math.ceil(phase / _CHUNK_PHASE))
+    hc = h / nchunks
+    # (c*hc)^b / b!: the series in w = (x - centre) / hc
+    expo = (c[:, None] * hc) ** np.arange(_TAYLOR_TERMS) * _INV_FACTORIAL
+    ncoef = len(coeffs)
+    total = np.zeros(c.shape, dtype=complex)
+    for j in range(nchunks):
+        centre = lo + (2 * j + 1) * hc
+        centred = np.array(shift_poly(coeffs, centre)) * hc ** np.arange(1, ncoef + 1)
+        total += np.exp(c * centre) * (expo @ (centred @ _MONOMIAL[:ncoef]))
     return total
 
 
@@ -297,9 +308,8 @@ def inner_product(omega: IntervalUnion, f: PiecewiseExpPoly, g: PiecewiseExpPoly
         pg = g.piece_containing(mid)
         for af in pf.atoms:
             for ag in pg.atoms:
-                conj_coeffs = tuple(np.conj(c) for c in ag.coeffs)
-                prod = np.convolve(np.array(af.coeffs), np.array(conj_coeffs))
-                total += _poly_exp_integral(tuple(prod), af.freq - ag.freq, lo, hi)
+                prod = np.convolve(af.coeffs, np.conj(ag.coeffs))
+                total += _poly_exp_integral(prod, af.freq - ag.freq, lo, hi)
     return total
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +14,12 @@ from spectral_intervals.analysis import (
     structure_suite,
 )
 from spectral_intervals.errors import NotSpectral, WrongStructure
+from spectral_intervals.evolution import (
+    PiecewiseExpPoly,
+    apply_U_paths,
+    inner_product,
+    random_domain_function,
+)
 from spectral_intervals.intervals import new_interval_union
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -41,6 +49,73 @@ def test_exp_gram_orthogonal_spectrum():
     off = g - np.diag(np.diag(g))
     assert np.max(np.abs(off)) < 1e-12
     assert np.diag(g) == pytest.approx([OM.measure] * len(lams))
+
+
+@pytest.mark.parametrize("d", [1e-12, 1e-10, 1e-8])
+def test_exp_gram_nearly_equal_frequencies(d):
+    lams = [1.0, 1.0 + d]
+    g = exp_gram(OM, lams)
+    c = 2j * np.pi * (lams[0] - lams[1])
+    # int_a^b e^{cx} dx = sum_k c^k (b^{k+1} - a^{k+1}) / (k+1)!, |c| < 1e-7
+    want = sum(
+        c ** k * (b ** (k + 1) - a ** (k + 1)) / math.factorial(k + 1)
+        for a, b in OM.endpoints
+        for k in range(6)
+    )
+    assert g[0, 1] == pytest.approx(want, abs=1e-13)
+    assert g[1, 0] == pytest.approx(np.conj(want), abs=1e-13)
+
+
+def _quadrature_gram(omega, lambdas, nodes=200):
+    """Gram matrix of e_lambda by Gauss-Legendre quadrature on each interval."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    xs = np.concatenate([(a + b) / 2 + (b - a) / 2 * x for a, b in omega.endpoints])
+    ws = np.concatenate([(b - a) / 2 * w for a, b in omega.endpoints])
+    e = np.exp(2j * np.pi * np.outer(lambdas, xs))
+    return (e * ws) @ e.conj().T
+
+
+def _per_lambda_residual(omega, lambdas, probe):
+    """||probe||^2 - sum |<probe, e_lambda>|^2 / L, one inner product per lambda."""
+    coeff2 = sum(
+        abs(inner_product(omega, probe, PiecewiseExpPoly.exponential(omega, lam))) ** 2
+        / omega.measure
+        for lam in lambdas
+    )
+    return inner_product(omega, probe, probe).real - coeff2
+
+
+TILING3 = new_interval_union([(0, 0.9), (3.9, 5.1), (8.1, 9)])  # pieces of [0, 3) moved by 0, 3, 6
+CYCLE3 = np.roll(np.eye(3), 1, axis=1).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "omega,b,lambdas",
+    [
+        (OM, SQRT_SWAP, [k + r for k in range(-12, 12) for r in (0.0, 0.25)] + [12.0]),
+        (TILING3, CYCLE3, [k / 3 for k in range(-36, 37)]),
+    ],
+)
+def test_spectral_pair_evidence_matches_per_lambda_reference(omega, b, lambdas):
+    rng = np.random.default_rng(omega.n)
+    # refined pieces (an evolved function) plus degree-2 atoms, one at a nonzero frequency
+    evolved = apply_U_paths(omega, b, 0.4, random_domain_function(omega, b, rng)).function
+    extra = PiecewiseExpPoly.from_atoms(
+        omega,
+        [[(0.0, (-a * c, a + c, -1.0)), (3.7, (0.5, -1.0, 0.25j))] for a, c in omega.endpoints],
+    )
+    probe = evolved + extra
+    assert len(probe.pieces) > omega.n
+    assert any(atom.freq != 0 for piece in probe.pieces for atom in piece.atoms)
+    ev = spectral_pair_evidence(omega, lambdas, probe=probe)
+    assert ev.parseval_residual == pytest.approx(
+        _per_lambda_residual(omega, lambdas, probe), abs=1e-12
+    )
+    gram = _quadrature_gram(omega, lambdas)
+    np.testing.assert_allclose(exp_gram(omega, lambdas), gram, rtol=0, atol=1e-12)
+    off = np.abs(gram - np.diag(np.diag(gram))).max()
+    assert ev.max_offdiagonal == pytest.approx(off, abs=1e-12)
+    assert ev.orthogonal_on_window
 
 
 def test_spectral_pair_evidence():

@@ -1,9 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from spectral_intervals.cli import main
+from spectral_intervals.evolution import PiecewiseExpPoly, apply_U_paths
+from spectral_intervals.intervals import new_interval_union
 
 PAIR = {
     "intervals": [[0, 1], [2, 3]],
@@ -101,6 +104,33 @@ def test_evolve(problem, capsys):
     assert rep["samples"]
     for s in rep["samples"]:
         assert len(s["value"]) == 2
+
+
+def test_evolve_csv_rows_equal_json_samples(problem, capsys, tmp_path):
+    argv = ["evolve", problem, "--t", "-0.7", "--samples", "5"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    out = tmp_path / "evolve.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "re", "im"]
+    got = [tuple(float(v) for v in row) for row in rows[1:]]
+    assert got == [(s["x"], *s["value"]) for s in rep["samples"]]
+    # the samples are values of the evolved bump
+    om = new_interval_union(PAIR["intervals"])
+    b = np.array([[complex(*v) for v in row] for row in PAIR["matrix"]])
+    bump = PiecewiseExpPoly.from_atoms(om, [[(0.0, (-a * c, a + c, -1.0))] for a, c in om.endpoints])
+    xs = np.array([s["x"] for s in rep["samples"]])
+    want = apply_U_paths(om, b, -0.7, bump).function(xs)
+    assert [s["value"] for s in rep["samples"]] == [[v.real, v.imag] for v in want]
+
+
+def test_json_report_is_one_line(problem, capsys):
+    assert main(["verify", problem]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["command"] == "verify"
 
 
 def test_evolve_eigenfunction(problem, capsys):

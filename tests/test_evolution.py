@@ -10,6 +10,7 @@ from spectral_intervals.evolution import (
     Piece,
     PiecewiseExpPoly,
     _merge_atoms,
+    _poly_exp_integral,
     apply_U_paths,
     apply_U_spectral,
     boundary_condition_check,
@@ -116,13 +117,21 @@ def test_inner_product_orthogonal_pair():
 
 
 def test_inner_product_polynomials():
-    f = PiecewiseExpPoly.from_atoms(
-        OM, [[(0.7, (1.0, -2.0, 0.5))], [(0.0, (0.0, 1.0))]]
-    )
-    g = PiecewiseExpPoly.from_atoms(
-        OM, [[(-1.3, (2.0, 1.0))], [(0.7, (1.0, 0.0, 0.0, 1.0))]]
-    )
-    assert inner_product(OM, f, g) == pytest.approx(quad_inner(OM, f, g), abs=1e-9)
+    cases = [
+        (
+            [[(0.7, (1.0, -2.0, 0.5))], [(0.0, (0.0, 1.0))]],
+            [[(-1.3, (2.0, 1.0))], [(0.7, (1.0, 0.0, 0.0, 1.0))]],
+        ),
+        # frequency differences past the antiderivative threshold, degree 5
+        (
+            [[(9.4, (1.0, -2.0, 0.5)), (-3.0, (0.3j,))], [(4.1, (0.0, 1.0, 0.0, -0.2))]],
+            [[(-1.3, (2.0, 1.0, 0.0, 1.0))], [(-7.9, (1.0, 0.5j, -1.0))]],
+        ),
+    ]
+    for f_atoms, g_atoms in cases:
+        f = PiecewiseExpPoly.from_atoms(OM, f_atoms)
+        g = PiecewiseExpPoly.from_atoms(OM, g_atoms)
+        assert inner_product(OM, f, g) == pytest.approx(quad_inner(OM, f, g), abs=1e-9)
 
 
 def test_inner_product_small_frequency_difference():
@@ -130,6 +139,52 @@ def test_inner_product_small_frequency_difference():
     f = PiecewiseExpPoly.exponential(OM, 1.0)
     g = PiecewiseExpPoly.exponential(OM, 1.0 + 1e-7)
     assert inner_product(OM, f, g) == pytest.approx(quad_inner(OM, f, g), abs=1e-9)
+
+
+def _random_poly(rng, deg):
+    return tuple(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+
+
+def _abs_integral(coeffs, lo, hi):
+    p = np.polynomial.Polynomial(coeffs)
+    return quad(lambda x: abs(p(x)), lo, hi, limit=200)[0]
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("lo,hi", [(0.2, 0.9), (-50.3, -49.1), (48.9, 49.3)])
+def test_poly_exp_integral_array_equals_scalar_calls(deg, lo, hi):
+    rng = np.random.default_rng(deg)
+    coeffs = _random_poly(rng, deg)
+    s = np.concatenate([[0.0], np.geomspace(1e-12, 50, 47)]) * np.resize([1, -1], 48)
+    got = _poly_exp_integral(coeffs, s, lo, hi)
+    want = np.array([_poly_exp_integral(coeffs, float(x), lo, hi) for x in s])
+    assert got.shape == s.shape and got.dtype == complex
+    assert all(isinstance(w, complex) for w in want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * _abs_integral(coeffs, lo, hi))
+    # any shape, element by element
+    grid = _poly_exp_integral(coeffs, s.reshape(6, 8), lo, hi)
+    assert grid.shape == (6, 8)
+    np.testing.assert_array_equal(grid.ravel(), got)
+
+
+@pytest.mark.parametrize("deg", range(9))
+@pytest.mark.parametrize("lo,hi", [(-0.3, 0.8), (48.7, 50.0), (-50.0, -49.2)])
+def test_poly_exp_integral_against_quad(deg, lo, hi):
+    rng = np.random.default_rng(10 + deg)
+    coeffs = _random_poly(rng, deg)
+    p = np.polynomial.Polynomial(coeffs)
+    scale = _abs_integral(coeffs, lo, hi)
+    s = np.array([0.0, 1e-9, -0.37, 1.9, -4.2, 23.0, -41.5])
+    got = _poly_exp_integral(coeffs, s, lo, hi)
+    for k, sk in enumerate(s):
+        def part(x, take):
+            return take(p(x) * np.exp(2j * np.pi * sk * x))
+
+        want = sum(
+            sign * quad(part, lo, hi, args=(take,), limit=400, epsabs=1e-13 * scale, epsrel=1e-13)[0]
+            for sign, take in ((1, np.real), (1j, np.imag))
+        )
+        assert abs(got[k] - want) <= 1e-9 * scale
 
 
 def test_norm():
