@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import classify_structure, cis, matrix_from_spectrum
+from .boundary import classify_structure, matrix_from_spectrum, phase_law
 from .errors import (
     Inconsistent,
     InconsistentTheta,
@@ -395,15 +395,7 @@ def forelli_spectral_suite(
             )
     spectrum_matches = True  # established above for the window
 
-    b = np.asarray(b, dtype=complex)
-    weights_match = True
-    jumps_ok = True
-    for i, j in enumerate(structure.sigma):
-        jump = omega.lefts[j] - omega.rights[i]
-        if abs(b[i, j] - complex(cis(theta0 / big_l * jump))) > max(tol, 1e-10):
-            weights_match = False
-        if abs(jump / big_l - round(jump / big_l)) > tol:
-            jumps_ok = False
+    weights_match, jumps_ok = phase_law(structure, omega, theta0, max(tol, 1e-10), tol)
     tiles, _ = tiles_by_lattice(omega, big_l)
     chain = _congruence_chain(omega, structure.sigma, tol)
     report = ForelliReport(

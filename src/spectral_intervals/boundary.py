@@ -196,27 +196,39 @@ def matrix_from_spectrum(
     return b
 
 
+def phase_law(
+    structure: MatrixStructure,
+    omega: IntervalUnion,
+    theta0: float,
+    weight_tol: float,
+    jump_tol: float,
+) -> tuple[bool, bool]:
+    """The weighted-permutation phase law, as (weights_ok, jumps_ok).
+
+    For each row i with unimodular entry at sigma(i), the weight must equal
+    e^{2*pi*i*(theta0/L)*(a_{sigma(i)} - b_i)} (within ``weight_tol``) and
+    a_{sigma(i)} - b_i must be an integer multiple of L (within ``jump_tol``).
+    """
+    big_l = omega.measure
+    weights_ok = jumps_ok = True
+    for i, j in enumerate(structure.sigma):
+        jump = omega.lefts[j] - omega.rights[i]
+        if abs(structure.weights[i] - complex(cis(theta0 / big_l * jump))) > weight_tol:
+            weights_ok = False
+        if abs(jump / big_l - round(jump / big_l)) > jump_tol:
+            jumps_ok = False
+    return weights_ok, jumps_ok
+
+
 def forelli_weight_check(
     b, omega: IntervalUnion, theta0: float, tol: float = 1e-8
 ) -> bool:
-    """Check the weighted-permutation phase law against the set geometry.
-
-    For each row i with unimodular entry at sigma(i), the weight must equal
-    e^{2*pi*i*(theta0/L)*(a_{sigma(i)} - b_i)} and a_{sigma(i)} - b_i must be
-    an integer multiple of L.
-    """
+    """Check the weighted-permutation phase law against the set geometry
+    (``phase_law`` with ``tol`` for both parts)."""
     structure = classify_structure(b)
     if structure.kind not in ("permutation", "weighted_permutation"):
         raise WrongStructure("matrix is not a weighted permutation")
-    big_l = omega.measure
-    for i, j in enumerate(structure.sigma):
-        jump = omega.lefts[j] - omega.rights[i]
-        expected = complex(cis(theta0 / big_l * jump))
-        if abs(structure.weights[i] - expected) > tol:
-            return False
-        if abs(jump / big_l - round(jump / big_l)) > tol:
-            return False
-    return True
+    return all(phase_law(structure, omega, theta0, tol, tol))
 
 
 def rational_order_check(b, d: int, n: int) -> bool:

@@ -201,13 +201,15 @@ def cmd_verify(args) -> int:
             "density_ratio": evidence.density_ratio,
             "parseval_residual": evidence.parseval_residual,
         }
-    if args.trials > 0:
+    if args.trials:
         lt = local_translation_test(omega, b, args.trials, seed=args.seed)
         out["local_translation"] = {
             "passed": lt.passed,
             "trials": lt.trials,
             "max_error": lt.max_error,
             "witnesses": lt.witnesses,
+            "tables": lt.tables,
+            "states": lt.states,
         }
     checks = structure_suite(omega, b, check)
     out["structure"] = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import cis, reflected_boundary_matrix
-from .errors import NotEigenCombination, XNotInOmega
+from .errors import NotEigenCombination, ValidationError, XNotInOmega
 from .intervals import IntervalUnion, reflect as reflect_set
 from .paths import check_path_guard, cumulative_sums, path_table, states_at
 from .spectrum import SpectrumReport
@@ -228,6 +228,8 @@ def _common_refinement(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
 
 def probe_points(f: PiecewiseExpPoly, per_piece: int = PROBE_POINTS_PER_PIECE):
     """Equispaced interior points per piece, half-step off the breakpoints."""
+    if per_piece < 1:
+        raise ValidationError(f"need at least one probe point per piece, got {per_piece}")
     xs = []
     for p in f.pieces:
         step = (p.hi - p.lo) / per_piece
@@ -397,7 +399,7 @@ def apply_U_paths(
                 continue
             xm = (lo + hi) / 2
             atoms = []
-            idx, ends = table.select(xm)
+            idx, ends = table.select(xm, t)
             for s, end in zip(idx.tolist(), ends.tolist()):
                 total_paths += state_count[s]
                 src = f.piece_containing(end)
@@ -456,41 +458,83 @@ def apply_U_spectral(
     return PiecewiseExpPoly.from_atoms(omega, atoms_by_interval)
 
 
+TRIAL_ATOMS = 2
+TRIAL_DEGREE = 1
+
+
+def _draw_atoms(n: int, rng: np.random.Generator, freqs, atoms: int, degree: int):
+    """The random atoms of one domain function, drawn interval by interval.
+
+    Returns frequencies (n, atoms + 1) and ascending coefficients
+    (n, atoms + 1, max(degree, 1) + 1), zero-padded; the last atom slot of
+    each interval is left for ``_fix_boundary``.
+    """
+    if freqs is None:
+        freqs = rng.uniform(-3, 3, size=4)
+    freq = np.zeros((n, atoms + 1))
+    coeffs = np.zeros((n, atoms + 1, max(degree, 1) + 1), dtype=complex)
+    for i in range(n):
+        for k in range(atoms):
+            freq[i, k] = float(rng.choice(freqs)) + float(rng.normal(scale=0.25))
+            deg = int(rng.integers(0, degree + 1))
+            coeffs[i, k, : deg + 1] = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    return freq, coeffs
+
+
+def _atom_values(freq: np.ndarray, coeffs: np.ndarray, xs) -> np.ndarray:
+    """Sum over the atom axis of p(x) * e^{2*pi*i*freq*x}.
+
+    ``freq`` is (..., atoms), ``coeffs`` (..., atoms, degree + 1) and ``xs``
+    broadcasts against the leading axes ``...``.
+    """
+    xs = np.asarray(xs, dtype=float)[..., None]
+    acc = 0j
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * xs + coeffs[..., k]
+    return np.sum(acc * cis(freq * xs), axis=-1)
+
+
+def _fix_boundary(omega: IntervalUnion, b, freq: np.ndarray, coeffs: np.ndarray) -> None:
+    """Write the linear atom that fixes the boundary condition into the
+    last atom slot, in place, for every function along the leading axes.
+
+    With g the other atoms and d = B g(a_vec) - g(b_vec), the atom of
+    interval i is h_i(x) = d_i (x - a_i) / l_i: h_i(a_i) = 0, h_i(b_i) = d_i.
+    """
+    b = np.asarray(b, dtype=complex)
+    a, c = np.array(omega.lefts), np.array(omega.rights)
+    l = c - a
+    g_alpha = _atom_values(freq[..., :-1], coeffs[..., :-1, :], a)
+    g_beta = _atom_values(freq[..., :-1], coeffs[..., :-1, :], c)
+    d = g_alpha @ b.T - g_beta
+    freq[..., -1] = 0.0
+    coeffs[..., -1, :] = 0.0
+    coeffs[..., -1, 0] = -d * a / l
+    coeffs[..., -1, 1] = d / l
+
+
 def random_domain_function(
     omega: IntervalUnion,
     b,
     rng: np.random.Generator,
     freqs=None,
-    atoms_per_interval: int = 2,
-    degree: int = 1,
+    atoms_per_interval: int = TRIAL_ATOMS,
+    degree: int = TRIAL_DEGREE,
 ) -> PiecewiseExpPoly:
     """Random exp-poly satisfying the boundary condition B f(a_vec) = f(b_vec).
 
     Random atoms first, then one linear correction atom per interval fixes
     the boundary mismatch.
     """
-    b = np.asarray(b, dtype=complex)
-    if freqs is None:
-        freqs = list(rng.uniform(-3, 3, size=4))
-    atoms_by_interval = []
-    for _ in range(omega.n):
-        atoms = []
-        for _ in range(atoms_per_interval):
-            freq = float(rng.choice(freqs)) + float(rng.normal(scale=0.25))
-            deg = int(rng.integers(0, degree + 1))
-            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            atoms.append((freq, tuple(coeffs)))
-        atoms_by_interval.append(atoms)
-    g = PiecewiseExpPoly.from_atoms(omega, atoms_by_interval)
-    g_alpha, g_beta = g.boundary_values()
-    d = b @ g_alpha - g_beta
-    fix = []
-    for i, (a, bb) in enumerate(omega.endpoints):
-        l = bb - a
-        # h_i(a) = 0, h_i(b) = d_i
-        fix.append([(0.0, (-d[i] * a / l, d[i] / l))])
-    h = PiecewiseExpPoly.from_atoms(omega, fix)
-    return g + h
+    freq, coeffs = _draw_atoms(omega.n, rng, freqs, atoms_per_interval, degree)
+    _fix_boundary(omega, b, freq, coeffs)
+    return PiecewiseExpPoly.from_atoms(
+        omega,
+        [
+            [(f, np.trim_zeros(c, "b")) for f, c in zip(freq[i].tolist(), coeffs[i])]
+            for i in range(omega.n)
+        ],
+    )
 
 
 def sample_local_pair(omega: IntervalUnion, rng: np.random.Generator):
@@ -511,10 +555,15 @@ def sample_local_pair(omega: IntervalUnion, rng: np.random.Generator):
 
 @dataclass
 class LocalTranslationReport:
+    """Outcome of the trials; ``tables`` path tables were built and
+    ``states`` end states read over all trials."""
+
     passed: bool
     trials: int
     max_error: float
     witnesses: list[tuple[float, float, float]]  # (x, t, error)
+    tables: int
+    states: int
 
 
 def local_translation_test(
@@ -528,21 +577,65 @@ def local_translation_test(
     """Sample random (x, t, f) and check [U(t)f](x) = f(x+t).
 
     Passing all trials is evidence of spectrality; any failure is a
-    counterexample witness.
+    counterexample witness.  Every trial is drawn first, in a fixed order
+    (the atoms of ``random_domain_function``, then ``sample_local_pair``);
+    the trials that start in the same interval with t of the same sign
+    share one path table, built for the largest |t| among them, and the
+    trial functions are evaluated at every end and target in one pass.
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be non-negative, got {trials}")
+    if trials == 0:
+        return LocalTranslationReport(True, 0, 0.0, [], 0, 0)
     rng = np.random.default_rng(seed)
-    max_error = 0.0
-    witnesses = []
+    draws, pairs = [], []
     for _ in range(trials):
-        f = random_domain_function(omega, b, rng, freqs=freqs)
-        x, t = sample_local_pair(omega, rng)
-        lhs = evolve_point(omega, b, x, t, f)
-        rhs = f.evaluate(x + t)
-        err = abs(lhs - rhs)
-        max_error = max(max_error, err)
-        if err > tol:
-            witnesses.append((x, t, err))
-    return LocalTranslationReport(not witnesses, trials, max_error, witnesses)
+        draws.append(_draw_atoms(omega.n, rng, freqs, TRIAL_ATOMS, TRIAL_DEGREE))
+        pairs.append(sample_local_pair(omega, rng))
+    xs, ts = np.array(pairs).T
+    for t in ts.tolist():
+        check_path_guard(omega, t)
+    freq = np.stack([f for f, _ in draws])
+    coeffs = np.stack([c for _, c in draws])
+    _fix_boundary(omega, b, freq, coeffs)
+
+    lefts = np.array(omega.lefts)
+    start = np.searchsorted(lefts, xs, side="right") - 1
+    groups: dict[tuple[int, bool], list[int]] = defaultdict(list)
+    for k, (i, t) in enumerate(zip(start.tolist(), ts.tolist())):
+        groups[(i, t >= 0)].append(k)
+    trial_of, final, ends, weight = [], [], [], []
+    for (i, _), members in groups.items():
+        times = ts[members]
+        table = path_table(
+            omega, b, i, float(times[np.argmax(np.abs(times))]), t_min=float(np.min(np.abs(times)))
+        )
+        for k in members:
+            idx, end = table.select(xs[k], ts[k])
+            trial_of.append(np.full(len(idx), k))
+            final.append(table.final[idx])
+            ends.append(end)
+            weight.append(table.weight[idx])
+    trial_of = np.concatenate(trial_of)
+    weight = np.concatenate(weight)
+
+    # ends on the interval of their row, targets x + t on the one holding them
+    targets = xs + ts
+    target_in = np.clip(np.searchsorted(lefts, targets, side="right") - 1, 0, omega.n - 1)
+    who = np.concatenate([trial_of, np.arange(trials)])
+    where = np.concatenate([*final, target_in]).astype(int)
+    values = _atom_values(freq[who, where], coeffs[who, where], np.concatenate([*ends, targets]))
+    terms = weight * values[: len(weight)]
+    lhs = np.bincount(trial_of, terms.real, trials) + 1j * np.bincount(trial_of, terms.imag, trials)
+    errors = np.abs(lhs - values[len(weight):])
+    witnesses = [
+        (x, t, err)
+        for x, t, err in zip(xs.tolist(), ts.tolist(), errors.tolist())
+        if err > tol
+    ]
+    return LocalTranslationReport(
+        not witnesses, trials, float(errors.max()), witnesses, len(groups), len(weight)
+    )
 
 
 def reflection_consistency(

@@ -157,8 +157,9 @@ class PathTable:
     x they spend r = |t| - (exit(x) + cum[s]) in the final interval, entered
     at ``entry[s]``; they are admissible when 0 <= r < ``length[s]`` and end
     at x + ``shift[s]``.  That is the start range [lo, hi) forward and
-    (lo, hi] backward; rows whose range misses the start interval are
-    dropped.  The row of the path
+    (lo, hi] backward; rows whose range misses the start interval for
+    every time the table serves are dropped.  ``big_t`` is the largest
+    |t| it serves, and ``shift`` is taken at that time.  The row of the path
     that stays in the start interval i has cum = -l_i: its remainder, like
     every other, is measured from the entry edge of its final interval.
     """
@@ -174,22 +175,28 @@ class PathTable:
     weight: np.ndarray
     count: np.ndarray
 
-    def select(self, x: float) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices of the states admissible from x, and their end points."""
+    def select(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices of the states admissible from x at time t, and their
+        end points; t has the table's sign and a magnitude the table serves."""
         exit_time = self.exit_edge - x if self.forward else x - self.exit_edge
-        rem = self.big_t - (exit_time + self.cum)
+        rem = abs(t) - (exit_time + self.cum)
         idx = np.flatnonzero((rem >= 0) & (rem < self.length))
         rem = rem[idx]
         return idx, self.entry[idx] + rem if self.forward else self.entry[idx] - rem
 
     def at(self, x: float) -> EndStates:
-        """The states admissible from x."""
-        idx, ends = self.select(x)
+        """The states admissible from x at the table's time."""
+        idx, ends = self.select(x, self.big_t)
         return EndStates(self.final[idx], ends, self.weight[idx], self.count[idx])
 
 
 def path_table(
-    omega: IntervalUnion, b, i: int, t: float, max_paths: int | None = None
+    omega: IntervalUnion,
+    b,
+    i: int,
+    t: float,
+    max_paths: int | None = None,
+    t_min: float | None = None,
 ) -> PathTable:
     """All end states of the admissible paths from interval i for time t.
 
@@ -198,11 +205,17 @@ def path_table(
     the path for the x where 0 <= |t| - exit(x) - k.l < l_j, with exit(x)
     the time to leave interval i.  The state where x + t stays in interval i
     is included.  The predicted-count guard runs before any state is built.
+
+    With ``t_min`` the table serves every time of the sign of t whose
+    magnitude lies between |t_min| and |t|: it keeps each row admissible
+    from some start point at one of those times, and ``select`` reads the
+    rows of any of them.  By default it serves t alone.
     """
     check_path_guard(omega, t, max_paths)
     b = np.asarray(b, dtype=complex)
     forward = t >= 0
     big_t = abs(t)
+    small_t = big_t if t_min is None else abs(t_min)
     n = omega.n
     a, c = omega.endpoints[i]
     lefts, rights, lengths = omega.lefts, omega.rights, omega.lengths
@@ -210,13 +223,14 @@ def path_table(
     rows: list[tuple] = []
 
     def add_row(j, cum, weight, count):
+        # the start range at |t| = big_t, stretched to cover |t| = small_t
         if forward:
             lo = c - big_t + cum
-            hi = lo + lengths[j]
+            hi = c - small_t + cum + lengths[j]
             entry, shift = lefts[j], lefts[j] - c + t - cum
         else:
             hi = a + big_t - cum
-            lo = hi - lengths[j]
+            lo = a + small_t - cum - lengths[j]
             entry, shift = rights[j], rights[j] - a + t + cum
         if max(lo, a) < min(hi, c):
             rows.append((j, entry, lengths[j], cum, shift, weight, count))

@@ -12,6 +12,7 @@ from spectral_intervals.boundary import (
     is_unitary,
     matrix_from_spectrum,
     permutation_matrix,
+    phase_law,
     rational_order_check,
     reflected_boundary_matrix,
     require_unitary,
@@ -116,6 +117,22 @@ def test_forelli_weight_check():
     b = np.array([[0, 1j], [-1, 0]], dtype=complex)
     assert forelli_weight_check(b, om, 0.25)
     assert not forelli_weight_check(b, om, 0.3)
+
+
+def test_phase_law_tolerances_apply_to_their_own_part():
+    # L = 2; the jump a_1 - b_0 = 2 + 1e-9 misses the lattice 2Z by 1e-9,
+    # and the weights follow the law for theta0 = 0.25 up to 1e-9
+    om = new_interval_union([(0, 1), (3 + 1e-9, 4)])
+    theta0 = 0.25
+    jumps = (om.lefts[1] - om.rights[0], om.lefts[0] - om.rights[1])
+    w = [complex(cis(theta0 / om.measure * j)) for j in jumps]
+    b = np.array([[0, w[0] * cis(1e-9 / (2 * np.pi))], [w[1], 0]], dtype=complex)
+    structure = classify_structure(b)
+    assert phase_law(structure, om, theta0, 1e-8, 1e-8) == (True, True)
+    assert phase_law(structure, om, theta0, 1e-10, 1e-8) == (False, True)
+    assert phase_law(structure, om, theta0, 1e-8, 1e-10) == (True, False)
+    assert not forelli_weight_check(b, om, theta0, tol=1e-10)
+    assert forelli_weight_check(b, om, theta0, tol=1e-8)
 
 
 def test_rational_order():

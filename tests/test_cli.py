@@ -63,6 +63,9 @@ def test_verify(problem, capsys):
     assert code == 0
     assert rep["verdict"] == "spectral_exact"
     assert rep["local_translation"]["passed"]
+    # one path table per start interval and sign of t at most
+    assert 1 <= rep["local_translation"]["tables"] <= 4
+    assert rep["local_translation"]["states"] >= 5
     assert {c["name"] for c in rep["structure"]} >= {"gap_lengths", "diagonal"}
     assert rep["evidence"]["max_offdiagonal"] < 1e-8
     assert rep["root_count"] == sum(rep["dims"])
@@ -241,6 +244,9 @@ def test_exit_code_guard(problem, monkeypatch, capsys):
         ["verify", "--grid-step", "0"],
         ["evolve", "--t", "0.3", "--function", "eigenfunction:0", "--grid-step", "-1"],
         ["congruence", "--modulus", "0"],
+        ["verify", "--trials", "-5"],
+        ["evolve", "--t", "0.3", "--samples", "0"],
+        ["evolve", "--t", "0.3", "--samples", "-2"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(problem, capsys, argv):

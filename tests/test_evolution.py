@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import unitary_group
 
-from spectral_intervals.errors import NotEigenCombination, XNotInOmega
+from spectral_intervals import evolution
+from spectral_intervals.errors import GuardExceeded, NotEigenCombination, XNotInOmega
 from spectral_intervals.evolution import (
     Atom,
     Piece,
@@ -22,10 +23,11 @@ from spectral_intervals.evolution import (
     probe_points,
     random_domain_function,
     reflection_consistency,
+    sample_local_pair,
     shift_poly,
 )
 from spectral_intervals.intervals import new_interval_union
-from spectral_intervals.paths import cumulative_sums, enumerate_paths
+from spectral_intervals.paths import MAX_PATHS_ENV, cumulative_sums, enumerate_paths
 from spectral_intervals.spectrum import compute_spectrum
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -278,6 +280,71 @@ def test_local_translation_pass_and_fail():
     bad = local_translation_test(OM, swap, trials=60, seed=2)
     assert not bad.passed
     assert bad.witnesses
+
+
+def _reference_local_translation(omega, b, trials, seed, tol=1e-9):
+    """The trials one at a time: a function, then (x, t), then one point."""
+    rng = np.random.default_rng(seed)
+    errors, witnesses, ts = [], [], []
+    for _ in range(trials):
+        f = random_domain_function(omega, b, rng)
+        x, t = sample_local_pair(omega, rng)
+        err = abs(evolve_point(omega, b, x, t, f) - f.evaluate(x + t))
+        errors.append(err)
+        ts.append(t)
+        if err > tol:
+            witnesses.append((x, t, err))
+    return max(errors), witnesses, ts
+
+
+SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+# pieces [0, 1.2), [1.2, 2.1), [2.1, 3) of [0, 3) moved by 0, 3 and 6; B cycles them
+TILING = new_interval_union([(0, 1.2), (4.2, 5.1), (8.1, 9.0)])
+CYCLE = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
+EQUAL = new_interval_union([(0, 1), (2, 3), (4, 5)])
+UNEQUAL4 = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9), (4.6, 5.5)])
+
+
+@pytest.mark.parametrize(
+    "omega,b,seed",
+    [
+        (OM, SQRT_SWAP, 3),
+        (OM, SWAP, 4),
+        (TILING, CYCLE, 5),
+        (EQUAL, unitary_group.rvs(3, random_state=6), 6),
+        (UNEQUAL4, unitary_group.rvs(4, random_state=7), 7),
+    ],
+    ids=["readme-sqrt-swap", "readme-swap", "tiling3", "equal3-haar", "haar4"],
+)
+def test_local_translation_batch_matches_per_trial_reference(omega, b, seed):
+    trials = 40
+    rep = local_translation_test(omega, b, trials, seed=seed)
+    max_error, witnesses, ts = _reference_local_translation(omega, b, trials, seed)
+    assert min(ts) < 0 < max(ts)
+    assert rep.passed == (not witnesses)
+    assert rep.trials == trials
+    assert rep.max_error == pytest.approx(max_error, abs=1e-13)
+    assert [(x, t) for x, t, _ in rep.witnesses] == [(x, t) for x, t, _ in witnesses]
+    for (_, _, got), (_, _, want) in zip(rep.witnesses, witnesses):
+        assert got == pytest.approx(want, abs=1e-13)
+    assert 1 <= rep.tables <= 2 * omega.n
+    assert rep.states >= trials
+
+
+def test_local_translation_zero_trials():
+    rep = local_translation_test(OM, SWAP, trials=0)
+    assert rep.passed and rep.max_error == 0 and rep.witnesses == []
+    assert rep.tables == 0 and rep.states == 0
+
+
+def test_local_translation_guard_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("path_table called before the guard")
+
+    monkeypatch.setattr(evolution, "path_table", no_table)
+    monkeypatch.setenv(MAX_PATHS_ENV, "10")
+    with pytest.raises(GuardExceeded):
+        local_translation_test(TILING, CYCLE, trials=40, seed=5)
 
 
 @pytest.mark.parametrize("t", [0.6, -1.4])

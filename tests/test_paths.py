@@ -220,15 +220,40 @@ def test_path_table_states():
     for x in (0.1, 0.5, 0.9):
         states = table.at(x)
         assert int(states.count.sum()) == len(enumerate_paths(OM, SQRT_SWAP, x, 2.0))
-        idx, ends = table.select(x)
+        idx, ends = table.select(x, 2.0)
         assert ends == pytest.approx(x + table.shift[idx])
     # every row is admissible from some start point of interval 0
     seen = set()
     for x in np.linspace(0.0, 1.0, 201)[1:-1]:
-        seen.update(table.select(x)[0].tolist())
+        seen.update(table.select(x, 2.0)[0].tolist())
     assert seen == set(range(len(table.final)))
     # no path stays in interval 0 for t = 2 > l_0
     assert not np.any((table.final == 0) & (table.shift == 2.0))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_path_table_serves_a_range_of_times(sign):
+    # a table built for |t| = 3.1 with t_min = 0.2 reads, at every time in
+    # between, the same states as a table built for that time alone
+    rng = np.random.default_rng(9)
+    om = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9)])
+    b = unitary_group.rvs(3, random_state=9)
+    for i in range(om.n):
+        shared = path_table(om, b, i, sign * 3.1, t_min=0.2)
+        a, c = om.endpoints[i]
+        for big_t in np.append(rng.uniform(0.2, 3.1, size=20), [0.2, 3.1]):
+            own = path_table(om, b, i, sign * big_t)
+            for x in rng.uniform(a, c, size=5):
+                idx, ends = shared.select(x, sign * big_t)
+                want_idx, want_ends = own.select(x, sign * big_t)
+                got = sorted(zip(shared.final[idx], ends, shared.weight[idx]), key=lambda r: r[1])
+                want = sorted(
+                    zip(own.final[want_idx], want_ends, own.weight[want_idx]), key=lambda r: r[1]
+                )
+                assert len(got) == len(want)
+                for (j, e, w), (jj, ee, ww) in zip(got, want):
+                    assert j == jj and e == pytest.approx(ee, abs=1e-12)
+                    assert w == pytest.approx(ww, abs=1e-12)
 
 
 def test_path_table_guard_before_states(monkeypatch):
