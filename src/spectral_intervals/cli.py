@@ -37,10 +37,28 @@ from .paths import enumerate_paths, local_translation_identities, states_at
 from .spectrum import compute_spectrum, spectral_matrix_check
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _pair(value, what: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+        raise ValidationError(f"{what} must be two numbers, got {value!r}")
+    return value
+
+
 def _complex_in(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    return complex(value[0], value[1])
+    return complex(*_pair(value, "a matrix entry"))
+
+
+def _matrix_in(rows) -> np.ndarray:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValidationError("matrix must be a list of rows")
+    if len({len(row) for row in rows}) > 1:
+        raise ValidationError("matrix rows have different lengths")
+    return np.array([[_complex_in(v) for v in row] for row in rows], dtype=complex)
 
 
 def _complex_out(z: complex):
@@ -48,17 +66,25 @@ def _complex_out(z: complex):
 
 
 def load_problem(path: str):
-    with open(path) as fh:
-        raw = fh.read()
-    data = json.loads(raw)
     try:
-        omega = new_interval_union(data["intervals"])
-    except KeyError as exc:
-        raise ValidationError(f"problem file missing key {exc}") from exc
+        with open(path) as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read problem file: {exc}") from exc
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"problem file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("problem file must hold a JSON object")
+    if "intervals" not in data:
+        raise ValidationError("problem file missing key 'intervals'")
+    if not isinstance(data["intervals"], list):
+        raise ValidationError("intervals must be a list of [lo, hi] pairs")
+    omega = new_interval_union([_pair(p, "an interval") for p in data["intervals"]])
     b = None
     if "matrix" in data:
-        rows = [[_complex_in(v) for v in row] for row in data["matrix"]]
-        b = require_unitary(np.array(rows, dtype=complex))
+        b = require_unitary(_matrix_in(data["matrix"]))
         if b.shape[0] != omega.n:
             raise ValidationError(
                 f"matrix is {b.shape[0]}x{b.shape[1]} but the set has {omega.n} intervals"
@@ -77,7 +103,7 @@ def _window(args, data):
     if args.window is not None:
         return tuple(args.window)
     if "window" in data:
-        return tuple(data["window"])
+        return tuple(_pair(data["window"], "window"))
     return None
 
 
@@ -124,6 +150,7 @@ def cmd_spectrum(args) -> int:
             "constant_flags": flags,
             "residuals": report.residuals,
             "root_count": report.root_count,
+            "spectrum_stats": report.stats,
             "elapsed_s": time.perf_counter() - t0,
         }
     )
@@ -187,6 +214,7 @@ def cmd_verify(args) -> int:
             "eigenvalues": check.report.eigenvalues,
             "dims": check.report.dims,
             "root_count": check.report.root_count,
+            "spectrum_stats": check.report.stats,
         }
     )
     if check.witness_lambda is not None:

@@ -4,22 +4,24 @@ A real lambda belongs to the spectrum iff 1 is an eigenvalue of the unitary
 transfer matrix M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec); the
 eigenspace is spanned by the null vectors of I - M(lambda).  The general
 solver counts the roots of every grid cell from the eigenphases of M at its
-ends (det M(lambda) = det B e^{-2 pi i lambda L}) and locates them; the
-equal-length shortcut reads the spectrum off the eigenphases of B.
+ends (det M(lambda) = det B e^{-2 pi i lambda L}) and locates them with
+stacked eigendecompositions, all open cells at once; the equal-length
+shortcut reads the spectrum off the eigenphases of B.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .boundary import cis, eig_unitary, require_unitary
-from .errors import ConvergenceFailure, NotEqualLength, ValidationError
+from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
-#: absolute tolerance of brentq on a root
+#: the bracket solver stops at brackets at most 2*TOL_ROOT wide and reports
+#: their midpoint, so a located root is within TOL_ROOT
 TOL_ROOT = 1e-13
 #: singular values of I - M(lambda) below this span the eigenspace
 TOL_EIG = 1e-8
@@ -27,8 +29,16 @@ TOL_EIG = 1e-8
 TOL_COUNT = 1e-6
 #: cells narrower than this, relative to max(1, |lambda|), hold one root
 MIN_CELL = 1e-11
-#: grid points per stacked eigendecomposition, which bounds its memory
+#: matrices per stacked decomposition, which bounds its memory
 CHUNK = 256
+#: the default grid step, in mean root spacings 1/L
+GRID_SPACINGS = 0.5
+#: steps of the bracket solver without halving a bracket before it bisects it
+STALL = 3
+#: a window predicted to hold more roots than this is refused
+MAX_ROOTS = 10**6
+#: a scan with more grid points than this is refused
+MAX_GRID = 10**7
 
 
 def transfer_matrix(omega: IntervalUnion, b, lam) -> np.ndarray:
@@ -66,14 +76,9 @@ def _phase_data(omega: IntervalUnion, b, lams: np.ndarray):
     return sums, nearest
 
 
-def _nearest_eigenvalue_angle(omega: IntervalUnion, b, lam: float) -> float:
-    """``_phase_data``'s nearest angle at one lambda, without the stacking."""
-    ang = np.angle(np.linalg.eigvals(transfer_matrix(omega, b, lam)))
-    return float(ang[np.argmin(np.abs(ang))])
-
-
 def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
-    """Spectrum points, with multiplicity, between consecutive edges.
+    """Spectrum points, with multiplicity, between consecutive edges along
+    the last axis.
 
     The eigenphases fall by L*(c - a) turns in total over a cell [a, c], so
     it holds L*(c - a) + (sum(c) - sum(a))/2pi roots.
@@ -82,60 +87,138 @@ def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
     counts = np.rint(raw)
     bad = (np.abs(raw - counts) > TOL_COUNT) | (counts < 0)
     if bad.any():
-        k = int(np.argmax(bad))
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        right = k[:-1] + (k[-1] + 1,)
         raise ConvergenceFailure(
-            f"phase count {raw[k]:.9g} on [{edges[k]!r}, {edges[k + 1]!r}] "
+            f"phase count {raw[k]:.9g} on [{float(edges[k])!r}, {float(edges[right])!r}] "
             "is not a non-negative integer"
         )
     return counts.astype(int)
 
 
-def _refine(omega, b, left, right, count, roots) -> None:
-    """Append the ``count`` roots in a cell to ``roots``.
+def _locate(omega: IntervalUnion, b, grid, sums, nearest, counts, stats) -> np.ndarray:
+    """The roots in the grid cells, sorted, one per root of any multiplicity.
 
-    ``left`` and ``right`` are the (lambda, phase sum, nearest angle) of the
-    cell's ends.  The root of a one-root cell is located by brentq when the
-    nearest angle falls through zero across the cell, which there happens
-    only at the root.  Other cells are halved and each half counted again,
-    down to a width at which their roots are one root of that multiplicity,
-    located by brentq in the same way, or else at the cell's midpoint.
+    Level by level, over all open cells at once: a cell whose nearest angle
+    falls through zero across it (>= 0 at its left end, < 0 at its right)
+    brackets its root if it holds one root, or if it is at the floor width,
+    where its roots are one root of that multiplicity; any other floor cell
+    yields its midpoint; every other cell is halved, the midpoints of all
+    of them in one ``_phase_data`` call, and each half is counted again.
+    The brackets are solved together at the end.
     """
-    (a, sa, ga), (c, sc, gc) = left, right
-    mid = 0.5 * (a + c)
-    floor = c - a < MIN_CELL * max(1.0, abs(mid))
-    # an end where the angle is exactly 0 is a root of the cell it starts:
-    # the phase sums take angles in [0, 2pi)
-    if (count == 1 or floor) and ga >= 0 > gc:
-        ends = {a: ga, c: gc}  # brentq sees the end values tested here
+    k = np.flatnonzero(counts)
+    cells = [grid[k], grid[k + 1], sums[k], sums[k + 1], nearest[k], nearest[k + 1], counts[k]]
+    brackets, roots = [np.empty((4, 0))], [np.empty(0)]
+    while len(cells[0]):
+        a, c, sa, sc, ga, gc, count = cells
+        mid = 0.5 * (a + c)
+        floor = c - a < MIN_CELL * np.maximum(1.0, np.abs(mid))
+        # an end where the angle is exactly 0 is a root of the cell it starts:
+        # the phase sums take angles in [0, 2pi)
+        solve = ((count == 1) | floor) & (ga >= 0) & (gc < 0)
+        brackets.append(np.stack([a, c, ga, gc])[:, solve])
+        roots.append(mid[floor & ~solve])
+        split = ~(solve | floor)
+        a, c, mid, sa, sc, ga, gc = (x[split] for x in (a, c, mid, sa, sc, ga, gc))
+        if not len(mid):
+            break
+        smid, gmid = _phase_data(omega, b, mid)
+        stats["levels"] += 1
+        stats["bisected_cells"] += len(mid)
+        stats["eig_rows"] += len(mid)
+        halves = _cell_counts(
+            omega, np.stack([a, mid, c], axis=1), np.stack([sa, smid, sc], axis=1)
+        )
+        pairs = ((a, mid), (mid, c), (sa, smid), (smid, sc), (ga, gmid), (gmid, gc), halves.T)
+        cells = [np.concatenate(pair) for pair in pairs]
+        cells = [x[cells[-1] > 0] for x in cells]
+    roots.append(_solve_brackets(omega, b, *np.concatenate(brackets, axis=1), stats))
+    return np.sort(np.concatenate(roots))
 
-        def angle(lam):
-            return ends[lam] if lam in ends else _nearest_eigenvalue_angle(omega, b, lam)
 
-        roots.append(float(scipy.optimize.brentq(angle, a, c, xtol=TOL_ROOT, rtol=1e-15)))
-        return
-    if floor:
-        roots.append(float(mid))
-        return
-    (smid,), (gmid,) = _phase_data(omega, b, np.array([mid]))
-    middle = (mid, smid, gmid)
-    left_count, right_count = _cell_counts(omega, [a, mid, c], [sa, smid, sc])
-    if left_count:
-        _refine(omega, b, left, middle, left_count, roots)
-    if right_count:
-        _refine(omega, b, middle, right, right_count, roots)
+def _solve_brackets(omega: IntervalUnion, b, a, c, fa, fc, stats) -> np.ndarray:
+    """The root of the nearest angle in each bracket [a, c] with fa >= 0 > fc.
+
+    Illinois false position over all brackets at once, one stacked
+    ``_phase_data`` call per iteration; a bracket that has not halved in
+    STALL steps is bisected.  Every step keeps a >= 0 -> < 0 sign change, and
+    the angle jumps only upwards, so the sign change kept is the root.  A
+    bracket whose left angle is exactly 0 has its root there; one at most
+    2*TOL_ROOT wide, or with no float inside, has it at its midpoint.
+    """
+    roots = np.empty(len(a))
+    idx = np.arange(len(a))
+    # the end each bracket's last step moved (+1 left, -1 right), its width
+    # when it last halved and the steps since
+    moved = np.zeros(len(a), dtype=int)
+    ref = c - a
+    stall = np.zeros(len(a), dtype=int)
+    while True:
+        mid = 0.5 * (a + c)
+        done = (fa == 0) | (c - a <= 2 * TOL_ROOT) | (mid <= a) | (mid >= c)
+        roots[idx[done]] = np.where(fa == 0, a, mid)[done]
+        if done.all():
+            return roots
+        a, c, fa, fc, mid, moved, ref, stall, idx = (
+            x[~done] for x in (a, c, fa, fc, mid, moved, ref, stall, idx)
+        )
+        # a step lands at least TOL_ROOT inside the bracket: once one end
+        # is at the root, the next step crosses it and closes the bracket
+        x = np.clip(a + (c - a) * (fa / (fa - fc)), a + TOL_ROOT, c - TOL_ROOT)
+        x = np.where((stall >= STALL) | (x <= a) | (x >= c), mid, x)
+        _, fx = _phase_data(omega, b, x)
+        stats["bracket_iterations"] += 1
+        stats["eig_rows"] += len(x)
+        left = fx >= 0
+        # Illinois: the value at an end kept twice in a row is halved
+        fa = np.where(~left & (moved == -1), 0.5 * fa, fa)
+        fc = np.where(left & (moved == 1), 0.5 * fc, fc)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        c, fc = np.where(left, c, x), np.where(left, fc, fx)
+        moved = np.where(left, 1, -1)
+        halved = c - a <= 0.5 * ref
+        ref = np.where(halved, c - a, ref)
+        stall = np.where(halved, 0, stall + 1)
+
+
+def _eigenspaces(omega: IntervalUnion, b, lams):
+    """Orthonormal bases of {c : B E(lambda a)c = E(lambda b)c}, from stacked
+    SVDs of I - M(lambda), and the largest boundary residual of each basis
+    (0 for an empty one)."""
+    lams = np.asarray(lams, dtype=float)
+    bases: list[list[np.ndarray]] = []
+    residuals = np.zeros(len(lams))
+    for s in range(0, len(lams), CHUNK):
+        lam = lams[s:s + CHUNK]
+        _, sv, vh = np.linalg.svd(np.eye(omega.n) - transfer_matrix(omega, b, lam))
+        vecs = vh.conj()  # rows: the right singular vectors
+        null = sv < TOL_EIG
+        res = np.where(null, _boundary_residuals(omega, b, lam[:, None], vecs), 0.0)
+        residuals[s:s + CHUNK] = res.max(axis=1)
+        bases += [list(v[m]) for v, m in zip(vecs, null)]
+    return bases, residuals.tolist()
 
 
 def nullspace_at(omega: IntervalUnion, b, lam: float):
     """Orthonormal basis of {c : B E(lambda a)c = E(lambda b)c}; [] off spectrum."""
-    m = transfer_matrix(omega, b, lam)
-    n = omega.n
-    _, s, vh = np.linalg.svd(np.eye(n) - m)
-    return [vh[k].conj() for k in range(n) if s[k] < TOL_EIG]
+    return _eigenspaces(omega, b, [lam])[0][0]
+
+
+def _boundary_residuals(omega: IntervalUnion, b, lams, vecs) -> np.ndarray:
+    """|B E(lambda a)c - E(lambda b)c| for the vectors c along the last axis of
+    ``vecs``; ``lams`` broadcasts against its other axes."""
+    lam = np.asarray(lams, dtype=float)[..., None]
+    lhs = (cis(lam * np.array(omega.lefts)) * vecs) @ np.asarray(b, dtype=complex).T
+    rhs = cis(lam * np.array(omega.rights)) * vecs
+    return np.linalg.norm(lhs - rhs, axis=-1)
 
 
 def default_grid_step(omega: IntervalUnion) -> float:
-    scale = max(1.0, abs(omega.endpoints[-1][1]), abs(omega.endpoints[0][0]))
-    return 1.0 / (8.0 * omega.measure * scale)
+    """GRID_SPACINGS mean root spacings 1/L.  The count certificate, not the
+    grid, makes the spectrum complete: the step only trades grid points
+    against refinement."""
+    return GRID_SPACINGS / omega.measure
 
 
 def default_window(omega: IntervalUnion) -> tuple[float, float]:
@@ -144,13 +227,20 @@ def default_window(omega: IntervalUnion) -> tuple[float, float]:
 
 
 def _checked(omega: IntervalUnion, window, grid_step) -> tuple[float, float, float]:
-    """The window and the grid step, defaults filled in; bad values raise."""
+    """The window and the grid step, defaults filled in; bad values raise,
+    and a window predicted to hold more than MAX_ROOTS roots trips the guard
+    before anything is allocated."""
     lo, hi = default_window(omega) if window is None else window
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"window must be finite with lo < hi, got ({lo}, {hi})")
     step = default_grid_step(omega) if grid_step is None else grid_step
     if not (math.isfinite(step) and step > 0):
         raise ValidationError(f"grid_step must be positive and finite, got {grid_step}")
+    predicted = omega.measure * (hi - lo)
+    if predicted > MAX_ROOTS:
+        raise GuardExceeded(
+            f"the window ({lo}, {hi}) holds about {predicted:.3g} roots, over the bound {MAX_ROOTS}"
+        )
     return lo, hi, step
 
 
@@ -159,7 +249,10 @@ class SpectrumReport:
     """Eigenvalues of D_B in a window, with eigenspace data.
 
     root_count is the number of spectrum points in the window counted with
-    multiplicity; every report has sum(dims) == root_count.
+    multiplicity; every report has sum(dims) == root_count.  stats says how
+    the report was produced: grid_points, levels (stacked bisection levels),
+    bisected_cells, bracket_iterations, eig_rows (matrices decomposed) and
+    seconds per stage (grid, locate, eigenspaces).
     """
 
     eigenvalues: list[float]
@@ -168,6 +261,7 @@ class SpectrumReport:
     window: tuple[float, float]
     method: str
     root_count: int
+    stats: dict = field(default_factory=dict)
 
     @property
     def dims(self) -> list[int]:
@@ -177,10 +271,15 @@ class SpectrumReport:
         return [len(basis) == 1 and _is_constant(basis[0], tol) for basis in self.eigenspaces]
 
 
-def _boundary_residual(omega, b, lam, c):
-    lhs = np.asarray(b, dtype=complex) @ (cis(lam * np.array(omega.lefts)) * c)
-    rhs = cis(lam * np.array(omega.rights)) * c
-    return float(np.linalg.norm(lhs - rhs))
+def _stats(grid_points: int, eig_rows: int) -> dict:
+    """A report's stats before refinement; the caller adds ``seconds``."""
+    return {
+        "grid_points": grid_points,
+        "levels": 0,
+        "bisected_cells": 0,
+        "bracket_iterations": 0,
+        "eig_rows": eig_rows,
+    }
 
 
 def compute_spectrum(
@@ -193,35 +292,41 @@ def compute_spectrum(
 
     Cuts the window into grid cells of about ``grid_step``, counts the roots
     of each cell from the eigenphases at its ends (stacked eigendecompositions
-    of the whole grid), locates the roots of the cells that hold any, and
-    attaches eigenspaces.  Raises ConvergenceFailure unless every count is an
-    integer, every eigenspace is nonempty and their dimensions add up to the
-    count of the window.
+    of the whole grid), locates the roots of the cells that hold any (see
+    ``_locate``), and attaches eigenspaces.  Raises ConvergenceFailure unless
+    every count is an integer, every eigenspace is nonempty and their
+    dimensions add up to the count of the window.
     """
     b = require_unitary(b)
     lo, hi, grid_step = _checked(omega, window, grid_step)
+    t0 = time.perf_counter()
     # the window is closed: widened by the bisection floor, the counted range
     # holds a root on its edge
     edges = (lo - MIN_CELL * max(1.0, abs(lo)), hi + MIN_CELL * max(1.0, abs(hi)))
-    grid = np.linspace(*edges, max(2, math.ceil((hi - lo) / grid_step) + 1))
+    points = max(2, math.ceil((hi - lo) / grid_step) + 1)
+    if points > MAX_GRID:
+        raise GuardExceeded(
+            f"grid step {grid_step} gives {points} grid points, over the bound {MAX_GRID}"
+        )
+    grid = np.linspace(*edges, points)
     sums, nearest = _phase_data(omega, b, grid)
     counts = _cell_counts(omega, grid, sums)
-    roots: list[float] = []
-    for k in np.flatnonzero(counts):
-        ends = [(grid[j], sums[j], nearest[j]) for j in (k, k + 1)]
-        _refine(omega, b, *ends, int(counts[k]), roots)
+    stats = _stats(len(grid), eig_rows=len(grid))
+    t1 = time.perf_counter()
+    roots = _locate(omega, b, grid, sums, nearest, counts, stats)
     # rounding can count the eigenvalues of a multiple root on both sides of
     # a cell edge: roots closer than the bisection floor are one root
     eigenvalues: list[float] = []
-    for r in roots:
+    for r in roots.tolist():
         if not eigenvalues or r - eigenvalues[-1] >= MIN_CELL * max(1.0, abs(r)):
             eigenvalues.append(r)
-    eigenspaces = [nullspace_at(omega, b, r) for r in eigenvalues]
-    residuals = [
-        max((_boundary_residual(omega, b, r, c) for c in basis), default=0.0)
-        for r, basis in zip(eigenvalues, eigenspaces)
-    ]
-    report = SpectrumReport(eigenvalues, eigenspaces, residuals, (lo, hi), "scan", int(counts.sum()))
+    t2 = time.perf_counter()
+    eigenspaces, residuals = _eigenspaces(omega, b, eigenvalues)
+    stats["eig_rows"] += len(eigenvalues)
+    stats["seconds"] = {"grid": t1 - t0, "locate": t2 - t1, "eigenspaces": time.perf_counter() - t2}
+    report = SpectrumReport(
+        eigenvalues, eigenspaces, residuals, (lo, hi), "scan", int(counts.sum()), stats
+    )
     if sum(report.dims) != report.root_count or 0 in report.dims:
         raise ConvergenceFailure(
             f"eigenspace dimensions {report.dims} do not add up to the "
@@ -242,30 +347,37 @@ def equal_length_spectrum(
         raise NotEqualLength("intervals do not all have the same length")
     b = require_unitary(b)
     lo, hi, _ = _checked(omega, window, None)
+    t0 = time.perf_counter()
     ell = omega.measure / omega.n
     eig = eig_unitary(b)
-    alphas = np.array(omega.lefts)
-
-    entries = []  # (lambda, basis)
-    for group in eig.phase_groups():
+    groups, lams = eig.phase_groups(), []
+    for group in groups:
         theta = eig.phases[group[0]]
         kmin = math.ceil(lo * ell - theta - 1e-12)
         kmax = math.floor(hi * ell - theta + 1e-12)
-        for k in range(kmin, kmax + 1):
-            lam = (theta + k) / ell
-            basis = [
-                np.conj(cis(lam * alphas)) * eig.vectors[:, idx] for idx in group
-            ]
-            entries.append((lam, basis))
-    entries.sort(key=lambda e: e[0])
-    eigenvalues = [e[0] for e in entries]
-    eigenspaces = [e[1] for e in entries]
-    residuals = [
-        max((_boundary_residual(omega, b, lam, c) for c in basis), default=0.0)
-        for lam, basis in entries
+        lams.append((theta + np.arange(kmin, kmax + 1)) / ell)
+    t1 = time.perf_counter()
+    # per phase group, the basis of every lambda: shape (lambdas, group, n)
+    vecs = [
+        np.conj(cis(lam[:, None, None] * np.array(omega.lefts))) * eig.vectors[:, group].T
+        for lam, group in zip(lams, groups)
     ]
+    residuals = np.concatenate(
+        [_boundary_residuals(omega, b, lam[:, None], v).max(axis=1) for lam, v in zip(lams, vecs)]
+    )
+    bases = [list(basis) for v in vecs for basis in v]
+    lams = np.concatenate(lams)
+    order = np.argsort(lams, kind="stable")
+    stats = _stats(0, eig_rows=1)
+    stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
     return SpectrumReport(
-        eigenvalues, eigenspaces, residuals, (lo, hi), "equal_length", sum(map(len, eigenspaces))
+        lams[order].tolist(),
+        [bases[k] for k in order],
+        residuals[order].tolist(),
+        (lo, hi),
+        "equal_length",
+        sum(map(len, bases)),
+        stats,
     )
 
 

@@ -273,3 +273,63 @@ def test_grid_step_only_where_a_spectrum_is_scanned(problem, command):
     extra = ["--x", "0.5", "--t", "1.0"] if command == "paths" else []
     with pytest.raises(SystemExit):
         main([command, problem, *extra, "--grid-step", "0.1"])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # no such file
+        '{"intervals": [[0, 1], [2, 3]],',
+        json.dumps(dict(PAIR, matrix=[[[1, 0], [0, 0]], [[0, 0]]])),
+        json.dumps(dict(PAIR, window=[-2.2])),
+    ],
+    ids=["missing-file", "invalid-json", "ragged-matrix", "one-number-window"],
+)
+def test_bad_problem_files_exit_1_without_traceback(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["spectrum", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 2e9 roots predicted
+        ["--window", "0", "1e9"],
+        # about 4e12 grid points
+        ["--window", "-2", "2", "--grid-step", "1e-12"],
+    ],
+)
+def test_oversized_scan_exits_3_at_once(problem, capsys, argv):
+    # the guard trips before a grid is allocated
+    assert main(["spectrum", problem, *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard exceeded:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_spectrum_stats(tmp_path, capsys, command):
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(dict(PAIR, intervals=[[0, 1], [2, 3.5]])))
+    code, rep = run_json(capsys, [command, str(path)])
+    assert code == 0
+    stats = rep["spectrum_stats"]
+    assert stats["grid_points"] >= 2 and stats["bracket_iterations"] >= 1
+    decomposed = stats["grid_points"] + stats["bisected_cells"] + len(rep["eigenvalues"])
+    assert stats["eig_rows"] >= decomposed
+    assert set(stats["seconds"]) == {"grid", "locate", "eigenspaces"}
+
+
+def test_equal_length_spectrum_stats(problem, capsys):
+    # verify takes the equal-length shortcut: it decomposes B once and scans
+    # no grid
+    code, rep = run_json(capsys, ["verify", problem])
+    assert code == 0
+    stats = rep["spectrum_stats"]
+    assert (stats["grid_points"], stats["levels"], stats["bracket_iterations"]) == (0, 0, 0)
+    assert stats["eig_rows"] == 1

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
@@ -249,3 +253,68 @@ def test_count_certificate_haar(n, seed, grid_step):
     assert sum(rep.dims) == rep.root_count == phase_count(intervals, b, lo, hi)
     assert all(lo - 1e-9 <= lam <= hi + 1e-9 for lam in rep.eigenvalues)
     assert all(r < 1e-8 for r in rep.residuals)
+
+
+def _haar_problem(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    lengths = rng.uniform(0.2, 1.5, n)
+    gaps = rng.uniform(0.05, 1.5, n - 1)
+    lefts = rng.uniform(-3, 3) + np.concatenate([[0.0], np.cumsum(lengths[:-1] + gaps)])
+    om = new_interval_union([(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)])
+    lo = float(rng.uniform(-12, 6))
+    return om, unitary_group.rvs(n, random_state=rng), (lo, lo + float(rng.uniform(1, 8)))
+
+
+def _nearest_angle(om, b, lam):
+    ang = np.angle(np.linalg.eigvals(transfer_matrix(om, b, lam)))
+    return float(ang[np.argmin(np.abs(ang))])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_roots_match_brentq_on_the_nearest_angle(seed):
+    om, b, window = _haar_problem(seed)
+    rep = compute_spectrum(om, b, window=window)
+    assert rep.eigenvalues
+    for lam in rep.eigenvalues:
+        # the nearest angle falls through zero at a simple root
+        lo, hi = lam - 1e-7, lam + 1e-7
+        assert _nearest_angle(om, b, lo) > 0 > _nearest_angle(om, b, hi)
+        ref = scipy.optimize.brentq(
+            lambda x: _nearest_angle(om, b, x), lo, hi, xtol=1e-15, rtol=1e-15
+        )
+        assert abs(lam - ref) < 1e-12
+
+
+def _projector(basis):
+    v = np.array(basis)
+    return v.T @ v.conj()
+
+
+@pytest.mark.parametrize("seed", range(30, 40))
+def test_stacked_eigenspaces_match_nullspace_at(seed):
+    om, b, window = _haar_problem(seed)
+    rep = compute_spectrum(om, b, window=window)
+    for lam, basis in zip(rep.eigenvalues, rep.eigenspaces):
+        single = nullspace_at(om, b, lam)
+        assert len(single) == len(basis) >= 1
+        assert np.max(np.abs(_projector(single) - _projector(basis))) < 1e-12
+        for c in basis:
+            assert np.linalg.norm(transfer_matrix(om, b, lam) @ c - c) < 1e-8
+    # multiple roots: B = I on lengths 1, 1 and 1.5
+    om = new_interval_union([(0, 1), (1.5, 2.5), (4, 5.5)])
+    rep = compute_spectrum(om, np.eye(3), window=(-2.2, 2.2))
+    for lam, basis in zip(rep.eigenvalues, rep.eigenspaces):
+        single = nullspace_at(om, np.eye(3), lam)
+        assert len(single) == len(basis)
+        assert np.max(np.abs(_projector(single) - _projector(basis))) < 1e-12
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    code = "import sys, spectral_intervals.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
