@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -139,18 +138,20 @@ class UnitaryEigenData:
 def eig_unitary(b, residual_tol: float = 1e-8) -> UnitaryEigenData:
     """Eigenphases and orthonormal eigenvectors of a unitary matrix.
 
-    Uses the complex Schur form; for a unitary (hence normal) matrix the
-    Schur vectors are an orthonormal eigenbasis.
+    ``np.linalg.eig`` gives the eigenvalues and a basis of eigenvectors; the
+    columns, sorted by phase, are orthonormalised by one QR.  B is normal, so
+    eigenvectors of distinct eigenvalues are orthogonal and the QR only mixes
+    columns inside a phase group.  Raises ConvergenceFailure when a column
+    misses its eigenvalue by more than ``residual_tol``.
     """
     b = require_unitary(b)
-    t, q = scipy.linalg.schur(b, output="complex")
-    eigvals = np.diag(t)
+    eigvals, eigvecs = np.linalg.eig(b)
     phases = (np.angle(eigvals) / (2 * np.pi)) % 1.0
     # snap phases that rounded up to 1.0
     phases = np.where(phases >= 1.0 - 1e-15, 0.0, phases)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
-    vectors = q[:, order]
+    vectors, _ = np.linalg.qr(eigvecs[:, order])
     resid = np.max(
         np.abs(b @ vectors - vectors * cis(phases)[np.newaxis, :])
     )
@@ -169,28 +170,28 @@ def matrix_from_spectrum(
 ) -> np.ndarray:
     """The unique B with B e_lambda(a_vec) = e_lambda(b_vec) for all samples.
 
-    Solves an n x n linear system from n spanning sample points, then
-    validates the remaining samples and unitarity.
+    Fits B by least squares over all samples, B = C A^+ with the vectors
+    e_lambda(a_vec) as the columns of A and e_lambda(b_vec) as those of C,
+    once A has rank n.  Raises Inconsistent, naming the worst sample, when a
+    column misses its fit by more than ``tol``, and NotUnitary when the fit
+    is not unitary.
     """
     lambdas = [float(l) for l in lambdas]
     n = omega.n
     if len(lambdas) < n:
         raise DeficientSpan(f"need at least {n} sample points, got {len(lambdas)}")
-    amat = np.column_stack([boundary_exponential_vectors(omega, l)[0] for l in lambdas])
-    cmat = np.column_stack([boundary_exponential_vectors(omega, l)[1] for l in lambdas])
-    # greedy column selection by QR with pivoting
-    _, _, piv = scipy.linalg.qr(amat, pivoting=True)
-    sel = piv[:n]
-    asel = amat[:, sel]
-    if np.linalg.matrix_rank(asel, tol=1e-8) < n:
+    amat, cmat = (
+        v.T for v in boundary_exponential_vectors(omega, np.array(lambdas)[:, np.newaxis])
+    )
+    if np.linalg.matrix_rank(amat, tol=1e-8) < n:
         raise DeficientSpan("boundary exponential vectors do not span C^n")
-    b = cmat[:, sel] @ np.linalg.inv(asel)
-    rest = [k for k in range(len(lambdas)) if k not in set(sel)]
-    for k in rest:
-        if np.max(np.abs(b @ amat[:, k] - cmat[:, k])) > tol:
-            raise Inconsistent(
-                f"no single matrix fits all samples; mismatch at lambda={lambdas[k]}"
-            )
+    b = cmat @ np.linalg.pinv(amat)
+    misfit = np.max(np.abs(b @ amat - cmat), axis=0)
+    worst = int(np.argmax(misfit))
+    if misfit[worst] > tol:
+        raise Inconsistent(
+            f"no single matrix fits all samples; mismatch at lambda={lambdas[worst]}"
+        )
     if not is_unitary(b, max(tol, UNITARITY_TOL)):
         raise NotUnitary("fitted matrix is not unitary; samples are not a spectrum")
     return b

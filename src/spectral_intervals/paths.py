@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardExceeded, PreconditionViolated, XNotInOmega, XPlusTNotInOmega
+from .errors import (
+    GuardExceeded,
+    PreconditionViolated,
+    ValidationError,
+    XNotInOmega,
+    XPlusTNotInOmega,
+)
 from .intervals import IntervalUnion
 
 DEFAULT_MAX_PATHS = 10 ** 6
@@ -30,7 +36,20 @@ MAX_PATHS_ENV = "SPECTRAL_INTERVALS_MAX_PATHS"
 
 
 def path_cap() -> int:
-    return int(os.environ.get(MAX_PATHS_ENV, DEFAULT_MAX_PATHS))
+    """The path cap: SPECTRAL_INTERVALS_MAX_PATHS if set, else 10^6.
+
+    Raises ValidationError unless the variable holds a positive integer.
+    """
+    raw = os.environ.get(MAX_PATHS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_PATHS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"{MAX_PATHS_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

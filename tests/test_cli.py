@@ -236,6 +236,15 @@ def test_exit_code_guard(problem, monkeypatch, capsys):
     assert main(["paths", problem, "--x", "0.5", "--t", "3.0"]) == 3
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_bad_path_cap_exits_1(problem, monkeypatch, capsys, cap):
+    monkeypatch.setenv("SPECTRAL_INTERVALS_MAX_PATHS", cap)
+    assert main(["paths", problem, "--x", "0.5", "--t", "3.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SPECTRAL_INTERVALS_MAX_PATHS must be a positive integer")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

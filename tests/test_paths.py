@@ -6,6 +6,7 @@ from scipy.stats import unitary_group
 from spectral_intervals.errors import (
     GuardExceeded,
     PreconditionViolated,
+    ValidationError,
     XNotInOmega,
     XPlusTNotInOmega,
 )
@@ -13,6 +14,7 @@ from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import (
     MAX_PATHS_ENV,
     aggregate_equal_length,
+    check_path_guard,
     cluster_ends,
     cumulative_sums,
     end_sums,
@@ -84,6 +86,15 @@ def test_predicted_count_and_guard(monkeypatch):
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
     with pytest.raises(GuardExceeded):
         enumerate_paths(OM, SQRT_SWAP, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_bad_path_cap_is_a_validation_error(monkeypatch, cap):
+    monkeypatch.setenv(MAX_PATHS_ENV, cap)
+    with pytest.raises(ValidationError, match=MAX_PATHS_ENV):
+        check_path_guard(OM, 0.5)
+    # an explicit cap does not read the variable
+    assert check_path_guard(OM, 0.5, max_paths=4) == 4
 
 
 def test_path_sum_identities_spectral():
