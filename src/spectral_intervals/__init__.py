@@ -83,7 +83,6 @@ from .paths import (
     TranslationIdentityReport,
     aggregate_equal_length,
     cluster_ends,
-    cumulative_sums,
     end_sums,
     enumerate_paths,
     local_translation_identities,

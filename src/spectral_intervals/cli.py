@@ -166,7 +166,10 @@ def _build_function(spec: str, omega, b, window, grid_step):
             omega, [[(0.0, (-a * c, a + c, -1.0))] for a, c in omega.endpoints]
         )
     if spec.startswith("eigenfunction:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"eigenfunction index must be an integer, got {spec!r}") from None
         report = spectral_matrix_check(omega, b, window, grid_step=grid_step).report
         if not 0 <= k < len(report.eigenvalues):
             raise ValidationError(

@@ -17,7 +17,7 @@ import numpy as np
 from .boundary import cis, reflected_boundary_matrix
 from .errors import NotEigenCombination, ValidationError, XNotInOmega
 from .intervals import IntervalUnion, reflect as reflect_set
-from .paths import check_path_guard, cumulative_sums, path_table, states_at
+from .paths import check_path_guard, path_table, states_at
 from .spectrum import SpectrumReport
 
 MAX_DEGREE = 8
@@ -343,53 +343,33 @@ def apply_U_paths(
 ) -> EvolutionResult:
     """Apply U(t) through the admissible-path sum, exactly.
 
-    Each interval is cut where the path set (or the piece of f hit by a path
-    end) changes; on each sub-piece every end state of the interval's path
-    table that is admissible there contributes a shifted, scaled copy of the
+    Interval i is cut where a row of its path table becomes or stops being
+    admissible (the edges of the row's start range) and where the end
+    x + shift of a row crosses a breakpoint of f strictly inside the row's
+    final interval; nothing else changes the sum.  On each sub-piece every
+    row admissible at its midpoint contributes a shifted, scaled copy of the
     atoms of f at its end.  That copy is the same on every sub-piece where
-    the state hits the same piece of f, so it is built once.
+    the row hits the same piece of f, so it is built once.
     """
-    check_path_guard(omega, t, max_paths)
-    b = np.asarray(b, dtype=complex)
-    n = omega.n
-    csums = cumulative_sums(omega, abs(t))
-    bps = sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces})
+    bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
+    # inside[j, m]: breakpoint m lies strictly inside interval j
+    inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()
-
-    if t >= 0:
-        shifts = {t} | {
-            omega.lefts[j] - omega.rights[i] + t - c
-            for i in range(n)
-            for j in range(n)
-            for c in csums
-        }
-    else:
-        shifts = {t} | {
-            omega.rights[j] - omega.lefts[i] + t + c
-            for i in range(n)
-            for j in range(n)
-            for c in csums
-        }
-
     new_pieces = []
     refinement: dict[int, list[float]] = {}
     total_paths = 0
     for i, (alo, ahi) in enumerate(omega.endpoints):
-        cands: set[float] = set()
-        if t >= 0:
-            cands.update(ahi - t + c for c in csums)
-        else:
-            cands.update(alo - t - c for c in csums)
-        for bp in bps:
-            cands.update(bp - s for s in shifts)
-        cuts = sorted(x for x in cands if alo + tol < x < ahi - tol)
+        table = path_table(omega, b, i, t, max_paths)
+        sign = 1.0 if table.forward else -1.0
+        edge = table.exit_edge - sign * table.big_t + sign * table.cum
+        crossings = (bps - table.shift[:, None])[inside[table.final]]
+        cands = np.concatenate([edge, edge + sign * table.length, crossings])
         dedup = []
-        for x in cuts:
+        for x in np.sort(cands[(cands > alo + tol) & (cands < ahi - tol)]).tolist():
             if not dedup or x - dedup[-1] > 1e-12:
                 dedup.append(x)
         refinement[i] = dedup
         edges = [alo] + dedup + [ahi]
-        table = path_table(omega, b, i, t, max_paths)
         state_shift = table.shift.tolist()
         state_weight = table.weight.tolist()
         state_count = table.count.tolist()

@@ -12,7 +12,9 @@ and stops in interval j ends at x + shift(j, k), and it is admissible for
 every x of one start range.  ``path_table`` propagates weights forward over
 these end states (j, k) once per interval, so callers that need only end
 sums never build the paths themselves; ``enumerate_paths`` lists single
-paths for reports and per-path checks.
+paths for reports and per-path checks.  The rows also give every point where
+the sum over paths changes with x: the edges of their start ranges, and the
+start points whose end x + shift meets a breakpoint of the function summed.
 """
 from __future__ import annotations
 
@@ -76,8 +78,10 @@ def check_path_guard(omega: IntervalUnion, t: float, max_paths: int | None = Non
     """Raise GuardExceeded when the predicted path count passes the cap.
 
     The cap defaults to 10^6, overridable via SPECTRAL_INTERVALS_MAX_PATHS.
-    Returns the cap.
+    Returns the cap; a non-finite t raises ValidationError.
     """
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be a finite number, got {t}")
     cap = path_cap() if max_paths is None else max_paths
     predicted = predicted_path_count(omega, t)
     if predicted > cap:
@@ -428,28 +432,3 @@ def aggregate_equal_length(omega: IntervalUnion, b, x: float, t: float, p: int):
     row = np.linalg.matrix_power(b, p)[i]
     return coeffs, row, float(np.max(np.abs(coeffs - row)))
 
-
-def cumulative_sums(omega: IntervalUnion, budget: float, cap: int | None = None):
-    """All sums of interval-length words not exceeding ``budget`` (with 0).
-
-    Used to locate the x-breakpoints where the admissible path set changes.
-    """
-    cap = path_cap() if cap is None else cap
-    seen = {0.0}
-    frontier = [0.0]
-    lengths = omega.lengths
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for l in lengths:
-                v = c + l
-                if v > budget:
-                    continue
-                key = round(v, 12)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(key)
-                if len(seen) > cap:
-                    raise GuardExceeded("cumulative length sums exceed the path cap")
-        frontier = nxt
-    return sorted(seen)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import cis, eig_unitary, require_unitary
+from .boundary import UnitaryEigenData, cis, eig_unitary, require_unitary
 from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
@@ -343,6 +343,13 @@ def equal_length_spectrum(
     lambda = (theta_j + k)/l for eigenphases theta_j; eigenspace vectors are
     c = E(-lambda a_vec) v with v an eigenvector of B.
     """
+    return _equal_length(omega, b, window)[0]
+
+
+def _equal_length(
+    omega: IntervalUnion, b, window: tuple[float, float] | None
+) -> tuple[SpectrumReport, UnitaryEigenData]:
+    """``equal_length_spectrum`` and the eigendata of B it was read from."""
     if not omega.equal_lengths():
         raise NotEqualLength("intervals do not all have the same length")
     b = require_unitary(b)
@@ -370,7 +377,7 @@ def equal_length_spectrum(
     order = np.argsort(lams, kind="stable")
     stats = _stats(0, eig_rows=1)
     stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
-    return SpectrumReport(
+    report = SpectrumReport(
         lams[order].tolist(),
         [bases[k] for k in order],
         residuals[order].tolist(),
@@ -379,6 +386,7 @@ def equal_length_spectrum(
         sum(map(len, bases)),
         stats,
     )
+    return report, eig
 
 
 @dataclass
@@ -424,10 +432,9 @@ def spectral_matrix_check(
     """
     _checked(omega, window, grid_step)
     if omega.equal_lengths():
-        report = equal_length_spectrum(omega, b, window)
+        report, eig = _equal_length(omega, b, window)
         ell = omega.measure / omega.n
         # one representative lambda per phase class, plus every window point
-        eig = eig_unitary(require_unitary(b))
         alphas = np.array(omega.lefts)
         for group in eig.phase_groups():
             theta = eig.phases[group[0]]

@@ -256,6 +256,12 @@ def test_bad_path_cap_exits_1(problem, monkeypatch, capsys, cap):
         ["verify", "--trials", "-5"],
         ["evolve", "--t", "0.3", "--samples", "0"],
         ["evolve", "--t", "0.3", "--samples", "-2"],
+        ["evolve", "--t", "inf", "--function", "bump"],
+        ["evolve", "--t=-inf", "--function", "bump"],
+        ["evolve", "--t", "nan", "--function", "bump"],
+        ["paths", "--x", "0.5", "--t", "inf"],
+        ["paths", "--x", "0.5", "--t", "nan"],
+        ["evolve", "--t", "0.3", "--function", "eigenfunction:x"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(problem, capsys, argv):

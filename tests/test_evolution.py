@@ -8,9 +8,7 @@ from spectral_intervals import evolution
 from spectral_intervals.errors import GuardExceeded, NotEigenCombination, XNotInOmega
 from spectral_intervals.evolution import (
     Atom,
-    Piece,
     PiecewiseExpPoly,
-    _merge_atoms,
     _poly_exp_integral,
     apply_U_paths,
     apply_U_spectral,
@@ -27,7 +25,7 @@ from spectral_intervals.evolution import (
     shift_poly,
 )
 from spectral_intervals.intervals import new_interval_union
-from spectral_intervals.paths import MAX_PATHS_ENV, cumulative_sums, enumerate_paths
+from spectral_intervals.paths import MAX_PATHS_ENV, enumerate_paths
 from spectral_intervals.spectrum import compute_spectrum
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -360,47 +358,13 @@ def test_piece_containing_outside():
         f.piece_containing(1.5)
 
 
-# -- path table against per-sub-piece enumeration ------------------------------
+# -- path table against per-point enumeration -----------------------------------
 
 
-def _reference_apply_U(omega, b, t, f):
-    """U(t)f with the paths enumerated afresh at the midpoint of every sub-piece."""
-    n = omega.n
-    csums = cumulative_sums(omega, abs(t))
-    bps = sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces})
-    tol = omega.tol()
-    sign = 1 if t >= 0 else -1
-    ends_from = omega.rights if t >= 0 else omega.lefts
-    ends_to = omega.lefts if t >= 0 else omega.rights
-    shifts = {t} | {
-        ends_to[j] - ends_from[i] + t - sign * c
-        for i in range(n)
-        for j in range(n)
-        for c in csums
-    }
-    pieces, refinement, count = [], {}, 0
-    for i, (alo, ahi) in enumerate(omega.endpoints):
-        cands = {ends_from[i] - t + sign * c for c in csums}
-        cands |= {bp - s for bp in bps for s in shifts}
-        cuts = []
-        for x in sorted(x for x in cands if alo + tol < x < ahi - tol):
-            if not cuts or x - cuts[-1] > 1e-12:
-                cuts.append(x)
-        refinement[i] = cuts
-        edges = [alo] + cuts + [ahi]
-        for lo, hi in zip(edges, edges[1:]):
-            if hi - lo <= 1e-13:
-                continue
-            xm = (lo + hi) / 2
-            paths = enumerate_paths(omega, b, xm, t)
-            count += len(paths)
-            atoms = [
-                atom.shifted(path.end - xm, path.weight)
-                for path in paths
-                for atom in f.piece_containing(path.end).atoms
-            ]
-            pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
-    return PiecewiseExpPoly(omega, tuple(pieces)), refinement, count
+def _paths_with_sources(omega, b, x, t, f):
+    """The admissible paths from x, each with the piece of f at its end."""
+    paths = enumerate_paths(omega, b, x, t)
+    return paths, sorted((p.word, id(f.piece_containing(p.end))) for p in paths)
 
 
 @pytest.mark.parametrize(
@@ -429,9 +393,44 @@ def test_apply_U_paths_matches_per_subpiece_enumeration(endpoints, t):
     f = apply_U_paths(om, b, 0.4, random_domain_function(om, b, np.random.default_rng(n))).function
     assert len(f.pieces) > n
     res = apply_U_paths(om, b, t, f)
-    ref, refinement, count = _reference_apply_U(om, b, t, f)
-    assert res.refinement == refinement
+    count = 0
+    for piece in res.function.pieces:
+        mid = (piece.lo + piece.hi) / 2
+        paths, sources = _paths_with_sources(om, b, mid, t, f)
+        count += len(paths)
+        # one path set and one source piece of f per end across the whole piece
+        for x in (piece.lo + 1e-9, mid, piece.hi - 1e-9):
+            paths, here = _paths_with_sources(om, b, x, t, f)
+            assert here == sources
+            expected = sum(p.weight * f(p.end) for p in paths)
+            assert abs(piece.evaluate(x) - expected) < 1e-12
     assert res.path_count == count
-    assert [(p.lo, p.hi) for p in res.function.pieces] == [(p.lo, p.hi) for p in ref.pieces]
-    xs = probe_points(ref, 8)
-    assert np.max(np.abs(res.function(xs) - ref(xs))) < 1e-12
+
+
+def _bump(omega):
+    """(x - a)(c - x) on every interval (a, c): the CLI's 'bump'."""
+    return PiecewiseExpPoly.from_atoms(
+        omega, [[(0.0, (-a * c, a + c, -1.0))] for a, c in omega.endpoints]
+    )
+
+
+@pytest.mark.parametrize("t,cuts", [(0.6, {0: [0.4], 1: [2.7]}), (-0.6, {0: [0.6], 1: [2.6]})])
+def test_apply_U_paths_cuts_by_hand(t, cuts):
+    # t = 0.6: below 0.4 (2.7) the flow stays in its interval, above it the
+    # point leaves through the right end into either interval; t = -0.6
+    # mirrors it through the left ends.  The bump's breakpoints are the
+    # interval ends, so they add no cut.
+    om = new_interval_union([(0, 1), (2, 3.3)])
+    f = _bump(om)
+    res = apply_U_paths(om, SQRT_SWAP, t, f)
+    assert res.refinement == {i: pytest.approx(c, abs=1e-12) for i, c in cuts.items()}
+    xs = probe_points(res.function, 4)
+    expected = [sum(p.weight * f(p.end) for p in enumerate_paths(om, SQRT_SWAP, x, t)) for x in xs]
+    assert np.max(np.abs(res.function(xs) - np.array(expected))) < 1e-12
+
+
+def test_apply_U_paths_guard(monkeypatch):
+    monkeypatch.setenv(MAX_PATHS_ENV, "10")
+    om = new_interval_union([(0, 1), (2, 3.3)])
+    with pytest.raises(GuardExceeded):
+        apply_U_paths(om, SQRT_SWAP, 4.0, _bump(om))  # predicts 2^5 paths

@@ -16,7 +16,6 @@ from spectral_intervals.paths import (
     aggregate_equal_length,
     check_path_guard,
     cluster_ends,
-    cumulative_sums,
     end_sums,
     enumerate_paths,
     local_translation_identities,
@@ -155,13 +154,6 @@ def test_aggregate_preconditions():
     om = new_interval_union([(0, 1), (2, 4)])
     with pytest.raises(PreconditionViolated):
         aggregate_equal_length(om, np.eye(2), 0.5, 1.7, 1)
-
-
-def test_cumulative_sums():
-    sums = cumulative_sums(OM, 2.5)
-    assert sums == [0.0, 1.0, 2.0]
-    om = new_interval_union([(0, 1), (2, 3.5)])
-    assert cumulative_sums(om, 2.6) == [0.0, 1.0, 1.5, 2.0, 2.5]
 
 
 # -- end-state table ---------------------------------------------------------

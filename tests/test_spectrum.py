@@ -12,6 +12,8 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
+from spectral_intervals import spectrum
+from spectral_intervals.boundary import cis, eig_unitary
 from spectral_intervals.errors import NotEqualLength
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.spectrum import (
@@ -141,6 +143,44 @@ def test_spectral_check_witness(pair):
     assert check.witness_lambda == pytest.approx(0.5, abs=1e-9)
     v = check.witness_vectors[0]
     assert abs(v[0] + v[1]) < 1e-8
+
+
+def _lattice4():
+    """2*{0..3} + [0, 1) with the B that fits the spectrum {k/8} + Z."""
+    alphas = 2.0 * np.arange(4)
+    lams = np.arange(4) / 8
+    a_mat, c_mat = (np.exp(2j * np.pi * np.outer(a, lams)) for a in (alphas, alphas + 1))
+    return new_interval_union([(a, a + 1) for a in alphas]), c_mat @ np.linalg.inv(a_mat)
+
+
+@pytest.mark.parametrize(
+    "case,verdict",
+    [("sqrt-swap", "spectral_exact"), ("swap", "not_spectral"), ("lattice4", "spectral_exact")],
+)
+def test_spectral_check_decomposes_b_once(monkeypatch, case, verdict):
+    om, b = {
+        "sqrt-swap": (new_interval_union([(0, 1), (2, 3)]), SQRT_SWAP),
+        "swap": (new_interval_union([(0, 1), (2, 3)]), SWAP),
+        "lattice4": _lattice4(),
+    }[case]
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return eig_unitary(u)
+
+    monkeypatch.setattr(spectrum, "eig_unitary", counting)
+    check = spectral_matrix_check(om, b, window=(-2.2, 2.2))
+    assert len(calls) == 1
+    assert check.verdict == verdict
+    if verdict == "not_spectral":
+        # the witness is a phase class of a fresh decomposition, bit for bit
+        eig = eig_unitary(b)
+        group = next(g for g in eig.phase_groups() if eig.phases[g[0]] == check.witness_lambda)
+        lam = check.witness_lambda
+        expected = [np.conj(cis(lam * np.array(om.lefts))) * eig.vectors[:, k] for k in group]
+        assert len(check.witness_vectors) == len(expected)
+        assert all(np.array_equal(v, w) for v, w in zip(check.witness_vectors, expected))
 
 
 def test_spectral_check_window_only():
