@@ -66,8 +66,10 @@ from .evolution import (
     sample_local_pair,
 )
 from .intervals import (
+    Commensurability,
     CongruenceMap,
     IntervalUnion,
+    commensurability,
     gap_decomposition,
     move_interval,
     new_interval_union,
@@ -89,6 +91,8 @@ from .paths import (
     path_sum_by_end,
     path_table,
     predicted_path_count,
+    predicted_state_count,
+    table_at,
 )
 from .spectrum import (
     SpectralCheck,

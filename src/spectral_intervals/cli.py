@@ -33,7 +33,7 @@ from .evolution import (
     probe_points,
 )
 from .intervals import new_interval_union, translation_congruence_to_interval
-from .paths import enumerate_paths, local_translation_identities, states_at
+from .paths import enumerate_paths, local_translation_identities, path_cap, table_at
 from .spectrum import compute_spectrum, spectral_matrix_check
 
 
@@ -185,10 +185,16 @@ def cmd_evolve(args) -> int:
     b = _require_matrix(b)
     t0 = time.perf_counter()
     f = _build_function(args.function, omega, b, _window(args, data), args.grid_step)
+    t1 = time.perf_counter()
     result = apply_U_paths(omega, b, args.t, f)
+    t2 = time.perf_counter()
     xs = probe_points(result.function, args.samples)
     vals = result.function.evaluate(xs)
     samples = list(zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist()))
+    stats = dict(result.stats)
+    stats["seconds"] = {
+        "function": t1 - t0, **stats["seconds"], "samples": time.perf_counter() - t2
+    }
     out = _base_report("evolve", args, digest)
     out.update(
         {
@@ -197,6 +203,7 @@ def cmd_evolve(args) -> int:
             "path_count": result.path_count,
             "breakpoints": {str(k): v for k, v in result.refinement.items()},
             "samples": [{"x": x, "value": [re, im]} for x, re, im in samples],
+            "stats": stats,
             "elapsed_s": time.perf_counter() - t0,
         }
     )
@@ -241,6 +248,8 @@ def cmd_verify(args) -> int:
             "witnesses": lt.witnesses,
             "tables": lt.tables,
             "states": lt.states,
+            "state_bound": lt.state_bound,
+            "cap": lt.cap,
         }
     checks = structure_suite(omega, b, check)
     out["structure"] = [
@@ -297,8 +306,12 @@ def cmd_classify(args) -> int:
 def cmd_paths(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
-    states = states_at(omega, b, args.x, args.t)
+    t0 = time.perf_counter()
+    table = table_at(omega, b, args.x, args.t)
+    t1 = time.perf_counter()
+    states = table.at(args.x)
     sums = states.sums()
+    seconds = {"table": t1 - t0, "sums": time.perf_counter() - t1}
     out = _base_report("paths", args, digest)
     out.update(
         {
@@ -312,9 +325,11 @@ def cmd_paths(args) -> int:
         }
     )
     if omega.index_of(args.x + args.t) is not None:
+        t1 = time.perf_counter()
         identities = local_translation_identities(
             omega, b, args.x, args.t, states=states
         )
+        seconds["identities"] = time.perf_counter() - t1
         out["identities"] = {
             "passed": identities.passed,
             "target": identities.target,
@@ -324,7 +339,9 @@ def cmd_paths(args) -> int:
             ],
         }
     if args.list_paths:
+        t1 = time.perf_counter()
         paths = enumerate_paths(omega, b, args.x, args.t)
+        seconds["list_paths"] = time.perf_counter() - t1
         out["paths"] = [
             {
                 "word": list(p.word),
@@ -334,6 +351,14 @@ def cmd_paths(args) -> int:
             }
             for p in paths
         ]
+    out["stats"] = {
+        "tables": 1,
+        "states": table.states,
+        "ends": len(states.end),
+        "state_bound": table.state_bound,
+        "cap": path_cap(),
+        "seconds": seconds,
+    }
     rows = [(end, s.real, s.imag) for end, s in sums.sums]
     _emit(args, out, rows, ["end", "re", "im"])
     return 0

@@ -9,6 +9,7 @@ evolution serves as an independent functional-calculus oracle.
 from __future__ import annotations
 
 import math
+import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .boundary import cis, reflected_boundary_matrix
 from .errors import NotEigenCombination, ValidationError, XNotInOmega
 from .intervals import IntervalUnion, reflect as reflect_set
-from .paths import check_path_guard, path_table, states_at
+from .paths import _build_table, check_state_guard, path_cap, path_table, states_at
 from .spectrum import SpectrumReport
 
 MAX_DEGREE = 8
@@ -331,11 +332,19 @@ def boundary_condition_check(b, f: PiecewiseExpPoly, tol: float = 1e-8) -> bool:
 
 @dataclass
 class EvolutionResult:
-    """U(t)f as a piecewise exp-poly with the sub-breakpoints used."""
+    """U(t)f as a piecewise exp-poly with the sub-breakpoints used.
+
+    ``stats`` says how it was produced: ``tables`` built, ``states``
+    propagated in them, ``ends`` (end states summed over all sub-pieces),
+    the largest predicted ``state_bound`` of a table, the ``cap`` it was
+    checked against, and ``seconds`` for the ``tables``, ``cuts`` and
+    ``pieces`` stages.
+    """
 
     function: PiecewiseExpPoly
     refinement: dict[int, list[float]] = field(default_factory=dict)
     path_count: int = 0
+    stats: dict = field(default_factory=dict)
 
 
 def apply_U_paths(
@@ -357,9 +366,14 @@ def apply_U_paths(
     tol = omega.tol()
     new_pieces = []
     refinement: dict[int, list[float]] = {}
-    total_paths = 0
+    total_paths = states = ends_read = state_bound = 0
+    seconds = dict.fromkeys(("tables", "cuts", "pieces"), 0.0)
     for i, (alo, ahi) in enumerate(omega.endpoints):
+        t0 = time.perf_counter()
         table = path_table(omega, b, i, t, max_paths)
+        states += table.states
+        state_bound = max(state_bound, table.state_bound)
+        t1 = time.perf_counter()
         sign = 1.0 if table.forward else -1.0
         edge = table.exit_edge - sign * table.big_t + sign * table.cum
         crossings = (bps - table.shift[:, None])[inside[table.final]]
@@ -370,6 +384,7 @@ def apply_U_paths(
                 dedup.append(x)
         refinement[i] = dedup
         edges = [alo] + dedup + [ahi]
+        t2 = time.perf_counter()
         state_shift = table.shift.tolist()
         state_weight = table.weight.tolist()
         state_count = table.count.tolist()
@@ -380,6 +395,7 @@ def apply_U_paths(
             xm = (lo + hi) / 2
             atoms = []
             idx, ends = table.select(xm, t)
+            ends_read += len(idx)
             for s, end in zip(idx.tolist(), ends.tolist()):
                 total_paths += state_count[s]
                 src = f.piece_containing(end)
@@ -390,8 +406,19 @@ def apply_U_paths(
                     ]
                 atoms.extend(shifted[key])
             new_pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
+        seconds["tables"] += t1 - t0
+        seconds["cuts"] += t2 - t1
+        seconds["pieces"] += time.perf_counter() - t2
     result = PiecewiseExpPoly(omega, tuple(new_pieces))
-    return EvolutionResult(result, refinement, total_paths)
+    stats = {
+        "tables": omega.n,
+        "states": states,
+        "ends": ends_read,
+        "state_bound": state_bound,
+        "cap": path_cap() if max_paths is None else max_paths,
+        "seconds": seconds,
+    }
+    return EvolutionResult(result, refinement, total_paths, stats)
 
 
 def evolve_point(omega: IntervalUnion, b, x: float, t: float, f: PiecewiseExpPoly) -> complex:
@@ -442,23 +469,54 @@ TRIAL_ATOMS = 2
 TRIAL_DEGREE = 1
 
 
-def _draw_atoms(n: int, rng: np.random.Generator, freqs, atoms: int, degree: int):
-    """The random atoms of one domain function, drawn interval by interval.
+def _draw_atoms(n: int, rng: np.random.Generator, count: int, freqs, atoms: int, degree: int):
+    """The random atoms of ``count`` domain functions, in one pass.
 
-    Returns frequencies (n, atoms + 1) and ascending coefficients
-    (n, atoms + 1, max(degree, 1) + 1), zero-padded; the last atom slot of
-    each interval is left for ``_fix_boundary``.
+    Each function has four base frequencies (``freqs`` if given, else drawn
+    from (-3, 3)); an atom takes one of them plus a normal jitter, a degree
+    up to ``degree`` and complex normal coefficients.  Returns frequencies
+    (count, n, atoms + 1) and ascending coefficients
+    (count, n, atoms + 1, max(degree, 1) + 1), zero-padded; the last atom
+    slot of each interval is left for ``_fix_boundary``.
     """
+    shape = (count, n, atoms)
     if freqs is None:
-        freqs = rng.uniform(-3, 3, size=4)
-    freq = np.zeros((n, atoms + 1))
-    coeffs = np.zeros((n, atoms + 1, max(degree, 1) + 1), dtype=complex)
-    for i in range(n):
-        for k in range(atoms):
-            freq[i, k] = float(rng.choice(freqs)) + float(rng.normal(scale=0.25))
-            deg = int(rng.integers(0, degree + 1))
-            coeffs[i, k, : deg + 1] = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        base = rng.uniform(-3, 3, size=(count, 1, 1, 4))
+    else:
+        base = np.asarray(freqs, dtype=float).reshape(1, 1, 1, -1)
+    pick = rng.integers(0, base.shape[-1], size=shape)
+    freq = np.zeros((count, n, atoms + 1))
+    freq[..., :-1] = np.take_along_axis(base, pick[..., None], axis=-1)[..., 0]
+    freq[..., :-1] += rng.normal(scale=0.25, size=shape)
+    deg = rng.integers(0, degree + 1, size=shape)
+    draws = rng.normal(size=(2, *shape, degree + 1))
+    coeffs = np.zeros((count, n, atoms + 1, max(degree, 1) + 1), dtype=complex)
+    coeffs[..., :-1, : degree + 1] = np.where(
+        np.arange(degree + 1) <= deg[..., None], draws[0] + 1j * draws[1], 0
+    )
     return freq, coeffs
+
+
+def _draw_pairs(omega: IntervalUnion, rng: np.random.Generator, count: int):
+    """``count`` random pairs (x, t) with x and x + t interior to the set.
+
+    Both points are drawn the same way: an interval with probability
+    proportional to its length, then a uniform point at least 1e-6 of its
+    length inside it.  Returns the arrays xs and ts.
+    """
+    lengths = np.array(omega.lengths)
+    which = rng.choice(omega.n, size=(2, count), p=lengths / lengths.sum())
+    margin = 1e-6 * lengths[which]
+    points = rng.uniform(np.array(omega.lefts)[which] + margin, np.array(omega.rights)[which] - margin)
+    return points[0], points[1] - points[0]
+
+
+def _draw_trials(omega: IntervalUnion, rng: np.random.Generator, trials: int, freqs=None):
+    """The draws of ``trials`` local-translation trials: the atoms of their
+    functions (see ``_draw_atoms``; the boundary atom still to be fixed),
+    then their start points xs and times ts."""
+    freq, coeffs = _draw_atoms(omega.n, rng, trials, freqs, TRIAL_ATOMS, TRIAL_DEGREE)
+    return (freq, coeffs, *_draw_pairs(omega, rng, trials))
 
 
 def _atom_values(freq: np.ndarray, coeffs: np.ndarray, xs) -> np.ndarray:
@@ -493,6 +551,17 @@ def _fix_boundary(omega: IntervalUnion, b, freq: np.ndarray, coeffs: np.ndarray)
     coeffs[..., -1, 1] = d / l
 
 
+def _as_function(omega: IntervalUnion, freq: np.ndarray, coeffs: np.ndarray) -> PiecewiseExpPoly:
+    """The function of one draw: atoms (n, atoms) with coefficients (n, atoms, degree + 1)."""
+    return PiecewiseExpPoly.from_atoms(
+        omega,
+        [
+            [(f, np.trim_zeros(c, "b")) for f, c in zip(freq[i].tolist(), coeffs[i])]
+            for i in range(omega.n)
+        ],
+    )
+
+
 def random_domain_function(
     omega: IntervalUnion,
     b,
@@ -506,37 +575,22 @@ def random_domain_function(
     Random atoms first, then one linear correction atom per interval fixes
     the boundary mismatch.
     """
-    freq, coeffs = _draw_atoms(omega.n, rng, freqs, atoms_per_interval, degree)
+    freq, coeffs = _draw_atoms(omega.n, rng, 1, freqs, atoms_per_interval, degree)
     _fix_boundary(omega, b, freq, coeffs)
-    return PiecewiseExpPoly.from_atoms(
-        omega,
-        [
-            [(f, np.trim_zeros(c, "b")) for f, c in zip(freq[i].tolist(), coeffs[i])]
-            for i in range(omega.n)
-        ],
-    )
+    return _as_function(omega, freq[0], coeffs[0])
 
 
 def sample_local_pair(omega: IntervalUnion, rng: np.random.Generator):
     """Random (x, t) with both x and x + t interior to the set."""
-    lengths = np.array(omega.lengths)
-    probs = lengths / lengths.sum()
-
-    def sample_point():
-        i = int(rng.choice(omega.n, p=probs))
-        a, b = omega.endpoints[i]
-        margin = 1e-6 * (b - a)
-        return float(rng.uniform(a + margin, b - margin))
-
-    x = sample_point()
-    y = sample_point()
-    return x, y - x
+    xs, ts = _draw_pairs(omega, rng, 1)
+    return float(xs[0]), float(ts[0])
 
 
 @dataclass
 class LocalTranslationReport:
     """Outcome of the trials; ``tables`` path tables were built and
-    ``states`` end states read over all trials."""
+    ``states`` end states read over all trials.  ``state_bound`` is the
+    largest predicted state count of a table, checked against ``cap``."""
 
     passed: bool
     trials: int
@@ -544,6 +598,8 @@ class LocalTranslationReport:
     witnesses: list[tuple[float, float, float]]  # (x, t, error)
     tables: int
     states: int
+    state_bound: int = 0
+    cap: int = 0
 
 
 def local_translation_test(
@@ -557,26 +613,17 @@ def local_translation_test(
     """Sample random (x, t, f) and check [U(t)f](x) = f(x+t).
 
     Passing all trials is evidence of spectrality; any failure is a
-    counterexample witness.  Every trial is drawn first, in a fixed order
-    (the atoms of ``random_domain_function``, then ``sample_local_pair``);
-    the trials that start in the same interval with t of the same sign
-    share one path table, built for the largest |t| among them, and the
-    trial functions are evaluated at every end and target in one pass.
+    counterexample witness.  Every trial is drawn first, in one batched
+    pass (``_draw_trials``); the trials that start in the same interval with
+    t of the same sign share one path table, built for the largest |t| among
+    them once every table has passed the state guard, and the trial
+    functions are evaluated at every end and target in one pass.
     """
     if trials < 0:
         raise ValidationError(f"trials must be non-negative, got {trials}")
     if trials == 0:
         return LocalTranslationReport(True, 0, 0.0, [], 0, 0)
-    rng = np.random.default_rng(seed)
-    draws, pairs = [], []
-    for _ in range(trials):
-        draws.append(_draw_atoms(omega.n, rng, freqs, TRIAL_ATOMS, TRIAL_DEGREE))
-        pairs.append(sample_local_pair(omega, rng))
-    xs, ts = np.array(pairs).T
-    for t in ts.tolist():
-        check_path_guard(omega, t)
-    freq = np.stack([f for f, _ in draws])
-    coeffs = np.stack([c for _, c in draws])
+    freq, coeffs, xs, ts = _draw_trials(omega, np.random.default_rng(seed), trials, freqs)
     _fix_boundary(omega, b, freq, coeffs)
 
     lefts = np.array(omega.lefts)
@@ -584,12 +631,17 @@ def local_translation_test(
     groups: dict[tuple[int, bool], list[int]] = defaultdict(list)
     for k, (i, t) in enumerate(zip(start.tolist(), ts.tolist())):
         groups[(i, t >= 0)].append(k)
+    # (t of the largest |t|, smallest |t|, predicted states) per table; the
+    # guard checks every table, once, before any is built
+    spans = []
+    for times in (ts[members] for members in groups.values()):
+        t_max = float(times[np.argmax(np.abs(times))])
+        bound, cap = check_state_guard(omega, t_max)
+        spans.append((t_max, float(np.min(np.abs(times))), bound))
+    state_bound = max(bound for _, _, bound in spans)
     trial_of, final, ends, weight = [], [], [], []
-    for (i, _), members in groups.items():
-        times = ts[members]
-        table = path_table(
-            omega, b, i, float(times[np.argmax(np.abs(times))]), t_min=float(np.min(np.abs(times)))
-        )
+    for ((i, _), members), (t_max, t_min, bound) in zip(groups.items(), spans):
+        table = _build_table(omega, b, i, t_max, t_min, bound)
         for k in members:
             idx, end = table.select(xs[k], ts[k])
             trial_of.append(np.full(len(idx), k))
@@ -614,7 +666,8 @@ def local_translation_test(
         if err > tol
     ]
     return LocalTranslationReport(
-        not witnesses, trials, float(errors.max()), witnesses, len(groups), len(weight)
+        not witnesses, trials, float(errors.max()), witnesses, len(groups), len(weight),
+        state_bound, cap,
     )
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     EmptyInterval,
@@ -80,6 +83,18 @@ class IntervalUnion:
         ls = self.lengths
         return max(ls) - min(ls) <= self.tol()
 
+    @cached_property
+    def length_classes(self) -> Commensurability:
+        """The commensurability classes of the interval lengths.
+
+        Two lengths share a class when their ratio is p/q with q <= 64 to
+        within 1e-12 times the scale of the endpoints (``tol() / 1000``):
+        far above the rounding of an endpoint, far below any tolerance an
+        end is compared with, so 1 : 1 + 5e-8 stays two classes.  Every
+        length is an integer multiple of the unit of its class.
+        """
+        return commensurability(self.lengths, self.tol() / 1000)
+
 
 @dataclass(frozen=True)
 class CongruenceMap:
@@ -90,6 +105,56 @@ class CongruenceMap:
 
     pieces: tuple[tuple[int, float], ...]
     modulus: float
+
+
+@dataclass(frozen=True)
+class Commensurability:
+    """Classes of rationally related values.
+
+    Value j is ``multiples[j] * units[classes[j]]``; the multiples of one
+    class are coprime positive integers.
+    """
+
+    classes: tuple[int, ...]
+    multiples: tuple[int, ...]
+    units: tuple[float, ...]
+
+
+#: largest denominator of a ratio that makes two values commensurable
+MAX_DENOMINATOR = 64
+
+
+def commensurability(values, tol: float):
+    """Group positive values into classes of integer multiples of one unit.
+
+    A value joins the first class whose first value v0 it equals as
+    (p/q)*v0 within ``tol``, with the smallest q <= ``MAX_DENOMINATOR``;
+    otherwise it opens a class.  A class's unit is v0 divided by the least
+    common multiple of its denominators, times the greatest common divisor
+    of the resulting multiples.
+    """
+    qs = np.arange(1, MAX_DENOMINATOR + 1)
+    firsts: list[float] = []
+    members: list[list[tuple[int, int, int]]] = []  # (index, p, q) per class
+    for j, v in enumerate(values):
+        for c, v0 in enumerate(firsts):
+            p = np.rint(v * qs / v0)
+            fits = np.flatnonzero((p >= 1) & (np.abs(v * qs - p * v0) <= tol * qs))
+            if fits.size:
+                members[c].append((j, int(p[fits[0]]), int(fits[0]) + 1))
+                break
+        else:
+            firsts.append(v)
+            members.append([(j, 1, 1)])
+    classes, multiples, units = [0] * len(values), [0] * len(values), []
+    for c, (v0, group) in enumerate(zip(firsts, members)):
+        den = math.lcm(*(q for _, _, q in group))
+        mults = [p * (den // q) for _, p, q in group]
+        common = math.gcd(*mults)
+        units.append(v0 * common / den)
+        for (j, _, _), m in zip(group, mults):
+            classes[j], multiples[j] = c, m // common
+    return Commensurability(tuple(classes), tuple(multiples), tuple(units))
 
 
 def new_interval_union(endpoints) -> IntervalUnion:

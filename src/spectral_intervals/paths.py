@@ -8,18 +8,23 @@ spent inside the final interval.  Negative times mirror the construction
 through left endpoints with adjoint weights.
 
 A path that leaves interval i, fully crosses intervals with count vector k
-and stops in interval j ends at x + shift(j, k), and it is admissible for
-every x of one start range.  ``path_table`` propagates weights forward over
-these end states (j, k) once per interval, so callers that need only end
-sums never build the paths themselves; ``enumerate_paths`` lists single
-paths for reports and per-path checks.  The rows also give every point where
-the sum over paths changes with x: the edges of their start ranges, and the
-start points whose end x + shift meets a breakpoint of the function summed.
+and stops in interval j ends at x + shift, and it is admissible for every x
+of one start range.  Both depend on k only through the length k.l it
+covers, and within a class of commensurable lengths (integer multiples of
+one unit) that length is one integer.  ``path_table`` therefore propagates
+weights forward over the end states (j, covered length per class) once per
+interval, so callers that need only end sums never build the paths
+themselves; ``enumerate_paths`` lists single paths for reports and per-path
+checks.  The rows also give every point where the sum over paths changes
+with x: the edges of their start ranges, and the start points whose end
+x + shift meets a breakpoint of the function summed.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +74,21 @@ class Path:
         return len(self.word)
 
 
+def _levels(omega: IntervalUnion, t: float) -> int:
+    """ceil(|t| / lmin): no path fully crosses that many intervals in |t|."""
+    return math.ceil(min(abs(t) / omega.lmin, sys.float_info.max))
+
+
 def predicted_path_count(omega: IntervalUnion, t: float) -> int:
     """Upper bound n^(ceil(|t|/lmin) + 1) on the number of admissible paths."""
-    return omega.n ** (math.ceil(abs(t) / omega.lmin) + 1)
+    return omega.n ** (_levels(omega, t) + 1)
+
+
+def _cap(t: float, max_paths: int | None) -> int:
+    """The cap a guard checks against; a non-finite t raises ValidationError."""
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be a finite number, got {t}")
+    return path_cap() if max_paths is None else max_paths
 
 
 def check_path_guard(omega: IntervalUnion, t: float, max_paths: int | None = None) -> int:
@@ -80,15 +97,62 @@ def check_path_guard(omega: IntervalUnion, t: float, max_paths: int | None = Non
     The cap defaults to 10^6, overridable via SPECTRAL_INTERVALS_MAX_PATHS.
     Returns the cap; a non-finite t raises ValidationError.
     """
-    if not math.isfinite(t):
-        raise ValidationError(f"t must be a finite number, got {t}")
-    cap = path_cap() if max_paths is None else max_paths
-    predicted = predicted_path_count(omega, t)
+    cap = _cap(t, max_paths)
+    _check_paths(omega, t, cap, f"cap {cap}")
+    return cap
+
+
+def _check_paths(omega: IntervalUnion, t: float, cap: int, what: str) -> None:
+    """Raise GuardExceeded, naming ``what``, when the predicted path count
+    n^(L+1) passes ``cap``; logarithms first, so that a huge exponent builds
+    no huge integer."""
+    exponent = _levels(omega, t) + 1
+    if exponent * math.log(omega.n) > math.log(cap) + 1 or omega.n ** exponent > cap:
+        raise GuardExceeded(
+            f"predicted path count {omega.n}^{exponent} exceeds {what} for t={t}"
+        )
+
+
+#: largest path count a table row holds
+MAX_PATH_COUNT = int(np.iinfo(np.int64).max)
+
+
+def predicted_state_count(omega: IntervalUnion, t: float) -> int:
+    """Upper bound on the states of one path table for time t.
+
+    A state covers m_c * u_c < |t| in each length class c (unit u_c), so
+    there are at most n * prod_c (floor(|t|/u_c) + 1) of them.  Its count
+    vector k has |k| < L = max(ceil(|t|/lmin), 1), so there are also at most
+    n * C(L - 1 + n, n): fewer than ``predicted_path_count`` for n >= 2, and
+    unlike it this counts the L states of a single interval.  The bound is
+    the smaller of the two.
+    """
+    big_t, n = abs(t), omega.n
+    per_class = n * math.prod(
+        math.floor(min(big_t / u, sys.float_info.max)) + 1 for u in omega.length_classes.units
+    )
+    levels = max(_levels(omega, t), 1)
+    return min(per_class, n * math.comb(levels - 1 + n, n))
+
+
+def check_state_guard(
+    omega: IntervalUnion, t: float, max_paths: int | None = None
+) -> tuple[int, int]:
+    """Raise GuardExceeded when the predicted state count passes the cap.
+
+    The cap is that of ``check_path_guard``.  A table also counts the paths
+    of each state in int64, so a predicted path count above 2^63 - 1 trips
+    the guard too, whatever the cap.  Returns the predicted state count and
+    the cap; a non-finite t raises ValidationError.
+    """
+    cap = _cap(t, max_paths)
+    predicted = predicted_state_count(omega, t)
     if predicted > cap:
         raise GuardExceeded(
-            f"predicted path count {predicted} exceeds cap {cap} for t={t}"
+            f"predicted state count {predicted} exceeds cap {cap} for t={t}"
         )
-    return cap
+    _check_paths(omega, t, MAX_PATH_COUNT, "the int64 path counts")
+    return predicted, cap
 
 
 def enumerate_paths(
@@ -165,26 +229,27 @@ class EndStates:
 
     def sums(self, tol: float | None = None) -> EndSums:
         """Weights per distinct end, clustered with ``cluster_ends``."""
-        pairs = zip(self.end.tolist(), self.weight.tolist())
-        return cluster_ends(pairs, tol, int(self.count.sum()))
+        return _cluster(self.end, self.weight, self.count, tol, int(self.count.sum()))
 
 
 @dataclass(frozen=True)
 class PathTable:
-    """End states (j, k) of the admissible paths that start in one interval.
+    """End states of the admissible paths that start in one interval.
 
     Row s sums the paths that leave the start interval through
-    ``exit_edge``, fully cross intervals with count vector k (total length
-    ``cum[s]`` = k.l) and stop in interval ``final[s]``; ``weight[s]`` is
-    their summed weight and ``count[s]`` their number.  From the start point
-    x they spend r = |t| - (exit(x) + cum[s]) in the final interval, entered
-    at ``entry[s]``; they are admissible when 0 <= r < ``length[s]`` and end
-    at x + ``shift[s]``.  That is the start range [lo, hi) forward and
+    ``exit_edge``, fully cross intervals of total length ``cum[s]`` and stop
+    in interval ``final[s]``; ``weight[s]`` is their summed weight and
+    ``count[s]`` their number.  From the start point x they spend
+    r = |t| - (exit(x) + cum[s]) in the final interval, entered at
+    ``entry[s]``; they are admissible when 0 <= r < ``length[s]`` and end at
+    x + ``shift[s]``.  That is the start range [lo, hi) forward and
     (lo, hi] backward; rows whose range misses the start interval for
     every time the table serves are dropped.  ``big_t`` is the largest
     |t| it serves, and ``shift`` is taken at that time.  The row of the path
     that stays in the start interval i has cum = -l_i: its remainder, like
     every other, is measured from the entry edge of its final interval.
+    ``states`` counts the states propagated, dropped rows included, and
+    ``state_bound`` is the predicted count the guard checked.
     """
 
     forward: bool
@@ -197,6 +262,8 @@ class PathTable:
     shift: np.ndarray
     weight: np.ndarray
     count: np.ndarray
+    states: int
+    state_bound: int
 
     def select(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Row indices of the states admissible from x at time t, and their
@@ -223,18 +290,32 @@ def path_table(
 ) -> PathTable:
     """All end states of the admissible paths from interval i for time t.
 
-    Forward propagation over states (last interval j, count vector k of full
-    traversals), merging weights and path counts per state; a state stops
-    the path for the x where 0 <= |t| - exit(x) - k.l < l_j, with exit(x)
-    the time to leave interval i.  The state where x + t stays in interval i
-    is included.  The predicted-count guard runs before any state is built.
+    A state is the last interval j and the length covered by full
+    traversals, as one integer multiple of the unit of each length class
+    (``IntervalUnion.length_classes``): with rationally independent lengths
+    that is the count vector k, with commensurable ones a single integer.
+    The shift depends on k only through that length, so paths that meet in
+    a state merge their weights and path counts.  States are propagated in order of
+    covered length, so a state is complete before it is extended, whatever
+    number of crossings reaches it.  A state stops the path for the x where
+    0 <= |t| - exit(x) - cum < l_j, with exit(x) the time to leave interval
+    i.  The state where x + t stays in interval i is included.  The
+    predicted-state guard runs before any state is built.
 
     With ``t_min`` the table serves every time of the sign of t whose
     magnitude lies between |t_min| and |t|: it keeps each row admissible
     from some start point at one of those times, and ``select`` reads the
     rows of any of them.  By default it serves t alone.
     """
-    check_path_guard(omega, t, max_paths)
+    state_bound, _ = check_state_guard(omega, t, max_paths)
+    return _build_table(omega, b, i, t, t_min, state_bound)
+
+
+def _build_table(
+    omega: IntervalUnion, b, i: int, t: float, t_min: float | None, state_bound: int
+) -> PathTable:
+    """``path_table`` once ``check_state_guard`` has passed t and returned
+    ``state_bound``."""
     b = np.asarray(b, dtype=complex)
     forward = t >= 0
     big_t = abs(t)
@@ -243,59 +324,78 @@ def path_table(
     a, c = omega.endpoints[i]
     lefts, rights, lengths = omega.lefts, omega.rights, omega.lengths
     weights = (b if forward else b.conj().T).tolist()
-    rows: list[tuple] = []
-
-    def add_row(j, cum, weight, count):
-        # the start range at |t| = big_t, stretched to cover |t| = small_t
-        if forward:
-            lo = c - big_t + cum
-            hi = c - small_t + cum + lengths[j]
-            entry, shift = lefts[j], lefts[j] - c + t - cum
-        else:
-            hi = a + big_t - cum
-            lo = a + small_t - cum - lengths[j]
-            entry, shift = rights[j], rights[j] - a + t + cum
-        if max(lo, a) < min(hi, c):
-            rows.append((j, entry, lengths[j], cum, shift, weight, count))
-
-    add_row(i, -lengths[i], 1.0 + 0j, 1)
-    # one generation holds the states with |k| full traversals:
-    # (j, k) -> [cumulative length k.l, summed weight, path count]
-    level = {(j, (0,) * n): [0.0, weights[i][j], 1] for j in range(n)}
-    while level:
-        nxt: dict = {}
-        for (j, k), (cum, w, m) in level.items():
-            add_row(j, cum, w, m)
-            cum_next = cum + lengths[j]
-            if cum_next >= big_t:
-                continue  # no start point has time left to cross j
-            k_next = k[:j] + (k[j] + 1,) + k[j + 1:]
-            row = weights[j]
-            for jj in range(n):
-                state = nxt.get((jj, k_next))
-                if state is None:
-                    nxt[(jj, k_next)] = [cum_next, w * row[jj], m]
-                else:
-                    state[1] += w * row[jj]
-                    state[2] += m
-        level = nxt
+    classes = omega.length_classes
+    # The start range of a state, [lo, hi) at |t| = big_t stretched to cover
+    # |t| = small_t, meets interval i iff cum < big_t and cum + l_j > reach.
+    # Its rows: (final interval, covered length, weight, path count), first
+    # the path that stays in interval i, with cum = -l_i so that its
+    # remainder too is measured from the entry edge of its final interval.
+    reach = small_t - lengths[i]
+    rows: list[tuple] = [(i, -lengths[i], 1.0 + 0j, 1)] if reach < 0 else []
+    # pending states (j, m) -> [summed weight, path count], m the covered
+    # length per class in units of the class; the heap orders them by the
+    # covered length cum, that of the first path to reach the state
+    none = (0,) * len(classes.units)
+    pending = {(j, none): [weights[i][j], 1] for j in range(n)}
+    heap = [(0.0, j, none) for j in range(n)]
+    states = 0
+    while heap:
+        cum, j, m = heapq.heappop(heap)
+        w, count = pending.pop((j, m))
+        states += 1
+        cum_next = cum + lengths[j]
+        if cum < big_t and cum_next > reach:
+            rows.append((j, cum, w, count))
+        if cum_next >= big_t:
+            continue  # no start point has time left to cross j
+        k = classes.classes[j]
+        m_next = m[:k] + (m[k] + classes.multiples[j],) + m[k + 1:]
+        row = weights[j]
+        for jj in range(n):
+            state = pending.get((jj, m_next))
+            if state is None:
+                pending[(jj, m_next)] = [w * row[jj], count]
+                heapq.heappush(heap, (cum_next, jj, m_next))
+            else:
+                state[0] += w * row[jj]
+                state[1] += count
 
     cols = list(zip(*rows))
-    dtypes = (int, float, float, float, float, complex, np.int64)
+    final, cum = np.array(cols[0], dtype=int), np.array(cols[1], dtype=float)
+    weight, count = np.array(cols[2], dtype=complex), np.array(cols[3], dtype=np.int64)
+    if forward:
+        entry = np.array(lefts)[final]
+        shift = entry - c + t - cum
+    else:
+        entry = np.array(rights)[final]
+        shift = entry - a + t + cum
     return PathTable(
         forward,
         big_t,
         c if forward else a,
-        *(np.array(col, dtype=dt) for col, dt in zip(cols, dtypes)),
+        final,
+        entry,
+        np.array(lengths)[final],
+        cum,
+        shift,
+        weight,
+        count,
+        states,
+        state_bound,
     )
+
+
+def table_at(omega: IntervalUnion, b, x: float, t: float) -> PathTable:
+    """The path table of the interval that holds the start point x."""
+    i = omega.index_of(x)
+    if i is None:
+        raise XNotInOmega(f"x={x} is not in an open interval of the set")
+    return path_table(omega, b, i, t)
 
 
 def states_at(omega: IntervalUnion, b, x: float, t: float) -> EndStates:
     """The end states admissible from the single start point x."""
-    i = omega.index_of(x)
-    if i is None:
-        raise XNotInOmega(f"x={x} is not in an open interval of the set")
-    return path_table(omega, b, i, t).at(x)
+    return table_at(omega, b, x, t).at(x)
 
 
 @dataclass
@@ -323,29 +423,35 @@ def cluster_ends(pairs, tol: float | None = None, path_count: int = 0) -> EndSum
     Ends closer than the merging tolerance but not numerically identical are
     merged and flagged rather than silently collapsed.
     """
-    ordered = sorted(pairs, key=lambda p: p[0])
-    if not ordered:
+    pairs = list(pairs)
+    ends = np.array([e for e, _ in pairs], dtype=float)
+    weights = np.array([w for _, w in pairs], dtype=complex)
+    return _cluster(ends, weights, np.ones(len(pairs)), tol, path_count)
+
+
+def _cluster(ends, weights, counts, tol, path_count) -> EndSums:
+    """``cluster_ends`` on arrays: a cluster ends where the next end, in
+    sorted order, lies more than tol beyond the last.  A merged end is the
+    mean of its ends weighted by ``counts``, the number of paths behind
+    each, so it does not depend on how paths were grouped into states."""
+    if not len(ends):
         return EndSums([], [], path_count)
+    order = np.argsort(ends)
+    ends, weights, counts = ends[order], weights[order], counts[order]
     if tol is None:
-        tol = 1e-9 * max(1.0, max(abs(e) for e, _ in ordered))
-    sums: list[tuple[float, complex]] = []
-    flagged: list[tuple[float, float]] = []
-    cluster: list[tuple[float, complex]] = []
-
-    def close_cluster():
-        ends = [e for e, _ in cluster]
-        total = sum(w for _, w in cluster)
-        sums.append((sum(ends) / len(ends), complex(total)))
-        if ends[-1] - ends[0] > 1e-13 * max(1.0, abs(ends[0])):
-            flagged.append((ends[0], ends[-1]))
-
-    for e, w in ordered:
-        if cluster and e - cluster[-1][0] > tol:
-            close_cluster()
-            cluster = []
-        cluster.append((e, w))
-    close_cluster()
-    return EndSums(sums, flagged, path_count)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(ends))))
+    starts = np.flatnonzero(np.r_[True, np.diff(ends) > tol])
+    sizes = np.diff(np.r_[starts, len(ends)])
+    first, last = ends[starts], ends[starts + sizes - 1]
+    spread = np.add.reduceat((ends - np.repeat(first, sizes)) * counts, starts)
+    mean = first + spread / np.add.reduceat(counts, starts)
+    total = np.add.reduceat(weights, starts)
+    wide = np.flatnonzero(last - first > 1e-13 * np.maximum(1.0, np.abs(first)))
+    return EndSums(
+        list(zip(mean.tolist(), total.tolist())),
+        list(zip(first[wide].tolist(), last[wide].tolist())),
+        path_count,
+    )
 
 
 def path_sum_by_end(paths: list[Path], tol: float | None = None) -> EndSums:

@@ -71,6 +71,30 @@ def test_verify(problem, capsys):
     assert rep["root_count"] == sum(rep["dims"])
 
 
+def test_verify_trials_on_eight_unit_intervals(tmp_path, capsys):
+    # 2*{0..7} + [0, 1) with the B of the spectrum {k/16 : k < 8} + Z: at
+    # |t| = 15 the paths number up to 8^16, the states keyed by covered
+    # length at most 8 * 16
+    alphas = 2.0 * np.arange(8)
+    lams = np.arange(8) / 16
+    b = np.exp(2j * np.pi * np.outer(alphas + 1, lams)) @ np.linalg.inv(
+        np.exp(2j * np.pi * np.outer(alphas, lams))
+    )
+    prob = {
+        "intervals": [[a, a + 1] for a in alphas.tolist()],
+        "matrix": [[[z.real, z.imag] for z in row] for row in b.tolist()],
+        "window": [-2.0, 2.0],
+    }
+    path = tmp_path / "lattice8.json"
+    path.write_text(json.dumps(prob))
+    code, rep = run_json(capsys, ["verify", str(path), "--trials", "40", "--seed", "1"])
+    assert code == 0
+    lt = rep["local_translation"]
+    assert lt["passed"] and lt["max_error"] < 1e-9
+    assert lt["cap"] == 10 ** 6
+    assert 8 <= lt["state_bound"] <= 8 * 16
+
+
 def test_verify_adjacent_tiling_pair(tmp_path, capsys):
     # pieces of [0, 3) moved by multiples of 3, the first two touching at 1;
     # B sends each right end to the next left end (a 3-cycle)
@@ -107,6 +131,30 @@ def test_evolve(problem, capsys):
     assert rep["samples"]
     for s in rep["samples"]:
         assert len(s["value"]) == 2
+
+
+def _assert_stats(stats, stages):
+    assert stats["states"] >= 1 and stats["ends"] >= 1
+    assert 1 <= stats["state_bound"] <= stats["cap"] == 10 ** 6
+    assert set(stats["seconds"]) == stages
+    assert all(s >= 0 for s in stats["seconds"].values())
+
+
+def test_evolve_and_paths_stats(problem, capsys):
+    code, rep = run_json(capsys, ["evolve", problem, "--t", "2.3"])
+    assert code == 0
+    _assert_stats(rep["stats"], {"function", "tables", "cuts", "pieces", "samples"})
+    assert rep["stats"]["tables"] == 2
+    # two unit intervals: at most 2 * (2 + 1) states per table
+    assert rep["stats"]["state_bound"] == 6
+    code, rep = run_json(capsys, ["paths", problem, "--x", "0.5", "--t", "2.0", "--list-paths"])
+    assert code == 0
+    _assert_stats(rep["stats"], {"table", "sums", "identities", "list_paths"})
+    assert rep["stats"]["tables"] == 1
+    assert rep["stats"]["ends"] == 2  # ends 0.5 and 2.5, two paths each
+    code, rep = run_json(capsys, ["verify", problem, "--trials", "5"])
+    assert rep["local_translation"]["cap"] == 10 ** 6
+    assert 1 <= rep["local_translation"]["state_bound"] <= 6
 
 
 def test_evolve_csv_rows_equal_json_samples(problem, capsys, tmp_path):
@@ -324,6 +372,20 @@ def test_oversized_scan_exits_3_at_once(problem, capsys, argv):
     assert main(["spectrum", problem, *argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("guard exceeded:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", "--t", "70"], ["paths", "--x", "0.5", "--t", "70"], ["paths", "--x", "0.5", "--t", "-70"]],
+)
+def test_path_counts_past_int64_exit_3(problem, capsys, argv):
+    # 2^71 paths predicted: far fewer states than the cap, but the path
+    # counts of a table would not fit in int64
+    assert main([argv[0], problem, *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard exceeded:")
+    assert "int64" in err
     assert "Traceback" not in err
 
 

@@ -281,18 +281,17 @@ def test_local_translation_pass_and_fail():
 
 
 def _reference_local_translation(omega, b, trials, seed, tol=1e-9):
-    """The trials one at a time: a function, then (x, t), then one point."""
-    rng = np.random.default_rng(seed)
-    errors, witnesses, ts = [], [], []
-    for _ in range(trials):
-        f = random_domain_function(omega, b, rng)
-        x, t = sample_local_pair(omega, rng)
+    """The same batched draws, each trial evaluated alone with evolve_point."""
+    freq, coeffs, xs, ts = evolution._draw_trials(omega, np.random.default_rng(seed), trials)
+    evolution._fix_boundary(omega, b, freq, coeffs)
+    errors, witnesses = [], []
+    for k, (x, t) in enumerate(zip(xs.tolist(), ts.tolist())):
+        f = evolution._as_function(omega, freq[k], coeffs[k])
         err = abs(evolve_point(omega, b, x, t, f) - f.evaluate(x + t))
         errors.append(err)
-        ts.append(t)
         if err > tol:
             witnesses.append((x, t, err))
-    return max(errors), witnesses, ts
+    return max(errors), witnesses, ts.tolist()
 
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -329,6 +328,34 @@ def test_local_translation_batch_matches_per_trial_reference(omega, b, seed):
     assert rep.states >= trials
 
 
+def test_trial_draws_are_batched_and_deterministic():
+    omega = UNEQUAL4
+    lefts, rights = np.array(omega.lefts), np.array(omega.rights)
+    lengths = rights - lefts
+    freq, coeffs, xs, ts = evolution._draw_trials(omega, np.random.default_rng(11), 300)
+    again = evolution._draw_trials(omega, np.random.default_rng(11), 300)
+    for got, want in zip((freq, coeffs, xs, ts), again):
+        assert np.array_equal(got, want)
+    assert freq.shape == (300, 4, 3) and coeffs.shape == (300, 4, 3, 2)
+    # the last atom slot is left for the boundary fix
+    assert not freq[..., -1].any() and not coeffs[..., -1, :].any()
+    other = evolution._draw_trials(omega, np.random.default_rng(12), 300)
+    assert not np.array_equal(xs, other[2])
+    # x and x + t lie at least 1e-6 of their interval's length inside it
+    for points in (xs, xs + ts):
+        i = np.searchsorted(lefts, points, side="right") - 1
+        margin = 1e-6 * lengths[i] * (1 - 1e-9)
+        assert np.all(points - lefts[i] >= margin) and np.all(rights[i] - points >= margin)
+    assert min(ts) < 0 < max(ts)
+    # given base frequencies, every atom is one of them plus a 0.25 jitter
+    freqs = [-2.0, 5.0, 40.0]
+    freq, _, _, _ = evolution._draw_trials(omega, np.random.default_rng(11), 300, freqs)
+    jitter = np.min(np.abs(freq[..., :-1, None] - np.array(freqs)), axis=-1)
+    assert np.max(jitter) < 2.0  # eight sigma
+    nearest = np.argmin(np.abs(freq[..., :-1, None] - np.array(freqs)), axis=-1)
+    assert set(nearest.ravel().tolist()) == {0, 1, 2}
+
+
 def test_local_translation_zero_trials():
     rep = local_translation_test(OM, SWAP, trials=0)
     assert rep.passed and rep.max_error == 0 and rep.witnesses == []
@@ -337,11 +364,13 @@ def test_local_translation_zero_trials():
 
 def test_local_translation_guard_before_any_table(monkeypatch):
     def no_table(*args, **kwargs):
-        raise AssertionError("path_table called before the guard")
+        raise AssertionError("a table built before the guard")
 
-    monkeypatch.setattr(evolution, "path_table", no_table)
+    monkeypatch.setattr(evolution, "_build_table", no_table)
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
-    with pytest.raises(GuardExceeded):
+    # lengths 1.2 : 0.9 : 0.9 are multiples of 0.3, so a table for |t| near
+    # 9 predicts up to 3 * 31 states
+    with pytest.raises(GuardExceeded, match="predicted state count"):
         local_translation_test(TILING, CYCLE, trials=40, seed=5)
 
 
@@ -432,5 +461,7 @@ def test_apply_U_paths_cuts_by_hand(t, cuts):
 def test_apply_U_paths_guard(monkeypatch):
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
     om = new_interval_union([(0, 1), (2, 3.3)])
-    with pytest.raises(GuardExceeded):
-        apply_U_paths(om, SQRT_SWAP, 4.0, _bump(om))  # predicts 2^5 paths
+    # lengths 1 : 1.3 are multiples of 0.1, so 2 * 41 states at most, and
+    # fewer than 4 crossings: 2 * C(5, 2) = 20 states at most (2^5 paths)
+    with pytest.raises(GuardExceeded, match="state count 20 "):
+        apply_U_paths(om, SQRT_SWAP, 4.0, _bump(om))

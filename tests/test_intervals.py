@@ -11,6 +11,7 @@ from spectral_intervals.errors import (
     OverlappingIntervals,
 )
 from spectral_intervals.intervals import (
+    commensurability,
     gap_decomposition,
     move_interval,
     new_interval_union,
@@ -160,3 +161,35 @@ def test_reflect_preserves_measure_and_gaps(om):
     assert r.measure == pytest.approx(om.measure)
     assert tuple(reversed(r.gaps)) == pytest.approx(om.gaps)
     assert sorted(r.lengths) == pytest.approx(sorted(om.lengths))
+
+
+@pytest.mark.parametrize(
+    "values,classes,multiples,units",
+    [
+        ((1.3, 1.3, 1.3), (0, 0, 0), (1, 1, 1), (1.3,)),
+        ((0.7, 1.4, 0.7), (0, 0, 0), (1, 2, 1), (0.7,)),
+        ((0.2, 0.3, 0.5), (0, 0, 0), (2, 3, 5), (0.1,)),
+        ((1.0, 2 ** 0.5, 2.0), (0, 1, 0), (1, 1, 2), (1.0, 2 ** 0.5)),
+        ((1.0, 1 + 5e-8), (0, 1), (1, 1), (1.0, 1 + 5e-8)),
+        ((1.0, 1.02), (0, 0), (50, 51), (0.02,)),
+        # 66/65 needs a denominator above 64
+        ((1.0, 66 / 65), (0, 1), (1, 1), (1.0, 66 / 65)),
+    ],
+)
+def test_commensurability(values, classes, multiples, units):
+    got = commensurability(values, 1e-12)
+    assert got.classes == classes
+    assert got.multiples == multiples
+    assert got.units == pytest.approx(units, rel=1e-14)
+    for v, c, m in zip(values, got.classes, got.multiples):
+        assert m * got.units[c] == pytest.approx(v, rel=1e-12)
+
+
+def test_length_classes_scale_with_the_endpoints():
+    # 1e-12 times the largest endpoint: 5e-8 apart stays apart near -1000
+    om = new_interval_union([(-1000, -999), (-3, -2), (-1, 5e-8)])
+    assert om.length_classes.classes == (0, 0, 1)
+    # rounding of the endpoints does not split a class
+    om = new_interval_union([(0.1, 1.1), (2.3, 3.3), (4.7, 6.7)])
+    assert om.length_classes.classes == (0, 0, 0)
+    assert om.length_classes.multiples == (1, 1, 2)

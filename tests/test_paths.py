@@ -1,6 +1,7 @@
 """Path enumeration and the weight-sum identities."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from spectral_intervals.errors import (
@@ -13,15 +14,19 @@ from spectral_intervals.errors import (
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import (
     MAX_PATHS_ENV,
+    _cluster,
     aggregate_equal_length,
     check_path_guard,
+    check_state_guard,
     cluster_ends,
     end_sums,
     enumerate_paths,
     local_translation_identities,
     path_sum_by_end,
+    path_cap,
     path_table,
     predicted_path_count,
+    predicted_state_count,
 )
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -82,9 +87,62 @@ def test_x_not_in_set():
 
 def test_predicted_count_and_guard(monkeypatch):
     assert predicted_path_count(OM, 2.5) == 2 ** 4
+    # two unit lengths, one class: states (j, m) with m < 2.5
+    assert predicted_state_count(OM, 2.5) == 2 * 3
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
+    # enumerate_paths keeps the path guard: 2^4 paths at t = 3
     with pytest.raises(GuardExceeded):
         enumerate_paths(OM, SQRT_SWAP, 0.5, 3.0)
+    # the table at t = 3 has at most 2 * 4 states, under the cap
+    assert predicted_state_count(OM, 3.0) == 8
+    assert path_table(OM, SQRT_SWAP, 0, 3.0).states <= 8
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
+    st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=6, max_size=6),
+    st.booleans(),
+    st.floats(-40.0, 40.0),
+)
+def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, commensurable, t):
+    # so no table that passes the path guard trips the state guard
+    if commensurable:
+        lengths = [lengths[0] * r for r in ratios[: len(lengths)]]
+    eps, pos = [], 0.0
+    for length in lengths:
+        eps.append((pos, pos + length))
+        pos += length + 0.5
+    om = new_interval_union(eps)
+    assert predicted_state_count(om, t) <= predicted_path_count(om, t)
+    if predicted_path_count(om, t) <= path_cap():
+        check_state_guard(om, t)
+
+
+def test_state_guard_keeps_path_counts_in_int64():
+    # two unit intervals: at |t| = 70 a table has at most 2 * 71 states, but
+    # a state holds up to 2^70 paths
+    with pytest.raises(GuardExceeded, match="int64"):
+        check_state_guard(OM, 70.0, max_paths=10**30)
+    with pytest.raises(GuardExceeded, match="int64"):
+        path_table(OM, SQRT_SWAP, 0, -70.0)
+    # 2^62 paths still fit
+    assert check_state_guard(OM, 61.0) == (2 * 62, path_cap())
+    table = path_table(OM, SQRT_SWAP, 0, 61.0)
+    assert int(table.count.max()) <= 2 ** 62
+    # eight unit intervals at |t| = 15: 8^16 = 2^48 paths
+    lattice8 = new_interval_union([(2 * k, 2 * k + 1) for k in range(8)])
+    assert check_state_guard(lattice8, 15.0)[0] == 8 * 16
+
+
+def test_single_interval_states_are_counted():
+    # one path per start point, but one state per number of crossings
+    om = new_interval_union([(0, 1)])
+    assert predicted_path_count(om, 7.5) == 1
+    assert predicted_state_count(om, 7.5) == 8
+    assert path_table(om, np.eye(1), 0, 7.5).states == 8
+    with pytest.raises(GuardExceeded):
+        path_table(om, np.eye(1), 0, 7.5, max_paths=7)
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
@@ -198,6 +256,92 @@ def test_end_sums_match_enumeration_random():
     assert draws >= 200
 
 
+def _count_vector_sums(om, b, x, t):
+    """Reference: the end states keyed by (final interval, count vector k),
+    propagated level by level; their end sums at x, and the state count."""
+    n, i = om.n, om.index_of(x)
+    forward, big_t = t >= 0, abs(t)
+    a, c = om.endpoints[i]
+    lengths = om.lengths
+    weights = np.asarray(b) if forward else np.asarray(b).conj().T
+    rows = [(i, -lengths[i], 1.0 + 0j, 1)]
+    level = {(j, (0,) * n): [0.0, weights[i, j], 1] for j in range(n)}
+    states = 0
+    while level:
+        nxt = {}
+        for (j, k), (cum, w, m) in level.items():
+            states += 1
+            rows.append((j, cum, w, m))
+            if cum + lengths[j] >= big_t:
+                continue
+            k_next = k[:j] + (k[j] + 1,) + k[j + 1:]
+            for jj in range(n):
+                state = nxt.setdefault((jj, k_next), [cum + lengths[j], 0j, 0])
+                state[1] += w * weights[j, jj]
+                state[2] += m
+        level = nxt
+    exit_time = c - x if forward else x - a
+    ends, ws, counts = [], [], []
+    for j, cum, w, m in rows:
+        r = big_t - exit_time - cum
+        if 0 <= r < lengths[j]:
+            ends.append(om.lefts[j] + r if forward else om.rights[j] - r)
+            ws.append(w)
+            counts.append(m)
+    sums = _cluster(
+        np.array(ends), np.array(ws), np.array(counts, dtype=float), None, sum(counts)
+    )
+    return sums, states
+
+
+#: interval lengths, as multiples of one random length, or "independent"
+LENGTH_PATTERNS = {
+    "equal": (1, 1, 1, 1),
+    "1:2": (1, 2, 1, 2),
+    "2:3:5": (2 / 3, 1, 5 / 3, 2 / 3),
+    "independent": None,
+    "1:1+5e-8": (1, 1 + 5e-8, 1, 1 + 5e-8),
+}
+
+
+def test_length_keyed_table_matches_count_vectors():
+    # the draws of test_end_sums_match_enumeration_random, on sets whose
+    # lengths follow each pattern in turn
+    rng = np.random.default_rng(7)
+    states = dict.fromkeys(LENGTH_PATTERNS, (0, 0))
+    for n in (2, 3, 4):
+        for trial in range(80):
+            name = list(LENGTH_PATTERNS)[trial % len(LENGTH_PATTERNS)]
+            om = _random_set(n, rng)
+            if LENGTH_PATTERNS[name] is not None:
+                base = float(rng.uniform(0.7, 1.3))
+                gaps = [l - r for (l, _), (_, r) in zip(om.endpoints[1:], om.endpoints)]
+                eps, pos = [], om.endpoints[0][0]
+                for k in range(n):
+                    eps.append((pos, pos + base * LENGTH_PATTERNS[name][k]))
+                    pos = eps[-1][1] + (gaps[k] if k < n - 1 else 0)
+                om = new_interval_union(eps)
+            b = unitary_group.rvs(n, random_state=rng.integers(2**31))
+            i = int(rng.integers(n))
+            a, c = om.endpoints[i]
+            x = float(rng.uniform(a, c))
+            t = float(rng.uniform(0, 3.2 if n < 4 else 2.4)) * (-1) ** trial
+            want, want_states = _count_vector_sums(om, b, x, t)
+            table = path_table(om, b, i, t)
+            got = table.at(x).sums()
+            assert got.path_count == want.path_count
+            assert len(got.sums) == len(want.sums)
+            for (e1, w1), (e2, w2) in zip(got.sums, want.sums):
+                assert abs(e1 - e2) < 1e-12
+                assert abs(w1 - w2) < 1e-12
+            assert len(got.flagged) == len(want.flagged)
+            assert table.states <= min(want_states, table.state_bound)
+            states[name] = tuple(map(sum, zip(states[name], (table.states, want_states))))
+    # the key merges states only where lengths are commensurable
+    for name, (got, want) in states.items():
+        assert (got == want) == (name == "independent"), (name, got, want)
+
+
 def test_end_sums_exact_exit():
     # x = 0.5, t = 0.5 leaves interval 0 exactly at t: remainder 0 in both
     # successors, no path stays in interval 0
@@ -260,11 +404,12 @@ def test_path_table_serves_a_range_of_times(sign):
 
 
 def test_path_table_guard_before_states(monkeypatch):
+    # the state guard: 2 * (5 + 1) = 12 predicted states at t = 5
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
+    with pytest.raises(GuardExceeded, match="state count 12"):
+        path_table(OM, SQRT_SWAP, 0, 5.0)
     with pytest.raises(GuardExceeded):
-        path_table(OM, SQRT_SWAP, 0, 3.0)
-    with pytest.raises(GuardExceeded):
-        end_sums(OM, SQRT_SWAP, 0.5, 3.0)
+        end_sums(OM, SQRT_SWAP, 0.5, 5.0)
 
 
 def test_cluster_ends_flags_near_ends():
