@@ -79,12 +79,14 @@ from .intervals import (
     translation_congruence_to_interval,
 )
 from .paths import (
+    EndStates,
     EndSums,
     Path,
     PathTable,
     TranslationIdentityReport,
     aggregate_equal_length,
     cluster_ends,
+    end_states,
     end_sums,
     enumerate_paths,
     local_translation_identities,
@@ -92,7 +94,6 @@ from .paths import (
     path_table,
     predicted_path_count,
     predicted_state_count,
-    table_at,
 )
 from .spectrum import (
     SpectralCheck,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -33,7 +34,7 @@ from .evolution import (
     probe_points,
 )
 from .intervals import new_interval_union, translation_congruence_to_interval
-from .paths import enumerate_paths, local_translation_identities, path_cap, table_at
+from .paths import end_states, enumerate_paths, local_translation_identities
 from .spectrum import compute_spectrum, spectral_matrix_check
 
 
@@ -250,6 +251,7 @@ def cmd_verify(args) -> int:
             "states": lt.states,
             "state_bound": lt.state_bound,
             "cap": lt.cap,
+            "seconds": lt.seconds,
         }
     checks = structure_suite(omega, b, check)
     out["structure"] = [
@@ -307,9 +309,8 @@ def cmd_paths(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
     t0 = time.perf_counter()
-    table = table_at(omega, b, args.x, args.t)
+    states = end_states(omega, b, args.x, args.t)
     t1 = time.perf_counter()
-    states = table.at(args.x)
     sums = states.sums()
     seconds = {"table": t1 - t0, "sums": time.perf_counter() - t1}
     out = _base_report("paths", args, digest)
@@ -352,11 +353,11 @@ def cmd_paths(args) -> int:
             for p in paths
         ]
     out["stats"] = {
-        "tables": 1,
-        "states": table.states,
+        "tables": states.tables,
+        "states": states.states,
         "ends": len(states.end),
-        "state_bound": table.state_bound,
-        "cap": path_cap(),
+        "state_bound": states.state_bound,
+        "cap": states.cap,
         "seconds": seconds,
     }
     rows = [(end, s.real, s.imag) for end, s in sums.sums]
@@ -379,7 +380,10 @@ def cmd_congruence(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    of ``main``."""
     parser = argparse.ArgumentParser(
         prog="spectral-intervals",
         description="Spectra and exact unitary evolution on unions of intervals.",
@@ -436,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

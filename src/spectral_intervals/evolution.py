@@ -18,7 +18,7 @@ import numpy as np
 from .boundary import cis, reflected_boundary_matrix
 from .errors import NotEigenCombination, ValidationError, XNotInOmega
 from .intervals import IntervalUnion, reflect as reflect_set
-from .paths import _build_table, check_state_guard, path_cap, path_table, states_at
+from .paths import _build_table, check_state_guard, end_states
 from .spectrum import SpectrumReport
 
 MAX_DEGREE = 8
@@ -336,7 +336,7 @@ class EvolutionResult:
 
     ``stats`` says how it was produced: ``tables`` built, ``states``
     propagated in them, ``ends`` (end states summed over all sub-pieces),
-    the largest predicted ``state_bound`` of a table, the ``cap`` it was
+    the predicted ``state_bound`` of each table, the ``cap`` it was
     checked against, and ``seconds`` for the ``tables``, ``cuts`` and
     ``pieces`` stages.
     """
@@ -347,9 +347,7 @@ class EvolutionResult:
     stats: dict = field(default_factory=dict)
 
 
-def apply_U_paths(
-    omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly, max_paths: int | None = None
-) -> EvolutionResult:
+def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> EvolutionResult:
     """Apply U(t) through the admissible-path sum, exactly.
 
     Interval i is cut where a row of its path table becomes or stops being
@@ -358,21 +356,22 @@ def apply_U_paths(
     final interval; nothing else changes the sum.  On each sub-piece every
     row admissible at its midpoint contributes a shifted, scaled copy of the
     atoms of f at its end.  That copy is the same on every sub-piece where
-    the row hits the same piece of f, so it is built once.
+    the row hits the same piece of f, so it is built once.  The n tables
+    share t, so the state guard checks it once, before any is built.
     """
+    state_bound, cap = check_state_guard(omega, t)
     bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
     # inside[j, m]: breakpoint m lies strictly inside interval j
     inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()
     new_pieces = []
     refinement: dict[int, list[float]] = {}
-    total_paths = states = ends_read = state_bound = 0
+    total_paths = states = ends_read = 0
     seconds = dict.fromkeys(("tables", "cuts", "pieces"), 0.0)
     for i, (alo, ahi) in enumerate(omega.endpoints):
         t0 = time.perf_counter()
-        table = path_table(omega, b, i, t, max_paths)
+        table = _build_table(omega, b, i, t)
         states += table.states
-        state_bound = max(state_bound, table.state_bound)
         t1 = time.perf_counter()
         sign = 1.0 if table.forward else -1.0
         edge = table.exit_edge - sign * table.big_t + sign * table.cum
@@ -415,7 +414,7 @@ def apply_U_paths(
         "states": states,
         "ends": ends_read,
         "state_bound": state_bound,
-        "cap": path_cap() if max_paths is None else max_paths,
+        "cap": cap,
         "seconds": seconds,
     }
     return EvolutionResult(result, refinement, total_paths, stats)
@@ -423,7 +422,7 @@ def apply_U_paths(
 
 def evolve_point(omega: IntervalUnion, b, x: float, t: float, f: PiecewiseExpPoly) -> complex:
     """[U(t)f](x) through the path sum, for a single point."""
-    states = states_at(omega, b, x, t)
+    states = end_states(omega, b, x, t)
     return complex(np.sum(states.weight * f.evaluate(states.end)))
 
 
@@ -590,7 +589,8 @@ def sample_local_pair(omega: IntervalUnion, rng: np.random.Generator):
 class LocalTranslationReport:
     """Outcome of the trials; ``tables`` path tables were built and
     ``states`` end states read over all trials.  ``state_bound`` is the
-    largest predicted state count of a table, checked against ``cap``."""
+    largest predicted state count of a table, checked against ``cap``;
+    ``seconds`` times the ``draw``, ``states`` and ``evaluate`` stages."""
 
     passed: bool
     trials: int
@@ -600,6 +600,7 @@ class LocalTranslationReport:
     states: int
     state_bound: int = 0
     cap: int = 0
+    seconds: dict = field(default_factory=dict)
 
 
 def local_translation_test(
@@ -614,60 +615,43 @@ def local_translation_test(
 
     Passing all trials is evidence of spectrality; any failure is a
     counterexample witness.  Every trial is drawn first, in one batched
-    pass (``_draw_trials``); the trials that start in the same interval with
-    t of the same sign share one path table, built for the largest |t| among
-    them once every table has passed the state guard, and the trial
-    functions are evaluated at every end and target in one pass.
+    pass (``_draw_trials``); the end states of all trials are read in one
+    ``end_states`` call, and the trial functions are evaluated at every end
+    and target in one pass.
     """
     if trials < 0:
         raise ValidationError(f"trials must be non-negative, got {trials}")
     if trials == 0:
         return LocalTranslationReport(True, 0, 0.0, [], 0, 0)
+    t0 = time.perf_counter()
     freq, coeffs, xs, ts = _draw_trials(omega, np.random.default_rng(seed), trials, freqs)
     _fix_boundary(omega, b, freq, coeffs)
-
-    lefts = np.array(omega.lefts)
-    start = np.searchsorted(lefts, xs, side="right") - 1
-    groups: dict[tuple[int, bool], list[int]] = defaultdict(list)
-    for k, (i, t) in enumerate(zip(start.tolist(), ts.tolist())):
-        groups[(i, t >= 0)].append(k)
-    # (t of the largest |t|, smallest |t|, predicted states) per table; the
-    # guard checks every table, once, before any is built
-    spans = []
-    for times in (ts[members] for members in groups.values()):
-        t_max = float(times[np.argmax(np.abs(times))])
-        bound, cap = check_state_guard(omega, t_max)
-        spans.append((t_max, float(np.min(np.abs(times))), bound))
-    state_bound = max(bound for _, _, bound in spans)
-    trial_of, final, ends, weight = [], [], [], []
-    for ((i, _), members), (t_max, t_min, bound) in zip(groups.items(), spans):
-        table = _build_table(omega, b, i, t_max, t_min, bound)
-        for k in members:
-            idx, end = table.select(xs[k], ts[k])
-            trial_of.append(np.full(len(idx), k))
-            final.append(table.final[idx])
-            ends.append(end)
-            weight.append(table.weight[idx])
-    trial_of = np.concatenate(trial_of)
-    weight = np.concatenate(weight)
+    t1 = time.perf_counter()
+    states = end_states(omega, b, xs, ts)
+    t2 = time.perf_counter()
 
     # ends on the interval of their row, targets x + t on the one holding them
     targets = xs + ts
+    lefts = np.array(omega.lefts)
     target_in = np.clip(np.searchsorted(lefts, targets, side="right") - 1, 0, omega.n - 1)
-    who = np.concatenate([trial_of, np.arange(trials)])
-    where = np.concatenate([*final, target_in]).astype(int)
-    values = _atom_values(freq[who, where], coeffs[who, where], np.concatenate([*ends, targets]))
-    terms = weight * values[: len(weight)]
-    lhs = np.bincount(trial_of, terms.real, trials) + 1j * np.bincount(trial_of, terms.imag, trials)
-    errors = np.abs(lhs - values[len(weight):])
+    who = np.concatenate([states.pair, np.arange(trials)])
+    where = np.concatenate([states.final, target_in])
+    at = np.concatenate([states.end, targets])
+    values = _atom_values(freq[who, where], coeffs[who, where], at)
+    ends = len(states.end)
+    terms = states.weight * values[:ends]
+    lhs = np.bincount(states.pair, terms.real, trials)
+    lhs = lhs + 1j * np.bincount(states.pair, terms.imag, trials)
+    errors = np.abs(lhs - values[ends:])
     witnesses = [
         (x, t, err)
         for x, t, err in zip(xs.tolist(), ts.tolist(), errors.tolist())
         if err > tol
     ]
+    seconds = {"draw": t1 - t0, "states": t2 - t1, "evaluate": time.perf_counter() - t2}
     return LocalTranslationReport(
-        not witnesses, trials, float(errors.max()), witnesses, len(groups), len(weight),
-        state_bound, cap,
+        not witnesses, trials, float(errors.max()), witnesses, states.tables, ends,
+        states.state_bound, states.cap, seconds,
     )
 
 

@@ -198,26 +198,33 @@ def gap_decomposition(omega: IntervalUnion, gap: float, tol: float | None = None
             values.append(l)
     max_terms = math.ceil((gap + tol) / omega.lmin)
     results: set[tuple[float, ...]] = set()
-    nodes = 0
-
-    def search(start: int, chosen: list[float], total: float):
-        nonlocal nodes
-        nodes += 1
-        if nodes > COMBINATION_CAP:
-            raise GuardExceeded(
-                f"gap decomposition search exceeded {COMBINATION_CAP} nodes"
-            )
-        if abs(total - gap) <= tol and chosen:
-            results.add(tuple(chosen))
-            return
-        if total > gap + tol or len(chosen) >= max_terms:
-            return
-        for k in range(start, len(values)):
+    # depth first, one iterator over the next value per chosen value, so
+    # that a deep search takes no recursion; totals[d] sums chosen[:d]
+    chosen: list[float] = []
+    totals = [0.0]
+    frames = [iter(range(len(values)))]
+    nodes = 1
+    while frames:
+        for k in frames[-1]:
+            nodes += 1
+            if nodes > COMBINATION_CAP:
+                raise GuardExceeded(
+                    f"gap decomposition search exceeded {COMBINATION_CAP} nodes"
+                )
+            total = totals[-1] + values[k]
             chosen.append(values[k])
-            search(k, chosen, total + values[k])
+            if abs(total - gap) <= tol:
+                results.add(tuple(chosen))
+            elif total <= gap + tol and len(chosen) < max_terms:
+                totals.append(total)
+                frames.append(iter(range(k, len(values))))
+                break
             chosen.pop()
-
-    search(0, [], 0.0)
+        else:
+            frames.pop()
+            totals.pop()
+            if chosen:
+                chosen.pop()
     return sorted(results)
 
 

@@ -25,6 +25,7 @@ import heapq
 import math
 import os
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +85,20 @@ def predicted_path_count(omega: IntervalUnion, t: float) -> int:
     return omega.n ** (_levels(omega, t) + 1)
 
 
-def _cap(t: float, max_paths: int | None) -> int:
+def _cap(t: float) -> int:
     """The cap a guard checks against; a non-finite t raises ValidationError."""
     if not math.isfinite(t):
         raise ValidationError(f"t must be a finite number, got {t}")
-    return path_cap() if max_paths is None else max_paths
+    return path_cap()
 
 
-def check_path_guard(omega: IntervalUnion, t: float, max_paths: int | None = None) -> int:
+def check_path_guard(omega: IntervalUnion, t: float) -> int:
     """Raise GuardExceeded when the predicted path count passes the cap.
 
-    The cap defaults to 10^6, overridable via SPECTRAL_INTERVALS_MAX_PATHS.
-    Returns the cap; a non-finite t raises ValidationError.
+    The cap is ``path_cap()``: 10^6 unless SPECTRAL_INTERVALS_MAX_PATHS
+    sets it.  Returns the cap; a non-finite t raises ValidationError.
     """
-    cap = _cap(t, max_paths)
+    cap = _cap(t)
     _check_paths(omega, t, cap, f"cap {cap}")
     return cap
 
@@ -135,9 +136,7 @@ def predicted_state_count(omega: IntervalUnion, t: float) -> int:
     return min(per_class, n * math.comb(levels - 1 + n, n))
 
 
-def check_state_guard(
-    omega: IntervalUnion, t: float, max_paths: int | None = None
-) -> tuple[int, int]:
+def check_state_guard(omega: IntervalUnion, t: float) -> tuple[int, int]:
     """Raise GuardExceeded when the predicted state count passes the cap.
 
     The cap is that of ``check_path_guard``.  A table also counts the paths
@@ -145,7 +144,7 @@ def check_state_guard(
     the guard too, whatever the cap.  Returns the predicted state count and
     the cap; a non-finite t raises ValidationError.
     """
-    cap = _cap(t, max_paths)
+    cap = _cap(t)
     predicted = predicted_state_count(omega, t)
     if predicted > cap:
         raise GuardExceeded(
@@ -155,10 +154,8 @@ def check_state_guard(
     return predicted, cap
 
 
-def enumerate_paths(
-    omega: IntervalUnion, b, x: float, t: float, max_paths: int | None = None
-) -> list[Path]:
-    """The complete set of admissible paths for (x, t).
+def enumerate_paths(omega: IntervalUnion, b, x: float, t: float) -> list[Path]:
+    """The complete set of admissible paths for (x, t), in depth-first order.
 
     Raises GuardExceeded when the predicted or actual path count passes the
     cap (see ``check_path_guard``).
@@ -167,9 +164,10 @@ def enumerate_paths(
     i = omega.index_of(x)
     if i is None:
         raise XNotInOmega(f"x={x} is not in an open interval of the set")
-    cap = check_path_guard(omega, t, max_paths)
+    cap = check_path_guard(omega, t)
 
     forward = t >= 0
+    direction = "forward" if forward else "backward"
     lengths = omega.lengths
     lefts, rights = omega.lefts, omega.rights
     n = omega.n
@@ -184,51 +182,61 @@ def enumerate_paths(
     if big_t < exit_time:
         end = x + t
         r = end - lefts[i] if forward else rights[i] - end
-        return [Path((i,), "forward" if forward else "backward", r, end, 1.0 + 0j)]
+        return [Path((i,), direction, r, end, 1.0 + 0j)]
 
     paths: list[Path] = []
-
-    def extend(word: list[int], elapsed: float, weight: complex):
+    # depth first, one iterator over the successors of each interval of the
+    # word, so that a long path takes no recursion; elapsed[d] and weight[d]
+    # are the time spent and the weight gathered by word[:d + 1]
+    word, elapsed, weight = [i], [exit_time], [1.0 + 0j]
+    frames = [iter(range(n))]
+    while frames:
         if len(paths) > cap:
             raise GuardExceeded(f"path count exceeded cap {cap}")
-        j_prev = word[-1]
-        for j in range(n):
-            w = weight * weights[j_prev, j]
-            remaining = big_t - elapsed
+        for j in frames[-1]:
+            w = weight[-1] * weights[word[-1], j]
+            remaining = big_t - elapsed[-1]
             if remaining < lengths[j]:
                 end = lefts[j] + remaining if forward else rights[j] - remaining
-                paths.append(
-                    Path(
-                        tuple(word) + (j,),
-                        "forward" if forward else "backward",
-                        remaining,
-                        end,
-                        complex(w),
-                    )
-                )
+                paths.append(Path((*word, j), direction, remaining, end, complex(w)))
             else:
                 word.append(j)
-                extend(word, elapsed + lengths[j], w)
-                word.pop()
-
-    extend([i], exit_time, 1.0 + 0j)
+                elapsed.append(elapsed[-1] + lengths[j])
+                weight.append(w)
+                frames.append(iter(range(n)))
+                break
+        else:
+            frames.pop()
+            word.pop()
+            elapsed.pop()
+            weight.pop()
     return paths
 
 
 @dataclass(frozen=True)
 class EndStates:
-    """The end states admissible from one start point x.
+    """The end states admissible from a batch of start pairs (x, t).
 
-    Per state: final interval, end point, summed weight and path count.
+    Per state, in order of pair: the index of its pair, final interval, end
+    point, summed weight and path count.  ``tables`` path tables were
+    built for the batch and ``states`` states propagated in them;
+    ``state_bound`` is the largest predicted state count of a table, which
+    the guard checked against ``cap``.
     """
 
+    pair: np.ndarray
     final: np.ndarray
     end: np.ndarray
     weight: np.ndarray
     count: np.ndarray
+    tables: int
+    states: int
+    state_bound: int
+    cap: int
 
     def sums(self, tol: float | None = None) -> EndSums:
-        """Weights per distinct end, clustered with ``cluster_ends``."""
+        """Weights per distinct end, clustered with ``cluster_ends``: for
+        the states of one pair, its end sums."""
         return _cluster(self.end, self.weight, self.count, tol, int(self.count.sum()))
 
 
@@ -248,8 +256,7 @@ class PathTable:
     |t| it serves, and ``shift`` is taken at that time.  The row of the path
     that stays in the start interval i has cum = -l_i: its remainder, like
     every other, is measured from the entry edge of its final interval.
-    ``states`` counts the states propagated, dropped rows included, and
-    ``state_bound`` is the predicted count the guard checked.
+    ``states`` counts the states propagated, dropped rows included.
     """
 
     forward: bool
@@ -263,7 +270,6 @@ class PathTable:
     weight: np.ndarray
     count: np.ndarray
     states: int
-    state_bound: int
 
     def select(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Row indices of the states admissible from x at time t, and their
@@ -274,20 +280,8 @@ class PathTable:
         rem = rem[idx]
         return idx, self.entry[idx] + rem if self.forward else self.entry[idx] - rem
 
-    def at(self, x: float) -> EndStates:
-        """The states admissible from x at the table's time."""
-        idx, ends = self.select(x, self.big_t)
-        return EndStates(self.final[idx], ends, self.weight[idx], self.count[idx])
 
-
-def path_table(
-    omega: IntervalUnion,
-    b,
-    i: int,
-    t: float,
-    max_paths: int | None = None,
-    t_min: float | None = None,
-) -> PathTable:
+def path_table(omega: IntervalUnion, b, i: int, t: float, t_min: float | None = None) -> PathTable:
     """All end states of the admissible paths from interval i for time t.
 
     A state is the last interval j and the length covered by full
@@ -307,15 +301,14 @@ def path_table(
     from some start point at one of those times, and ``select`` reads the
     rows of any of them.  By default it serves t alone.
     """
-    state_bound, _ = check_state_guard(omega, t, max_paths)
-    return _build_table(omega, b, i, t, t_min, state_bound)
+    check_state_guard(omega, t)
+    return _build_table(omega, b, i, t, t_min)
 
 
 def _build_table(
-    omega: IntervalUnion, b, i: int, t: float, t_min: float | None, state_bound: int
+    omega: IntervalUnion, b, i: int, t: float, t_min: float | None = None
 ) -> PathTable:
-    """``path_table`` once ``check_state_guard`` has passed t and returned
-    ``state_bound``."""
+    """``path_table`` once ``check_state_guard`` has passed t."""
     b = np.asarray(b, dtype=complex)
     forward = t >= 0
     big_t = abs(t)
@@ -381,21 +374,44 @@ def _build_table(
         weight,
         count,
         states,
-        state_bound,
     )
 
 
-def table_at(omega: IntervalUnion, b, x: float, t: float) -> PathTable:
-    """The path table of the interval that holds the start point x."""
-    i = omega.index_of(x)
-    if i is None:
-        raise XNotInOmega(f"x={x} is not in an open interval of the set")
-    return path_table(omega, b, i, t)
+def end_states(omega: IntervalUnion, b, xs, ts) -> EndStates:
+    """The end states admissible from each start pair (xs[k], ts[k]): xs and
+    ts are equally long and not empty, or two scalars for one pair.
 
-
-def states_at(omega: IntervalUnion, b, x: float, t: float) -> EndStates:
-    """The end states admissible from the single start point x."""
-    return table_at(omega, b, x, t).at(x)
+    The pairs that start in the same interval with t of the same sign share
+    one path table, built for the largest |t| among them and serving down
+    to the smallest (``path_table``'s ``t_min``).  The state guard checks
+    every table, once, before any is built.  Raises XNotInOmega when a start
+    point is not in an open interval of the set.
+    """
+    xs, ts = np.array(xs, dtype=float, ndmin=1), np.array(ts, dtype=float, ndmin=1)
+    groups: dict[tuple[int, bool], list[int]] = defaultdict(list)
+    for k, (x, t) in enumerate(zip(xs.tolist(), ts.tolist())):
+        i = omega.index_of(x)
+        if i is None:
+            raise XNotInOmega(f"x={x} is not in an open interval of the set")
+        groups[(i, t >= 0)].append(k)
+    # per table: t of the largest |t|, the smallest |t| and the guard's
+    # predicted states and cap
+    spans = []
+    for times in (ts[members] for members in groups.values()):
+        t_max = float(times[np.argmax(np.abs(times))])
+        spans.append((t_max, float(np.min(np.abs(times))), *check_state_guard(omega, t_max)))
+    rows: list = [None] * len(xs)
+    states = 0
+    for ((i, _), members), (t_max, t_min, _, _) in zip(groups.items(), spans):
+        table = _build_table(omega, b, i, t_max, t_min)
+        states += table.states
+        for k in members:
+            idx, end = table.select(xs[k], ts[k])
+            pair = np.full(len(idx), k)
+            rows[k] = (pair, table.final[idx], end, table.weight[idx], table.count[idx])
+    columns = (np.concatenate(column) for column in zip(*rows))
+    bound = max(span[2] for span in spans)
+    return EndStates(*columns, len(groups), states, bound, spans[0][3])
 
 
 @dataclass
@@ -462,8 +478,8 @@ def path_sum_by_end(paths: list[Path], tol: float | None = None) -> EndSums:
 def end_sums(
     omega: IntervalUnion, b, x: float, t: float, tol: float | None = None
 ) -> EndSums:
-    """Path weights per distinct end for one (x, t), from the end-state table."""
-    return states_at(omega, b, x, t).sums(tol)
+    """Path weights per distinct end for one (x, t), from its end states."""
+    return end_states(omega, b, x, t).sums(tol)
 
 
 @dataclass
@@ -495,7 +511,7 @@ def local_translation_identities(
         raise XPlusTNotInOmega(f"x+t={target} is not in an open interval of the set")
     end_tol = 1e-9 * max(1.0, abs(omega.endpoints[-1][1]))
     if states is None:
-        states = states_at(omega, b, x, t)
+        states = end_states(omega, b, x, t)
     sums = states.sums(end_tol)
     target_sum = sums.sum_at(target, tol=end_tol)
     offending = []
@@ -532,7 +548,7 @@ def aggregate_equal_length(omega: IntervalUnion, b, x: float, t: float, p: int):
         raise PreconditionViolated(
             f"need (p-1)l < t - (b_i - x) < p*l, got {tau} with l={ell}, p={p}"
         )
-    states = path_table(omega, b, i, t).at(x)
+    states = end_states(omega, b, x, t)
     coeffs = np.zeros(omega.n, dtype=complex)
     np.add.at(coeffs, states.final, states.weight)
     row = np.linalg.matrix_power(b, p)[i]

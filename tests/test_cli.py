@@ -410,3 +410,38 @@ def test_equal_length_spectrum_stats(problem, capsys):
     stats = rep["spectrum_stats"]
     assert (stats["grid_points"], stats["levels"], stats["bracket_iterations"]) == (0, 0, 0)
     assert stats["eig_rows"] == 1
+
+
+def test_verify_trial_stage_seconds(problem, capsys):
+    code, rep = run_json(capsys, ["verify", problem, "--trials", "5"])
+    assert code == 0
+    seconds = rep["local_translation"]["seconds"]
+    assert set(seconds) == {"draw", "states", "evaluate"}
+    assert all(s >= 0 for s in seconds.values())
+
+
+def test_long_single_path_is_listed(tmp_path, capsys):
+    # one path, 4,999 full crossings of the one interval deep: the listing
+    # must not recurse once per crossing
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps({"intervals": [[0, 1]], "matrix": [[[1, 0]]]}))
+    argv = ["paths", str(path), "--list-paths", "--x", "0.5", "--t", "5000"]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (listed,) = rep["paths"]
+    assert listed["word"] == [0] * 5001
+    assert listed["end"] == pytest.approx(0.5)
+    assert rep["path_count"] == 1
+
+
+def test_deep_gap_decomposition_in_verify(tmp_path, capsys):
+    # the gap 4,999 is 4,999 unit lengths: a search that deep must not
+    # recurse once per length
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(PAIR, intervals=[[0, 1], [5000, 5001]])))
+    code, rep = run_json(capsys, ["verify", str(path)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    gap = next(c for c in rep["structure"] if c["name"] == "gap_lengths")
+    assert gap["status"] == "pass"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import unitary_group
 
-from spectral_intervals import evolution
+from spectral_intervals import evolution, paths
 from spectral_intervals.errors import GuardExceeded, NotEigenCombination, XNotInOmega
 from spectral_intervals.evolution import (
     Atom,
@@ -302,7 +302,7 @@ EQUAL = new_interval_union([(0, 1), (2, 3), (4, 5)])
 UNEQUAL4 = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9), (4.6, 5.5)])
 
 
-@pytest.mark.parametrize(
+TRIAL_CASES = pytest.mark.parametrize(
     "omega,b,seed",
     [
         (OM, SQRT_SWAP, 3),
@@ -313,6 +313,9 @@ UNEQUAL4 = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9), (4.6, 5.5)])
     ],
     ids=["readme-sqrt-swap", "readme-swap", "tiling3", "equal3-haar", "haar4"],
 )
+
+
+@TRIAL_CASES
 def test_local_translation_batch_matches_per_trial_reference(omega, b, seed):
     trials = 40
     rep = local_translation_test(omega, b, trials, seed=seed)
@@ -326,6 +329,21 @@ def test_local_translation_batch_matches_per_trial_reference(omega, b, seed):
         assert got == pytest.approx(want, abs=1e-13)
     assert 1 <= rep.tables <= 2 * omega.n
     assert rep.states >= trials
+
+
+@TRIAL_CASES
+def test_end_states_batch_matches_single_pairs(omega, b, seed):
+    # the trials' pairs read in one batch, and one pair at a time
+    _, _, xs, ts = evolution._draw_trials(omega, np.random.default_rng(seed), 40)
+    batch = paths.end_states(omega, b, xs, ts)
+    single = [paths.end_states(omega, b, x, t) for x, t in zip(xs, ts)]
+    assert batch.pair.tolist() == [k for k, one in enumerate(single) for _ in one.pair]
+    assert np.array_equal(batch.final, np.concatenate([one.final for one in single]))
+    assert np.array_equal(batch.count, np.concatenate([one.count for one in single]))
+    assert np.max(np.abs(batch.end - np.concatenate([one.end for one in single]))) < 1e-13
+    assert np.max(np.abs(batch.weight - np.concatenate([one.weight for one in single]))) < 1e-13
+    assert batch.tables == len({(omega.index_of(x), t >= 0) for x, t in zip(xs, ts)})
+    assert batch.state_bound == max(one.state_bound for one in single)
 
 
 def test_trial_draws_are_batched_and_deterministic():
@@ -366,7 +384,7 @@ def test_local_translation_guard_before_any_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a table built before the guard")
 
-    monkeypatch.setattr(evolution, "_build_table", no_table)
+    monkeypatch.setattr(paths, "_build_table", no_table)
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
     # lengths 1.2 : 0.9 : 0.9 are multiples of 0.3, so a table for |t| near
     # 9 predicts up to 3 * 31 states
@@ -456,6 +474,21 @@ def test_apply_U_paths_cuts_by_hand(t, cuts):
     xs = probe_points(res.function, 4)
     expected = [sum(p.weight * f(p.end) for p in enumerate_paths(om, SQRT_SWAP, x, t)) for x in xs]
     assert np.max(np.abs(res.function(xs) - np.array(expected))) < 1e-12
+
+
+def test_apply_U_paths_checks_the_guard_once(monkeypatch):
+    calls = []
+
+    def counted(omega, t):
+        calls.append(t)
+        return paths.check_state_guard(omega, t)
+
+    monkeypatch.setattr(evolution, "check_state_guard", counted)
+    om = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9)])
+    res = apply_U_paths(om, unitary_group.rvs(3, random_state=3), 2.1, _bump(om))
+    assert calls == [2.1]
+    assert res.stats["tables"] == 3
+    assert (res.stats["state_bound"], res.stats["cap"]) == paths.check_state_guard(om, 2.1)
 
 
 def test_apply_U_paths_guard(monkeypatch):

@@ -19,6 +19,7 @@ from spectral_intervals.paths import (
     check_path_guard,
     check_state_guard,
     cluster_ends,
+    end_states,
     end_sums,
     enumerate_paths,
     local_translation_identities,
@@ -119,11 +120,12 @@ def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, commensu
         check_state_guard(om, t)
 
 
-def test_state_guard_keeps_path_counts_in_int64():
+def test_state_guard_keeps_path_counts_in_int64(monkeypatch):
     # two unit intervals: at |t| = 70 a table has at most 2 * 71 states, but
     # a state holds up to 2^70 paths
+    monkeypatch.setenv(MAX_PATHS_ENV, str(10**30))
     with pytest.raises(GuardExceeded, match="int64"):
-        check_state_guard(OM, 70.0, max_paths=10**30)
+        check_state_guard(OM, 70.0)
     with pytest.raises(GuardExceeded, match="int64"):
         path_table(OM, SQRT_SWAP, 0, -70.0)
     # 2^62 paths still fit
@@ -135,14 +137,15 @@ def test_state_guard_keeps_path_counts_in_int64():
     assert check_state_guard(lattice8, 15.0)[0] == 8 * 16
 
 
-def test_single_interval_states_are_counted():
+def test_single_interval_states_are_counted(monkeypatch):
     # one path per start point, but one state per number of crossings
     om = new_interval_union([(0, 1)])
     assert predicted_path_count(om, 7.5) == 1
     assert predicted_state_count(om, 7.5) == 8
     assert path_table(om, np.eye(1), 0, 7.5).states == 8
+    monkeypatch.setenv(MAX_PATHS_ENV, "7")
     with pytest.raises(GuardExceeded):
-        path_table(om, np.eye(1), 0, 7.5, max_paths=7)
+        path_table(om, np.eye(1), 0, 7.5)
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
@@ -150,8 +153,6 @@ def test_bad_path_cap_is_a_validation_error(monkeypatch, cap):
     monkeypatch.setenv(MAX_PATHS_ENV, cap)
     with pytest.raises(ValidationError, match=MAX_PATHS_ENV):
         check_path_guard(OM, 0.5)
-    # an explicit cap does not read the variable
-    assert check_path_guard(OM, 0.5, max_paths=4) == 4
 
 
 def test_path_sum_identities_spectral():
@@ -327,16 +328,16 @@ def test_length_keyed_table_matches_count_vectors():
             x = float(rng.uniform(a, c))
             t = float(rng.uniform(0, 3.2 if n < 4 else 2.4)) * (-1) ** trial
             want, want_states = _count_vector_sums(om, b, x, t)
-            table = path_table(om, b, i, t)
-            got = table.at(x).sums()
+            read = end_states(om, b, x, t)
+            got = read.sums()
             assert got.path_count == want.path_count
             assert len(got.sums) == len(want.sums)
             for (e1, w1), (e2, w2) in zip(got.sums, want.sums):
                 assert abs(e1 - e2) < 1e-12
                 assert abs(w1 - w2) < 1e-12
             assert len(got.flagged) == len(want.flagged)
-            assert table.states <= min(want_states, table.state_bound)
-            states[name] = tuple(map(sum, zip(states[name], (table.states, want_states))))
+            assert read.states <= min(want_states, read.state_bound)
+            states[name] = tuple(map(sum, zip(states[name], (read.states, want_states))))
     # the key merges states only where lengths are commensurable
     for name, (got, want) in states.items():
         assert (got == want) == (name == "independent"), (name, got, want)
@@ -365,7 +366,7 @@ def test_path_table_states():
     table = path_table(OM, SQRT_SWAP, 0, 2.0)
     # the state counts add up to the number of paths at every start point
     for x in (0.1, 0.5, 0.9):
-        states = table.at(x)
+        states = end_states(OM, SQRT_SWAP, x, 2.0)
         assert int(states.count.sum()) == len(enumerate_paths(OM, SQRT_SWAP, x, 2.0))
         idx, ends = table.select(x, 2.0)
         assert ends == pytest.approx(x + table.shift[idx])
@@ -401,6 +402,15 @@ def test_path_table_serves_a_range_of_times(sign):
                 for (j, e, w), (jj, ee, ww) in zip(got, want):
                     assert j == jj and e == pytest.approx(ee, abs=1e-12)
                     assert w == pytest.approx(ww, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, 2.0, 3.0, 1.5, -0.5, 3.5, float("nan")])
+def test_end_states_start_outside_the_set(x):
+    # endpoints, gaps, the outside and nan are in no open interval
+    with pytest.raises(XNotInOmega):
+        end_states(OM, SQRT_SWAP, x, 0.5)
+    with pytest.raises(XNotInOmega):
+        end_states(OM, SQRT_SWAP, [0.5, x], [0.5, -0.5])
 
 
 def test_path_table_guard_before_states(monkeypatch):
