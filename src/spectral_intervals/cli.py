@@ -251,6 +251,7 @@ def cmd_verify(args) -> int:
             "states": lt.states,
             "state_bound": lt.state_bound,
             "cap": lt.cap,
+            "length_units": list(omega.length_classes.units),
             "seconds": lt.seconds,
         }
     checks = structure_suite(omega, b, check)
@@ -358,6 +359,7 @@ def cmd_paths(args) -> int:
         "ends": len(states.end),
         "state_bound": states.state_bound,
         "cap": states.cap,
+        "length_units": list(omega.length_classes.units),
         "seconds": seconds,
     }
     rows = [(end, s.real, s.imag) for end, s in sums.sums]

@@ -87,11 +87,11 @@ class IntervalUnion:
     def length_classes(self) -> Commensurability:
         """The commensurability classes of the interval lengths.
 
-        Two lengths share a class when their ratio is p/q with q <= 64 to
-        within 1e-12 times the scale of the endpoints (``tol() / 1000``):
-        far above the rounding of an endpoint, far below any tolerance an
-        end is compared with, so 1 : 1 + 5e-8 stays two classes.  Every
-        length is an integer multiple of the unit of its class.
+        ``commensurability`` with a tolerance of 1e-12 times the scale of
+        the endpoints (``tol() / 1000``): far above the rounding of an
+        endpoint, far below any tolerance an end is compared with, so
+        1 : 1 + 5e-8 stays two classes.  Every length is an integer
+        multiple of the unit of its class.
         """
         return commensurability(self.lengths, self.tol() / 1000)
 
@@ -124,37 +124,104 @@ class Commensurability:
 MAX_DENOMINATOR = 64
 
 
-def commensurability(values, tol: float):
+def commensurability(values, tol: float) -> Commensurability:
     """Group positive values into classes of integer multiples of one unit.
 
-    A value joins the first class whose first value v0 it equals as
-    (p/q)*v0 within ``tol``, with the smallest q <= ``MAX_DENOMINATOR``;
-    otherwise it opens a class.  A class's unit is v0 divided by the least
-    common multiple of its denominators, times the greatest common divisor
-    of the resulting multiples.
+    Every value starts as a class of its own, with itself as unit; values
+    within ``tol`` of each other start as one class.  Class b fits class a when unit b is (p/q) times unit a, with q at most
+    ``MAX_DENOMINATOR``, to within ``tol`` over the largest multiple of b,
+    so that every value of b stays within ``tol``.  Classes that fit in
+    either direction merge into one class with the finer unit (unit a / q).
+    Every value is still an integer multiple of that unit, so a class that
+    fit one of them fits the merged class too.  Each round tests all pairs
+    of classes at once and merges every connected set of fitting classes,
+    until none fits another.  So the partition does not depend on the order
+    of the values: (1, 1.01, 1.02) is one class of unit 0.01 although
+    1.01 / 1 = 101/100.  A merge whose unit would fall below
+    ``MAX_DENOMINATOR**2 * tol`` is refused: near that unit nearly every
+    value lies within ``tol`` of some (p/q) * unit, and the test no longer
+    tells commensurable values apart.  Classes are numbered in order of
+    their first value, and the multiples of one class are coprime.
     """
     qs = np.arange(1, MAX_DENOMINATOR + 1)
-    firsts: list[float] = []
-    members: list[list[tuple[int, int, int]]] = []  # (index, p, q) per class
-    for j, v in enumerate(values):
-        for c, v0 in enumerate(firsts):
-            p = np.rint(v * qs / v0)
-            fits = np.flatnonzero((p >= 1) & (np.abs(v * qs - p * v0) <= tol * qs))
-            if fits.size:
-                members[c].append((j, int(p[fits[0]]), int(fits[0]) + 1))
-                break
+    floor = MAX_DENOMINATOR ** 2 * tol
+    # one entry per class, in order of its first value: the indices of its
+    # values (the first one smallest), their multiples of the unit, the unit.
+    # A value within tol of the next smaller one fits it at p = q = 1, so the
+    # first round would merge them: they start in one class
+    values = [float(v) for v in values]
+    runs: list[list[int]] = []
+    for j in sorted(range(len(values)), key=values.__getitem__):
+        if runs and values[j] - values[runs[-1][-1]] <= tol:
+            runs[-1].append(j)
         else:
-            firsts.append(v)
-            members.append([(j, 1, 1)])
-    classes, multiples, units = [0] * len(values), [0] * len(values), []
-    for c, (v0, group) in enumerate(zip(firsts, members)):
-        den = math.lcm(*(q for _, _, q in group))
-        mults = [p * (den // q) for _, p, q in group]
-        common = math.gcd(*mults)
-        units.append(v0 * common / den)
-        for (j, _, _), m in zip(group, mults):
-            classes[j], multiples[j] = c, m // common
-    return Commensurability(tuple(classes), tuple(multiples), tuple(units))
+            runs.append([j])
+    classes = sorted(
+        ((sorted(run), [1] * len(run), values[min(run)]) for run in runs),
+        key=lambda cls: cls[0][0],
+    )
+    merged = True
+    while merged and len(classes) > 1:
+        u = np.array([unit for _, _, unit in classes])
+        slack = np.array([tol / max(ms) for _, ms, _ in classes])
+        # x[a, b, q - 1] = q * unit b / unit a: class b fits class a at q
+        # when x is within slack[b] * q / unit a of an integer p >= 1
+        x = np.multiply.outer(u / u[:, None], qs)
+        p = np.rint(x)
+        fit = (p >= 1) & (np.abs(x - p) <= np.multiply.outer(slack / u[:, None], qs))
+        fits = fit.any(axis=2)
+        np.fill_diagonal(fits, False)
+        a_idx, b_idx = np.nonzero(fits)
+        if not len(a_idx):
+            break
+        # links[a]: (b, num, den) with unit b = num/den * unit a, q smallest
+        q = fit[a_idx, b_idx].argmax(axis=1)
+        links = [[] for _ in classes]
+        for a, b, num, den in zip(
+            a_idx.tolist(), b_idx.tolist(), p[a_idx, b_idx, q].tolist(), (q + 1).tolist()
+        ):
+            links[a].append((b, int(num), den))
+            links[b].append((a, den, int(num)))
+        seen = [False] * len(classes)
+        merged, next_classes = False, []
+        for root in range(len(classes)):
+            if seen[root]:
+                continue
+            # unit c = num/den * unit root, over the classes linked to root
+            scale, frontier = {root: (1, 1)}, [root]
+            while frontier:
+                a = frontier.pop()
+                for b, num, den in links[a]:
+                    if b not in scale:
+                        num, den = num * scale[a][0], den * scale[a][1]
+                        common = math.gcd(num, den)
+                        scale[b] = (num // common, den // common)
+                        frontier.append(b)
+            group = sorted(scale)
+            for c in group:
+                seen[c] = True
+            if len(group) > 1:
+                den = math.lcm(*(d for _, d in scale.values()))
+                whole = []
+                for c in group:
+                    n, d = scale[c]
+                    whole += [m * n * (den // d) for m in classes[c][1]]
+                common = math.gcd(*whole)
+                unit = classes[root][2] * common / den
+                if unit >= floor:
+                    members = [j for c in group for j in classes[c][0]]
+                    next_classes.append((members, [m // common for m in whole], unit))
+                    merged = True
+                    continue
+            next_classes.extend(classes[c] for c in group)
+        classes = sorted(next_classes, key=lambda cls: cls[0][0])
+    labels, multiples = [0] * len(values), [0] * len(values)
+    for c, (members, ms, _) in enumerate(classes):
+        for j, m in zip(members, ms):
+            labels[j], multiples[j] = c, m
+    return Commensurability(
+        tuple(labels), tuple(multiples), tuple(unit for _, _, unit in classes)
+    )
 
 
 def new_interval_union(endpoints) -> IntervalUnion:

@@ -25,7 +25,6 @@ import heapq
 import math
 import os
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,6 +279,16 @@ class PathTable:
         rem = rem[idx]
         return idx, self.entry[idx] + rem if self.forward else self.entry[idx] - rem
 
+    def read(self, xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``select`` for a batch of start pairs (xs[k], ts[k]) with one
+        (pairs x rows) mask: the index k of each admissible state's pair,
+        its row index and its end point, in order of pair, then of row."""
+        exit_time = self.exit_edge - xs if self.forward else xs - self.exit_edge
+        rem = np.abs(ts)[:, None] - (exit_time[:, None] + self.cum)
+        k, idx = np.nonzero((rem >= 0) & (rem < self.length))
+        rem = rem[k, idx]
+        return k, idx, self.entry[idx] + rem if self.forward else self.entry[idx] - rem
+
 
 def path_table(omega: IntervalUnion, b, i: int, t: float, t_min: float | None = None) -> PathTable:
     """All end states of the admissible paths from interval i for time t.
@@ -383,35 +392,38 @@ def end_states(omega: IntervalUnion, b, xs, ts) -> EndStates:
 
     The pairs that start in the same interval with t of the same sign share
     one path table, built for the largest |t| among them and serving down
-    to the smallest (``path_table``'s ``t_min``).  The state guard checks
-    every table, once, before any is built.  Raises XNotInOmega when a start
-    point is not in an open interval of the set.
+    to the smallest (``path_table``'s ``t_min``), and read with one mask
+    (``PathTable.read``).  The predicted state count grows with |t| alone,
+    so the state guard checks the largest |t| of the batch, once, before
+    any table is built.  Raises XNotInOmega when a start point is not in an
+    open interval of the set.
     """
     xs, ts = np.array(xs, dtype=float, ndmin=1), np.array(ts, dtype=float, ndmin=1)
-    groups: dict[tuple[int, bool], list[int]] = defaultdict(list)
-    for k, (x, t) in enumerate(zip(xs.tolist(), ts.tolist())):
-        i = omega.index_of(x)
-        if i is None:
-            raise XNotInOmega(f"x={x} is not in an open interval of the set")
-        groups[(i, t >= 0)].append(k)
-    # per table: t of the largest |t|, the smallest |t| and the guard's
-    # predicted states and cap
-    spans = []
-    for times in (ts[members] for members in groups.values()):
-        t_max = float(times[np.argmax(np.abs(times))])
-        spans.append((t_max, float(np.min(np.abs(times))), *check_state_guard(omega, t_max)))
-    rows: list = [None] * len(xs)
+    lefts, rights = np.array(omega.lefts), np.array(omega.rights)
+    # the last interval starting at or before x (the first one for an x left
+    # of the set); x is in it iff it lies strictly between its endpoints
+    start = np.clip(np.searchsorted(lefts, xs, side="right") - 1, 0, None)
+    outside = np.flatnonzero(~((lefts[start] < xs) & (xs < rights[start])))
+    if outside.size:
+        raise XNotInOmega(f"x={float(xs[outside[0]])} is not in an open interval of the set")
+    bound, cap = check_state_guard(omega, float(ts[np.argmax(np.abs(ts))]))
+    # one table per (start interval, sign of t), read for all its pairs
+    keys = 2 * start + (ts >= 0)
+    reads = []
     states = 0
-    for ((i, _), members), (t_max, t_min, _, _) in zip(groups.items(), spans):
-        table = _build_table(omega, b, i, t_max, t_min)
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
+        members = np.flatnonzero(keys == key)
+        times = ts[members]
+        big = np.abs(times)
+        table = _build_table(omega, b, key // 2, float(times[np.argmax(big)]), float(big.min()))
         states += table.states
-        for k in members:
-            idx, end = table.select(xs[k], ts[k])
-            pair = np.full(len(idx), k)
-            rows[k] = (pair, table.final[idx], end, table.weight[idx], table.count[idx])
-    columns = (np.concatenate(column) for column in zip(*rows))
-    bound = max(span[2] for span in spans)
-    return EndStates(*columns, len(groups), states, bound, spans[0][3])
+        k, idx, end = table.read(xs[members], times)
+        reads.append((members[k], table.final[idx], end, table.weight[idx], table.count[idx]))
+    pair, *columns = (np.concatenate(column) for column in zip(*reads))
+    order = np.argsort(pair, kind="stable")
+    return EndStates(
+        pair[order], *(column[order] for column in columns), len(reads), states, bound, cap
+    )
 
 
 @dataclass

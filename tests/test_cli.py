@@ -445,3 +445,24 @@ def test_deep_gap_decomposition_in_verify(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     gap = next(c for c in rep["structure"] if c["name"] == "gap_lengths")
     assert gap["status"] == "pass"
+
+
+def test_length_units_in_the_reports(tmp_path, capsys):
+    # pieces of [0, 3.03) of lengths 1, 1.01 and 1.02, moved by multiples of
+    # 3.03 and cycled by B: one length class of unit 0.01
+    path = tmp_path / "tiling.json"
+    cycle = [[[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]]]
+    intervals = [[0, 1], [4.03, 5.04], [8.07, 9.09]]
+    path.write_text(json.dumps({"intervals": intervals, "matrix": cycle, "window": [-2, 2]}))
+    code, rep = run_json(capsys, ["verify", str(path), "--trials", "40", "--seed", "1"])
+    assert code == 0
+    assert rep["local_translation"]["passed"]
+    assert rep["local_translation"]["length_units"] == pytest.approx([0.01], rel=1e-12)
+    code, rep = run_json(capsys, ["paths", str(path), "--x", "0.5", "--t", "7.9"])
+    assert code == 0
+    assert rep["identities"]["passed"]
+    assert rep["stats"]["length_units"] == pytest.approx([0.01], rel=1e-12)
+    readme = tmp_path / "pair.json"
+    readme.write_text(json.dumps(PAIR))
+    code, rep = run_json(capsys, ["paths", str(readme), "--x", "0.5", "--t", "2.0"])
+    assert rep["stats"]["length_units"] == [1.0]

@@ -174,6 +174,10 @@ def test_reflect_preserves_measure_and_gaps(om):
         ((1.0, 1.02), (0, 0), (50, 51), (0.02,)),
         # 66/65 needs a denominator above 64
         ((1.0, 66 / 65), (0, 1), (1, 1), (1.0, 66 / 65)),
+        # 1.01 / 1 = 101/100, but 1.01 is 101/2 units 0.02 of (1, 1.02)
+        ((1.0, 1.01, 1.02), (0, 0, 0), (100, 101, 102), (0.01,)),
+        # 1 / 65 needs q = 65, but 65 = 65/1 * 1: order does not matter
+        ((65.0, 1.0, 64.0), (0, 0, 0), (65, 1, 64), (1.0,)),
     ],
 )
 def test_commensurability(values, classes, multiples, units):
@@ -193,3 +197,53 @@ def test_length_classes_scale_with_the_endpoints():
     om = new_interval_union([(0.1, 1.1), (2.3, 3.3), (4.7, 6.7)])
     assert om.length_classes.classes == (0, 0, 0)
     assert om.length_classes.multiples == (1, 1, 2)
+
+
+def _partition(got, order):
+    """The classes of ``got`` on the values permuted by ``order``, as sets
+    of original indices mapped to (multiple per index, unit)."""
+    classes = {}
+    for k, j in enumerate(order):
+        classes.setdefault(got.classes[k], {})[j] = got.multiples[k]
+    return {
+        frozenset(members): (members, got.units[c]) for c, members in classes.items()
+    }
+
+
+@given(
+    st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, 130)), min_size=1, max_size=8
+    ),
+    st.lists(st.floats(0.05, 3.0), max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_commensurability_does_not_depend_on_order(bases, picks, loose, rnd):
+    # integer multiples of a few bases, whose ratios need denominators up to
+    # 130, so that classes link through third values, and a few free values
+    values = [m * bases[b % len(bases)] for b, m in picks] + loose
+    order = list(range(len(values)))
+    rnd.shuffle(order)
+    want = _partition(commensurability(values, 1e-12), range(len(values)))
+    got = _partition(commensurability([values[j] for j in order], 1e-12), order)
+    assert got.keys() == want.keys()
+    for key, (multiples, unit) in got.items():
+        assert multiples == want[key][0]
+        assert unit == pytest.approx(want[key][1], rel=1e-14)
+
+
+def test_commensurability_unit_stays_above_the_fit_resolution():
+    # each value is 1 + 1/(61*59*...): it fits the unit of the ones before
+    # it with q <= 61, so the unit shrinks by up to 61 per merge; near
+    # unit / 64^2 = tol every value fits some p/q, so the last merge, to a
+    # unit of about 2.6e-9, is refused
+    tol, den, values = 1e-12, 1, [1.0]
+    for q in (61, 59, 53, 47, 43):
+        den *= q
+        values.append(1 + 1 / den)
+    got = commensurability(values, tol)
+    assert got.classes == (0, 0, 0, 0, 0, 1)
+    assert got.units[0] == pytest.approx(1 / (61 * 59 * 53 * 47), rel=1e-9)
+    assert min(got.units) >= 64 ** 2 * tol
+    # without the last value, the same first class
+    assert commensurability(values[:5], tol).units == got.units[:1]

@@ -1,9 +1,12 @@
 """Path enumeration and the weight-sum identities."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
+import spectral_intervals.paths as paths_module
 from spectral_intervals.errors import (
     GuardExceeded,
     PreconditionViolated,
@@ -11,7 +14,7 @@ from spectral_intervals.errors import (
     XNotInOmega,
     XPlusTNotInOmega,
 )
-from spectral_intervals.intervals import new_interval_union
+from spectral_intervals.intervals import MAX_DENOMINATOR, Commensurability, new_interval_union
 from spectral_intervals.paths import (
     MAX_PATHS_ENV,
     _cluster,
@@ -99,25 +102,85 @@ def test_predicted_count_and_guard(monkeypatch):
     assert path_table(OM, SQRT_SWAP, 0, 3.0).states <= 8
 
 
-@settings(deadline=None, max_examples=200)
-@given(
+#: draws of the state-guard properties: 2-6 lengths, free or small integer
+#: multiples of the first, and a time
+GUARD_DRAWS = (
     st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
     st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=6, max_size=6),
     st.booleans(),
     st.floats(-40.0, 40.0),
 )
-def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, commensurable, t):
-    # so no table that passes the path guard trips the state guard
+
+
+def _guard_set(lengths, ratios, commensurable):
     if commensurable:
         lengths = [lengths[0] * r for r in ratios[: len(lengths)]]
     eps, pos = [], 0.0
     for length in lengths:
         eps.append((pos, pos + length))
         pos += length + 0.5
-    om = new_interval_union(eps)
+    return new_interval_union(eps)
+
+
+@settings(deadline=None, max_examples=200)
+@given(*GUARD_DRAWS)
+def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, commensurable, t):
+    # so no table that passes the path guard trips the state guard
+    om = _guard_set(lengths, ratios, commensurable)
     assert predicted_state_count(om, t) <= predicted_path_count(om, t)
     if predicted_path_count(om, t) <= path_cap():
         check_state_guard(om, t)
+
+
+def _first_value_classes(values, tol):
+    """The earlier commensurability rule, kept as an oracle: a value joins
+    the first class whose first value v0 it equals as (p/q) * v0 within tol,
+    with the smallest q <= 64, else it opens a class; the unit is v0 over
+    the lcm of the denominators, times the gcd of the multiples."""
+    qs = np.arange(1, MAX_DENOMINATOR + 1)
+    firsts, members = [], []
+    for j, v in enumerate(values):
+        for c, v0 in enumerate(firsts):
+            p = np.rint(v * qs / v0)
+            fits = np.flatnonzero((p >= 1) & (np.abs(v * qs - p * v0) <= tol * qs))
+            if fits.size:
+                members[c].append((j, int(p[fits[0]]), int(fits[0]) + 1))
+                break
+        else:
+            firsts.append(v)
+            members.append([(j, 1, 1)])
+    classes, multiples, units = [0] * len(values), [0] * len(values), []
+    for c, (v0, group) in enumerate(zip(firsts, members)):
+        den = math.lcm(*(q for _, _, q in group))
+        mults = [p * (den // q) for _, p, q in group]
+        common = math.gcd(*mults)
+        units.append(v0 * common / den)
+        for (j, _, _), m in zip(group, mults):
+            classes[j], multiples[j] = c, m // common
+    return Commensurability(tuple(classes), tuple(multiples), tuple(units))
+
+
+@settings(deadline=None, max_examples=200)
+@given(*GUARD_DRAWS)
+def test_unit_keyed_classes_trip_no_guard_the_first_value_rule_passed(
+    lengths, ratios, commensurable, t
+):
+    om = _guard_set(lengths, ratios, commensurable)
+    oracle = _guard_set(lengths, ratios, commensurable)
+    oracle.__dict__["length_classes"] = _first_value_classes(oracle.lengths, oracle.tol() / 1000)
+    try:
+        check_state_guard(oracle, t)
+    except GuardExceeded:
+        return
+    check_state_guard(om, t)
+
+
+def test_first_value_oracle_splits_the_tiling_lengths():
+    # the oracle is the earlier rule: 1.01 / 1 = 101/100 opens a second class
+    assert _first_value_classes((1.0, 1.01, 1.02), 1e-12).classes == (0, 1, 0)
+    assert _first_value_classes((65.0, 1.0, 64.0), 1e-12).classes == (0, 1, 1)
+    om = new_interval_union([(0, 1), (4.03, 5.04), (8.07, 9.09)])
+    assert len(om.length_classes.units) == 1
 
 
 def test_state_guard_keeps_path_counts_in_int64(monkeypatch):
@@ -411,6 +474,34 @@ def test_end_states_start_outside_the_set(x):
         end_states(OM, SQRT_SWAP, x, 0.5)
     with pytest.raises(XNotInOmega):
         end_states(OM, SQRT_SWAP, [0.5, x], [0.5, -0.5])
+
+
+def test_end_states_start_on_a_shared_endpoint():
+    # 1.0 ends one interval and starts the next: in neither open interval
+    om = new_interval_union([(0, 1), (1, 2)])
+    with pytest.raises(XNotInOmega, match="x=1.0 "):
+        end_states(om, SQRT_SWAP, [0.5, 1.0, 1.5], [0.2, 0.2, 0.2])
+    assert end_states(om, SQRT_SWAP, [0.5, 1.5], [0.2, -0.2]).pair.tolist() == [0, 1]
+
+
+def test_end_states_checks_the_guard_once(monkeypatch):
+    # four tables (two start intervals, both signs), one guard check at the
+    # largest |t| of the batch, whose bound and cap the states report
+    calls = []
+
+    def check(omega, t):
+        calls.append(t)
+        return check_state_guard(omega, t)
+
+    monkeypatch.setattr(paths_module, "check_state_guard", check)
+    xs, ts = [0.5, 2.5, 0.2, 2.8, 0.9], [1.5, -0.4, -2.7, 0.3, 2.0]
+    states = end_states(OM, SQRT_SWAP, xs, ts)
+    assert calls == [-2.7]
+    assert states.tables == 4
+    assert (states.state_bound, states.cap) == check_state_guard(OM, -2.7)
+    monkeypatch.setenv(MAX_PATHS_ENV, str(predicted_state_count(OM, 2.7) - 1))
+    with pytest.raises(GuardExceeded, match="t=-2.7"):
+        end_states(OM, SQRT_SWAP, xs, ts)
 
 
 def test_path_table_guard_before_states(monkeypatch):
