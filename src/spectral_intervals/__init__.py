@@ -36,7 +36,6 @@ from .boundary import (
     is_unitary,
     matrix_from_spectrum,
     permutation_matrix,
-    rational_order_check,
     reflected_boundary_matrix,
     require_unitary,
 )
@@ -54,7 +53,6 @@ from .evolution import (
     PiecewiseExpPoly,
     apply_U_paths,
     apply_U_spectral,
-    boundary_condition_check,
     eigenfunction,
     evolve_point,
     inner_product,

@@ -232,14 +232,6 @@ def forelli_weight_check(
     return all(phase_law(structure, omega, theta0, tol, tol))
 
 
-def rational_order_check(b, d: int, n: int) -> bool:
-    """Whether B^(d*n) = I, the consequence of a rational spectrum of common
-    denominator d on an equal-length set of measure 1 with n intervals."""
-    b = np.asarray(b, dtype=complex)
-    bp = np.linalg.matrix_power(b, d * n)
-    return np.max(np.abs(bp - np.eye(b.shape[0]))) < 1e-7
-
-
 def reflected_boundary_matrix(b) -> np.ndarray:
     """Boundary matrix of the reflected set -omega in sorted index order.
 

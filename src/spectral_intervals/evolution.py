@@ -323,13 +323,6 @@ def norm(omega: IntervalUnion, f: PiecewiseExpPoly) -> float:
 # -- evolution ---------------------------------------------------------------
 
 
-def boundary_condition_check(b, f: PiecewiseExpPoly, tol: float = 1e-8) -> bool:
-    """Whether f satisfies the domain condition B f(a_vec) = f(b_vec)."""
-    b = np.asarray(b, dtype=complex)
-    f_alpha, f_beta = f.boundary_values()
-    return bool(np.linalg.norm(b @ f_alpha - f_beta) < tol)
-
-
 @dataclass
 class EvolutionResult:
     """U(t)f as a piecewise exp-poly with the sub-breakpoints used.

@@ -4,9 +4,11 @@ A real lambda belongs to the spectrum iff 1 is an eigenvalue of the unitary
 transfer matrix M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec); the
 eigenspace is spanned by the null vectors of I - M(lambda).  The general
 solver counts the roots of every grid cell from the eigenphases of M at its
-ends (det M(lambda) = det B e^{-2 pi i lambda L}) and locates them with
-stacked eigendecompositions, all open cells at once; the equal-length
-shortcut reads the spectrum off the eigenphases of B.
+ends (det M(lambda) = det B e^{-2 pi i lambda L}), halves the cells with
+stacked eigendecompositions until each root has a bracket, and solves the
+brackets of simple roots on the real determinant g(lambda) (``_real_det``),
+one stacked LU per step, all open cells at once; the equal-length shortcut
+reads the spectrum off the eigenphases of B.
 """
 from __future__ import annotations
 
@@ -58,8 +60,9 @@ def eigenvalue_distance(omega: IntervalUnion, b, lam: float) -> float:
 
 
 def _phase_data(omega: IntervalUnion, b, lams: np.ndarray):
-    """For each lambda, the sum of the eigenphases of M(lambda) in [0, 2pi)
-    and the signed angle of its eigenvalue closest to 1.
+    """For each lambda, the sum of the eigenphases of M(lambda) in [0, 2pi),
+    the signed angle of its eigenvalue closest to 1, and g(lambda) (see
+    ``_real_det``) from the same eigenvalues, det(I - M) = prod(1 - mu).
 
     Every eigenphase of M is strictly decreasing in lambda (each interval
     has positive length), so the nearest angle falls through zero at
@@ -68,12 +71,36 @@ def _phase_data(omega: IntervalUnion, b, lams: np.ndarray):
     """
     sums = np.empty(len(lams))
     nearest = np.empty(len(lams))
+    dets = np.empty(len(lams), dtype=complex)
     for s in range(0, len(lams), CHUNK):
-        ang = np.angle(np.linalg.eigvals(transfer_matrix(omega, b, lams[s:s + CHUNK])))
+        mu = np.linalg.eigvals(transfer_matrix(omega, b, lams[s:s + CHUNK]))
+        ang = np.angle(mu)
         sums[s:s + CHUNK] = np.mod(ang, 2 * np.pi).sum(axis=1)
         pick = np.argmin(np.abs(ang), axis=1)[:, None]
         nearest[s:s + CHUNK] = np.take_along_axis(ang, pick, axis=1)[:, 0]
-    return sums, nearest
+        dets[s:s + CHUNK] = np.prod(1.0 - mu, axis=1)
+    return sums, nearest, _real_det(omega, b, lams, dets)
+
+
+def _real_det(omega: IntervalUnion, b, lams: np.ndarray, dets=None) -> np.ndarray:
+    """g(lambda) = Re[i^n det(I - M(lambda)) e^{-i(arg det B - 2 pi lambda L)/2}],
+    from the determinants ``dets`` if given, else by one stacked LU per
+    CHUNK lambdas.
+
+    With eigenphases theta_k of M, det(I - M) = (-2i)^n e^{i sum theta_k/2}
+    prod sin(theta_k/2), and e^{i sum theta_k/2} is the twist's inverse up to
+    one sign for all lambda (det M = det B e^{-2 pi i lambda L}), so
+    g = +-2^n prod sin(theta_k/2): real and analytic, zero exactly on the
+    spectrum, with a sign change at every root of odd multiplicity.
+    """
+    if dets is None:
+        dets = np.empty(len(lams), dtype=complex)
+        eye = np.eye(omega.n)
+        for s in range(0, len(lams), CHUNK):
+            dets[s:s + CHUNK] = np.linalg.det(eye - transfer_matrix(omega, b, lams[s:s + CHUNK]))
+    # the twist, in turns for cis
+    turns = omega.n / 4 + lams * omega.measure / 2 - np.angle(np.linalg.det(b)) / (4 * np.pi)
+    return (dets * cis(turns)).real
 
 
 def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
@@ -96,56 +123,84 @@ def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
     return counts.astype(int)
 
 
-def _locate(omega: IntervalUnion, b, grid, sums, nearest, counts, stats) -> np.ndarray:
+def _locate(omega: IntervalUnion, b, grid, sums, nearest, g, counts, stats) -> np.ndarray:
     """The roots in the grid cells, sorted, one per root of any multiplicity.
 
-    Level by level, over all open cells at once: a cell whose nearest angle
-    falls through zero across it (>= 0 at its left end, < 0 at its right)
-    brackets its root if it holds one root, or if it is at the floor width,
-    where its roots are one root of that multiplicity; any other floor cell
-    yields its midpoint; every other cell is halved, the midpoints of all
-    of them in one ``_phase_data`` call, and each half is counted again.
-    The brackets are solved together at the end.
+    Level by level, over all open cells at once: a cell that holds one root
+    brackets it for g if g strictly changes sign across it.  A cell that g
+    does not bracket is a bracket of the nearest angle if the angle falls
+    through zero across it (>= 0 at its left end, < 0 at its right) and it
+    holds one root, or it is at the floor width, where its roots are one
+    root of that multiplicity; any other floor cell yields its midpoint.
+    Every other cell is halved, the midpoints of all of them in one
+    ``_phase_data`` call, and each half is counted again.  The brackets are
+    solved together at the end, each kind on its own function, from the
+    secant of the nearest angle where it falls through zero across the
+    bracket.
     """
     k = np.flatnonzero(counts)
-    cells = [grid[k], grid[k + 1], sums[k], sums[k + 1], nearest[k], nearest[k + 1], counts[k]]
-    brackets, roots = [np.empty((4, 0))], [np.empty(0)]
+    cells = [grid[k], grid[k + 1], sums[k], sums[k + 1], nearest[k], nearest[k + 1],
+             g[k], g[k + 1], counts[k]]
+    simple, angles, roots = [np.empty((5, 0))], [np.empty((5, 0))], [np.empty(0)]
     while len(cells[0]):
-        a, c, sa, sc, ga, gc, count = cells
+        a, c, sa, sc, na, nc, ga, gc, count = cells
         mid = 0.5 * (a + c)
         floor = c - a < MIN_CELL * np.maximum(1.0, np.abs(mid))
+        # a zero of g at an end may be the root of the neighbouring cell: the
+        # phase sums count a root on an edge on one side only
+        one = (count == 1) & (np.sign(ga) * np.sign(gc) < 0)
         # an end where the angle is exactly 0 is a root of the cell it starts:
         # the phase sums take angles in [0, 2pi)
-        solve = ((count == 1) | floor) & (ga >= 0) & (gc < 0)
-        brackets.append(np.stack([a, c, ga, gc])[:, solve])
+        falls = (na >= 0) & (nc < 0)
+        angle = ~one & ((count == 1) | floor) & falls
+        # first trial points: the secant of the nearest angle where it falls
+        # through zero across the cell (the root itself where the eigenphases
+        # are linear in lambda, as for a weighted permutation), else of g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xa = a + (c - a) * (na / (na - nc))
+            xg = np.where(falls, xa, a + (c - a) * (ga / (ga - gc)))
+        simple.append(np.stack([a, c, ga, gc, xg])[:, one])
+        angles.append(np.stack([a, c, na, nc, xa])[:, angle])
+        solve = one | angle
         roots.append(mid[floor & ~solve])
         split = ~(solve | floor)
-        a, c, mid, sa, sc, ga, gc = (x[split] for x in (a, c, mid, sa, sc, ga, gc))
+        a, c, mid, sa, sc, na, nc, ga, gc = (
+            x[split] for x in (a, c, mid, sa, sc, na, nc, ga, gc)
+        )
         if not len(mid):
             break
-        smid, gmid = _phase_data(omega, b, mid)
+        smid, nmid, gmid = _phase_data(omega, b, mid)
         stats["levels"] += 1
         stats["bisected_cells"] += len(mid)
         stats["eig_rows"] += len(mid)
         halves = _cell_counts(
             omega, np.stack([a, mid, c], axis=1), np.stack([sa, smid, sc], axis=1)
         )
-        pairs = ((a, mid), (mid, c), (sa, smid), (smid, sc), (ga, gmid), (gmid, gc), halves.T)
+        pairs = ((a, mid), (mid, c), (sa, smid), (smid, sc), (na, nmid), (nmid, nc),
+                 (ga, gmid), (gmid, gc), halves.T)
         cells = [np.concatenate(pair) for pair in pairs]
         cells = [x[cells[-1] > 0] for x in cells]
-    roots.append(_solve_brackets(omega, b, *np.concatenate(brackets, axis=1), stats))
+    roots.append(_solve_brackets(
+        lambda x: _real_det(omega, b, x), "lu_rows", *np.concatenate(simple, axis=1), stats
+    ))
+    roots.append(_solve_brackets(
+        lambda x: _phase_data(omega, b, x)[1], "eig_rows", *np.concatenate(angles, axis=1), stats
+    ))
     return np.sort(np.concatenate(roots))
 
 
-def _solve_brackets(omega: IntervalUnion, b, a, c, fa, fc, stats) -> np.ndarray:
-    """The root of the nearest angle in each bracket [a, c] with fa >= 0 > fc.
+def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
+    """A root of ``fn`` in each bracket [a, c], where fa and fc have strictly
+    opposite signs or fa == 0, from the first trial points ``x``.
 
-    Illinois false position over all brackets at once, one stacked
-    ``_phase_data`` call per iteration; a bracket that has not halved in
-    STALL steps is bisected.  Every step keeps a >= 0 -> < 0 sign change, and
-    the angle jumps only upwards, so the sign change kept is the root.  A
-    bracket whose left angle is exactly 0 has its root there; one at most
-    2*TOL_ROOT wide, or with no float inside, has it at its midpoint.
+    Illinois false position over all brackets at once, one ``fn`` call on
+    the stacked trial points per iteration (counted in ``stats[rows]``); a
+    bracket that has not halved in STALL steps is bisected.  Every step
+    keeps a sign change of ``fn``: for g, which is continuous, a root;
+    for the nearest angle, which jumps only upwards, the sign change
+    >= 0 -> < 0 kept is a root too.  A bracket with fa == 0 has its root at
+    a; one at most 2*TOL_ROOT wide, or with no float inside, has it at its
+    midpoint.
     """
     roots = np.empty(len(a))
     idx = np.arange(len(a))
@@ -160,17 +215,17 @@ def _solve_brackets(omega: IntervalUnion, b, a, c, fa, fc, stats) -> np.ndarray:
         roots[idx[done]] = np.where(fa == 0, a, mid)[done]
         if done.all():
             return roots
-        a, c, fa, fc, mid, moved, ref, stall, idx = (
-            x[~done] for x in (a, c, fa, fc, mid, moved, ref, stall, idx)
+        a, c, fa, fc, x, mid, moved, ref, stall, idx = (
+            v[~done] for v in (a, c, fa, fc, x, mid, moved, ref, stall, idx)
         )
         # a step lands at least TOL_ROOT inside the bracket: once one end
         # is at the root, the next step crosses it and closes the bracket
-        x = np.clip(a + (c - a) * (fa / (fa - fc)), a + TOL_ROOT, c - TOL_ROOT)
+        x = np.clip(x, a + TOL_ROOT, c - TOL_ROOT)
         x = np.where((stall >= STALL) | (x <= a) | (x >= c), mid, x)
-        _, fx = _phase_data(omega, b, x)
+        fx = fn(x)
         stats["bracket_iterations"] += 1
-        stats["eig_rows"] += len(x)
-        left = fx >= 0
+        stats[rows] += len(x)
+        left = (fx == 0) | ((fx > 0) == (fa > 0))
         # Illinois: the value at an end kept twice in a row is halved
         fa = np.where(~left & (moved == -1), 0.5 * fa, fa)
         fc = np.where(left & (moved == 1), 0.5 * fc, fc)
@@ -180,6 +235,7 @@ def _solve_brackets(omega: IntervalUnion, b, a, c, fa, fc, stats) -> np.ndarray:
         halved = c - a <= 0.5 * ref
         ref = np.where(halved, c - a, ref)
         stall = np.where(halved, 0, stall + 1)
+        x = a + (c - a) * (fa / (fa - fc))
 
 
 def _eigenspaces(omega: IntervalUnion, b, lams):
@@ -251,7 +307,8 @@ class SpectrumReport:
     root_count is the number of spectrum points in the window counted with
     multiplicity; every report has sum(dims) == root_count.  stats says how
     the report was produced: grid_points, levels (stacked bisection levels),
-    bisected_cells, bracket_iterations, eig_rows (matrices decomposed) and
+    bisected_cells, bracket_iterations, eig_rows (matrices decomposed by
+    eigvals or SVD), lu_rows (matrices passed to stacked determinants) and
     seconds per stage (grid, locate, eigenspaces).
     """
 
@@ -279,6 +336,7 @@ def _stats(grid_points: int, eig_rows: int) -> dict:
         "bisected_cells": 0,
         "bracket_iterations": 0,
         "eig_rows": eig_rows,
+        "lu_rows": 0,
     }
 
 
@@ -309,11 +367,11 @@ def compute_spectrum(
             f"grid step {grid_step} gives {points} grid points, over the bound {MAX_GRID}"
         )
     grid = np.linspace(*edges, points)
-    sums, nearest = _phase_data(omega, b, grid)
+    sums, nearest, g = _phase_data(omega, b, grid)
     counts = _cell_counts(omega, grid, sums)
     stats = _stats(len(grid), eig_rows=len(grid))
     t1 = time.perf_counter()
-    roots = _locate(omega, b, grid, sums, nearest, counts, stats)
+    roots = _locate(omega, b, grid, sums, nearest, g, counts, stats)
     # rounding can count the eigenvalues of a multiple root on both sides of
     # a cell edge: roots closer than the bisection floor are one root
     eigenvalues: list[float] = []

@@ -15,7 +15,6 @@ from spectral_intervals.boundary import (
     matrix_from_spectrum,
     permutation_matrix,
     phase_law,
-    rational_order_check,
     reflected_boundary_matrix,
     require_unitary,
 )
@@ -27,6 +26,8 @@ from spectral_intervals.errors import (
 )
 from spectral_intervals.intervals import move_interval, new_interval_union
 from spectral_intervals.spectrum import compute_spectrum, equal_length_spectrum
+
+from oracles import rational_order_check
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 

@@ -399,6 +399,8 @@ def test_spectrum_stats(tmp_path, capsys, command):
     assert stats["grid_points"] >= 2 and stats["bracket_iterations"] >= 1
     decomposed = stats["grid_points"] + stats["bisected_cells"] + len(rep["eigenvalues"])
     assert stats["eig_rows"] >= decomposed
+    # the simple roots are solved on the real determinant, by stacked LU
+    assert stats["lu_rows"] >= 1
     assert set(stats["seconds"]) == {"grid", "locate", "eigenspaces"}
 
 
@@ -410,6 +412,7 @@ def test_equal_length_spectrum_stats(problem, capsys):
     stats = rep["spectrum_stats"]
     assert (stats["grid_points"], stats["levels"], stats["bracket_iterations"]) == (0, 0, 0)
     assert stats["eig_rows"] == 1
+    assert stats["lu_rows"] == 0
 
 
 def test_verify_trial_stage_seconds(problem, capsys):

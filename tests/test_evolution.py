@@ -12,7 +12,6 @@ from spectral_intervals.evolution import (
     _poly_exp_integral,
     apply_U_paths,
     apply_U_spectral,
-    boundary_condition_check,
     eigenfunction,
     evolve_point,
     inner_product,
@@ -27,6 +26,8 @@ from spectral_intervals.evolution import (
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import MAX_PATHS_ENV, enumerate_paths
 from spectral_intervals.spectrum import compute_spectrum
+
+from oracles import boundary_condition_check
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 OM = new_interval_union([(0, 1), (2, 3)])

@@ -326,6 +326,52 @@ def test_roots_match_brentq_on_the_nearest_angle(seed):
         assert abs(lam - ref) < 1e-12
 
 
+def test_a_zero_of_g_on_a_grid_point_is_not_taken_for_the_next_root(pair):
+    # at grid step 1/4 the roots k and k + 1/4 of the README pair fall on
+    # grid points (to the floor); g vanishes at the one on 0, whose count
+    # belongs to the cell left of it, while the cell right of it holds 1/4
+    om, b = pair
+    rep = compute_spectrum(om, b, window=(-12, 12), grid_step=0.25)
+    assert len(rep.eigenvalues) == rep.root_count == 49
+    frac = np.mod(np.array(rep.eigenvalues), 1.0)
+    assert np.all(np.min(np.abs(frac[:, None] - np.array([0.0, 0.25, 1.0])), axis=1) < 1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_clustered_roots_of_the_identity(delta):
+    # B = I on lengths 1 and 1 + delta: the roots k and k/(1 + delta) are
+    # at most 10*delta apart in the default window, and 0 is a double root
+    om = new_interval_union([(0, 1), (2, 3 + delta)])
+    rep = compute_spectrum(om, np.eye(2))
+    want = sorted({float(k) for k in range(-10, 11)} | {k / (1 + delta) for k in range(-10, 11)})
+    assert rep.dims == [2 if x == 0 else 1 for x in want]
+    assert np.max(np.abs(np.array(rep.eigenvalues) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(40, 50))
+def test_real_determinant_changes_sign_at_simple_roots(seed):
+    om, b, window = _haar_problem(seed)
+    n, big = om.n, 2.0**om.n
+    lams = np.linspace(*window, 101)
+    mats = transfer_matrix(om, b, lams)
+    # i^n det(I - M) e^{-i(arg det B - 2 pi lambda L)/2} is real ...
+    twist = np.exp(-0.5j * (np.angle(np.linalg.det(b)) - 2 * np.pi * lams * om.measure))
+    z = 1j**n * np.linalg.det(np.eye(n) - mats) * twist
+    assert np.max(np.abs(z.imag)) < 1e-12 * big
+    g = spectrum._real_det(om, b, lams)
+    assert np.max(np.abs(g - z.real)) < 1e-12 * big
+    # ... and 2^n times the product of sin(theta/2) over the eigenphases, up
+    # to a sign (the principal angles flip it where an eigenvalue passes -1)
+    sines = big * np.prod(np.sin(np.angle(np.linalg.eigvals(mats)) / 2), axis=1)
+    assert np.max(np.abs(np.abs(g) - np.abs(sines))) < 1e-12 * big
+    rep = compute_spectrum(om, b, window=window)
+    simple = [lam for lam, d in zip(rep.eigenvalues, rep.dims) if d == 1]
+    assert simple
+    for lam in simple:
+        lo, hi = spectrum._real_det(om, b, np.array([lam - 1e-7, lam + 1e-7]))
+        assert lo * hi < 0
+
+
 def _projector(basis):
     v = np.array(basis)
     return v.T @ v.conj()
