@@ -89,7 +89,6 @@ from .paths import (
     enumerate_paths,
     local_translation_identities,
     path_sum_by_end,
-    path_table,
     predicted_path_count,
     predicted_state_count,
 )
@@ -99,9 +98,7 @@ from .spectrum import (
     compute_spectrum,
     default_grid_step,
     default_window,
-    eigenvalue_distance,
     equal_length_spectrum,
-    nullspace_at,
     spectral_matrix_check,
     transfer_matrix,
 )

@@ -3,15 +3,23 @@
 U(t) moves every admissible-path contribution by a pure shift, so on the
 class of functions that are finite sums of p(x)*e^{2*pi*i*lambda*x} per
 interval the evolution is closed algebra: the result is again such a
-function, on a refinement of the intervals.  The spectral (eigenbasis)
-evolution serves as an independent functional-calculus oracle.
+function, on a refinement of the intervals.  ``apply_U_paths`` computes it
+on arrays: one path table per interval, read at the midpoints of all its
+sub-pieces at once, then one batched shift, scaling and merge of the atoms
+of f for every sub-piece.  A function keeps an array view of its pieces
+(``_PieceArrays``), so ``evaluate`` is one search over the piece starts and
+one vectorised sum over the atoms (``_atom_values``, the evaluator of the
+local-translation trials too).  The spectral (eigenbasis) evolution serves
+as an independent functional-calculus oracle.
 """
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +49,19 @@ def shift_poly(coeffs, delta: float):
             binom = binom * k / (m - k + 1)
             power *= delta
     return tuple(out)
+
+
+def shift_polys(coeffs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """``shift_poly`` for a batch: row r of the result holds the coefficients
+    of p_r(x + deltas[r]), p_r given by row r of ``coeffs`` (ascending,
+    zero-padded to a common length).  Repeated synthetic division by
+    x - delta, one vector step per pair of degrees."""
+    out = np.array(coeffs, dtype=complex).T
+    size = len(out)
+    for k in range(size - 1):
+        for j in range(size - 2, k - 1, -1):
+            out[j] += deltas * out[j + 1]
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,67 @@ class Piece:
         for atom in self.atoms:
             acc = acc + atom(xs)
         return acc
+
+
+def _atom_values(freq: np.ndarray, coeffs: np.ndarray, xs) -> np.ndarray:
+    """Sum over the atom axis of p(x) * e^{2*pi*i*freq*x}.
+
+    ``freq`` is (..., atoms), ``coeffs`` (..., atoms, degree + 1) and ``xs``
+    broadcasts against the leading axes ``...``.
+    """
+    xs = np.asarray(xs, dtype=float)[..., None]
+    acc = 0j
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * xs + coeffs[..., k]
+    return np.sum(acc * cis(freq * xs), axis=-1)
+
+
+@dataclass(frozen=True)
+class _PieceArrays:
+    """A piecewise exp-poly as arrays: the ends ``lo`` and ``hi`` of its P
+    pieces and their numbers of ``atoms``; per piece, the frequencies (P, A),
+    ascending coefficients (P, A, D) and coefficient counts ``size`` (P, A)
+    of its atoms, zero-padded to A atoms of D coefficients."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    atoms: np.ndarray
+    freq: np.ndarray
+    coeffs: np.ndarray
+    size: np.ndarray
+
+    @classmethod
+    def scatter(cls, lo, hi, piece, freq, coeffs, size) -> "_PieceArrays":
+        """From flat atoms: atom r lies on piece ``piece[r]``, non-decreasing
+        in r, with frequency ``freq[r]``, coefficients ``coeffs[r]``
+        (zero-padded) and coefficient count ``size[r]``."""
+        atoms = np.bincount(piece, minlength=len(lo))
+        slot = np.arange(len(piece)) - (np.cumsum(atoms) - atoms)[piece]
+        shape = (len(lo), int(atoms.max(initial=0)))
+        padded = (
+            np.zeros(shape),
+            np.zeros((*shape, coeffs.shape[-1]), dtype=complex),
+            np.zeros(shape, dtype=int),
+        )
+        for out, flat in zip(padded, (freq, coeffs, size)):
+            out[piece, slot] = flat
+        return cls(lo, hi, atoms, *padded)
+
+    def values(self, xs) -> np.ndarray:
+        """The function at xs, each point taken on the last piece that starts
+        at or before it (the first piece for a point left of all)."""
+        k = np.clip(np.searchsorted(self.lo, xs, side="right") - 1, 0, len(self.lo) - 1)
+        return _atom_values(self.freq[k], self.coeffs[k], xs)
+
+    def containing(self, xs: np.ndarray) -> np.ndarray:
+        """The piece of each point: the last one with lo <= x <= hi, the rule
+        of ``PiecewiseExpPoly.piece_containing``.  Raises XNotInOmega for a
+        point outside every piece."""
+        k = np.searchsorted(self.lo, xs, side="right") - 1
+        outside = (k < 0) | (xs > self.hi[np.maximum(k, 0)])
+        if outside.any():
+            raise XNotInOmega(f"point {float(xs[np.argmax(outside)])} is outside every piece")
+        return k
 
 
 def _merge_atoms(atoms) -> tuple[Atom, ...]:
@@ -135,19 +217,27 @@ class PiecewiseExpPoly:
     def zero(cls, omega: IntervalUnion):
         return cls.from_atoms(omega, [[] for _ in range(omega.n)])
 
+    @cached_property
+    def _arrays(self) -> _PieceArrays:
+        """The pieces as arrays (``_PieceArrays``), built once."""
+        flat = [(k, atom) for k, p in enumerate(self.pieces) for atom in p.atoms]
+        size = np.array([len(atom.coeffs) for _, atom in flat], dtype=int)
+        coeffs = np.zeros((len(flat), size.max(initial=0)), dtype=complex)
+        for row, (_, atom) in zip(coeffs, flat):
+            row[: len(atom.coeffs)] = atom.coeffs
+        return _PieceArrays.scatter(
+            np.array([p.lo for p in self.pieces]),
+            np.array([p.hi for p in self.pieces]),
+            np.array([k for k, _ in flat], dtype=int),
+            np.array([atom.freq for _, atom in flat]),
+            coeffs,
+            size,
+        )
+
     def evaluate(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs)
-        out = np.zeros(len(xs), dtype=complex)
-        los = np.array([p.lo for p in self.pieces])
-        idx = np.searchsorted(los, xs, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        for k in range(len(self.pieces)):
-            mask = idx == k
-            if mask.any():
-                out[mask] = self.pieces[k].evaluate(xs[mask])
-        return out[0] if scalar else out
+        """f at a point or an array of points, in one pass: each point on the
+        last piece that starts at or before it."""
+        return self._arrays.values(np.asarray(xs, dtype=float))
 
     def __call__(self, xs):
         return self.evaluate(xs)
@@ -231,11 +321,8 @@ def probe_points(f: PiecewiseExpPoly, per_piece: int = PROBE_POINTS_PER_PIECE):
     """Equispaced interior points per piece, half-step off the breakpoints."""
     if per_piece < 1:
         raise ValidationError(f"need at least one probe point per piece, got {per_piece}")
-    xs = []
-    for p in f.pieces:
-        step = (p.hi - p.lo) / per_piece
-        xs.append(p.lo + step * (np.arange(per_piece) + 0.5))
-    return np.concatenate(xs)
+    lo, hi = f._arrays.lo[:, None], f._arrays.hi[:, None]
+    return (lo + (hi - lo) / per_piece * (np.arange(per_piece) + 0.5)).ravel()
 
 
 # -- closed-form integration -------------------------------------------------
@@ -329,9 +416,10 @@ class EvolutionResult:
 
     ``stats`` says how it was produced: ``tables`` built, ``states``
     propagated in them, ``ends`` (end states summed over all sub-pieces),
-    the predicted ``state_bound`` of each table, the ``cap`` it was
-    checked against, and ``seconds`` for the ``tables``, ``cuts`` and
-    ``pieces`` stages.
+    ``pieces`` (sub-pieces assembled), ``atoms`` (atoms of the result, after
+    the merge by frequency), the predicted ``state_bound`` of each table,
+    the ``cap`` it was checked against, and ``seconds`` for the ``tables``,
+    ``cuts`` and ``pieces`` stages.
     """
 
     function: PiecewiseExpPoly
@@ -346,20 +434,20 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     Interval i is cut where a row of its path table becomes or stops being
     admissible (the edges of the row's start range) and where the end
     x + shift of a row crosses a breakpoint of f strictly inside the row's
-    final interval; nothing else changes the sum.  On each sub-piece every
-    row admissible at its midpoint contributes a shifted, scaled copy of the
-    atoms of f at its end.  That copy is the same on every sub-piece where
-    the row hits the same piece of f, so it is built once.  The n tables
-    share t, so the state guard checks it once, before any is built.
+    final interval; nothing else changes the sum.  Each table is read at
+    the midpoints of all the sub-pieces of its interval with one mask
+    (``PathTable.read``), and ``_assemble`` builds every sub-piece in one
+    batched pass.  The n tables share t, so the state guard checks it once,
+    before any is built.
     """
     state_bound, cap = check_state_guard(omega, t)
     bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
     # inside[j, m]: breakpoint m lies strictly inside interval j
     inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()
-    new_pieces = []
     refinement: dict[int, list[float]] = {}
-    total_paths = states = ends_read = 0
+    parts = []
+    total_paths = states = ends_read = pieces = 0
     seconds = dict.fromkeys(("tables", "cuts", "pieces"), 0.0)
     for i, (alo, ahi) in enumerate(omega.endpoints):
         t0 = time.perf_counter()
@@ -375,42 +463,71 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
             if not dedup or x - dedup[-1] > 1e-12:
                 dedup.append(x)
         refinement[i] = dedup
-        edges = [alo] + dedup + [ahi]
+        edges = np.array([alo] + dedup + [ahi])
+        keep = np.flatnonzero(np.diff(edges) > 1e-13)
+        lo, hi = edges[keep], edges[keep + 1]
         t2 = time.perf_counter()
-        state_shift = table.shift.tolist()
-        state_weight = table.weight.tolist()
-        state_count = table.count.tolist()
-        shifted: dict[tuple[int, int], list[Atom]] = {}
-        for lo, hi in zip(edges, edges[1:]):
-            if hi - lo <= 1e-13:
-                continue
-            xm = (lo + hi) / 2
-            atoms = []
-            idx, ends = table.select(xm, t)
-            ends_read += len(idx)
-            for s, end in zip(idx.tolist(), ends.tolist()):
-                total_paths += state_count[s]
-                src = f.piece_containing(end)
-                key = (s, id(src))
-                if key not in shifted:
-                    shifted[key] = [
-                        atom.shifted(state_shift[s], state_weight[s]) for atom in src.atoms
-                    ]
-                atoms.extend(shifted[key])
-            new_pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
+        k, idx, ends = table.read((lo + hi) / 2, np.full(len(lo), t))
+        # a row's path count fits int64, its sum over the sub-pieces need not
+        uses = np.bincount(idx, minlength=len(table.count))
+        total_paths += sum(map(operator.mul, table.count.tolist(), uses.tolist()))
+        parts.append((lo, hi, pieces + k, table.shift[idx], table.weight[idx], ends))
+        ends_read += len(idx)
+        pieces += len(lo)
         seconds["tables"] += t1 - t0
         seconds["cuts"] += t2 - t1
         seconds["pieces"] += time.perf_counter() - t2
-    result = PiecewiseExpPoly(omega, tuple(new_pieces))
+    t0 = time.perf_counter()
+    result = _assemble(omega, f._arrays, *(np.concatenate(column) for column in zip(*parts)))
+    seconds["pieces"] += time.perf_counter() - t0
     stats = {
         "tables": omega.n,
         "states": states,
         "ends": ends_read,
+        "pieces": pieces,
+        "atoms": int(result._arrays.atoms.sum()),
         "state_bound": state_bound,
         "cap": cap,
         "seconds": seconds,
     }
     return EvolutionResult(result, refinement, total_paths, stats)
+
+
+def _assemble(omega, source: _PieceArrays, lo, hi, sub, shift, weight, ends) -> PiecewiseExpPoly:
+    """The pieces (lo[s], hi[s]) of U(t)f, from the rows read on them: row r
+    adds, on sub-piece sub[r] (non-decreasing in r), the atoms of the piece
+    of f that holds ends[r] (``source``, the arrays of f), shifted by
+    shift[r] and scaled by weight[r].  The atoms of one sub-piece with one
+    frequency merge into one, which keeps the coefficient count of its
+    longest term (``_poly_exp_integral`` picks its method by degree).  The
+    result's arrays are kept, so its ``evaluate`` needs no rebuild.
+    """
+    src = source.containing(ends)
+    # one term per row and atom of its source piece, in order of row
+    r, a = np.nonzero(np.arange(source.freq.shape[1]) < source.atoms[src, None])
+    src, sub, shift = src[r], sub[r], shift[r]
+    freq, size = source.freq[src, a], source.size[src, a]
+    coeffs = shift_polys(source.coeffs[src, a], shift) * (weight[r] * cis(freq * shift))[:, None]
+    order = np.lexsort((freq, sub))
+    sub, freq = sub[order], freq[order]
+    first = np.flatnonzero((np.diff(sub, prepend=-1) != 0) | (np.diff(freq, prepend=np.nan) != 0))
+    if len(first):
+        coeffs = np.add.reduceat(coeffs[order], first)
+        size = np.maximum.reduceat(size[order], first)
+    sub, freq = sub[first], freq[first]
+    atoms = [
+        Atom(fq, tuple(row[:m])) for fq, row, m in zip(freq.tolist(), coeffs.tolist(), size.tolist())
+    ]
+    bounds = np.searchsorted(sub, np.arange(len(lo) + 1)).tolist()
+    result = PiecewiseExpPoly(
+        omega,
+        tuple(
+            Piece(lo_s, hi_s, tuple(atoms[start:stop]))
+            for lo_s, hi_s, start, stop in zip(lo.tolist(), hi.tolist(), bounds, bounds[1:])
+        ),
+    )
+    result.__dict__["_arrays"] = _PieceArrays.scatter(lo, hi, sub, freq, coeffs, size)
+    return result
 
 
 def evolve_point(omega: IntervalUnion, b, x: float, t: float, f: PiecewiseExpPoly) -> complex:
@@ -509,19 +626,6 @@ def _draw_trials(omega: IntervalUnion, rng: np.random.Generator, trials: int, fr
     then their start points xs and times ts."""
     freq, coeffs = _draw_atoms(omega.n, rng, trials, freqs, TRIAL_ATOMS, TRIAL_DEGREE)
     return (freq, coeffs, *_draw_pairs(omega, rng, trials))
-
-
-def _atom_values(freq: np.ndarray, coeffs: np.ndarray, xs) -> np.ndarray:
-    """Sum over the atom axis of p(x) * e^{2*pi*i*freq*x}.
-
-    ``freq`` is (..., atoms), ``coeffs`` (..., atoms, degree + 1) and ``xs``
-    broadcasts against the leading axes ``...``.
-    """
-    xs = np.asarray(xs, dtype=float)[..., None]
-    acc = 0j
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        acc = acc * xs + coeffs[..., k]
-    return np.sum(acc * cis(freq * xs), axis=-1)
 
 
 def _fix_boundary(omega: IntervalUnion, b, freq: np.ndarray, coeffs: np.ndarray) -> None:

@@ -11,7 +11,7 @@ A path that leaves interval i, fully crosses intervals with count vector k
 and stops in interval j ends at x + shift, and it is admissible for every x
 of one start range.  Both depend on k only through the length k.l it
 covers, and within a class of commensurable lengths (integer multiples of
-one unit) that length is one integer.  ``path_table`` therefore propagates
+one unit) that length is one integer.  ``_build_table`` therefore propagates
 weights forward over the end states (j, covered length per class) once per
 interval, so callers that need only end sums never build the paths
 themselves; ``enumerate_paths`` lists single paths for reports and per-path
@@ -270,17 +270,9 @@ class PathTable:
     count: np.ndarray
     states: int
 
-    def select(self, x: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices of the states admissible from x at time t, and their
-        end points; t has the table's sign and a magnitude the table serves."""
-        exit_time = self.exit_edge - x if self.forward else x - self.exit_edge
-        rem = abs(t) - (exit_time + self.cum)
-        idx = np.flatnonzero((rem >= 0) & (rem < self.length))
-        rem = rem[idx]
-        return idx, self.entry[idx] + rem if self.forward else self.entry[idx] - rem
-
     def read(self, xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``select`` for a batch of start pairs (xs[k], ts[k]) with one
+        """The states admissible from a batch of start pairs (xs[k], ts[k]),
+        each t of the table's sign and of a magnitude it serves, with one
         (pairs x rows) mask: the index k of each admissible state's pair,
         its row index and its end point, in order of pair, then of row."""
         exit_time = self.exit_edge - xs if self.forward else xs - self.exit_edge
@@ -290,7 +282,9 @@ class PathTable:
         return k, idx, self.entry[idx] + rem if self.forward else self.entry[idx] - rem
 
 
-def path_table(omega: IntervalUnion, b, i: int, t: float, t_min: float | None = None) -> PathTable:
+def _build_table(
+    omega: IntervalUnion, b, i: int, t: float, t_min: float | None = None
+) -> PathTable:
     """All end states of the admissible paths from interval i for time t.
 
     A state is the last interval j and the length covered by full
@@ -303,21 +297,13 @@ def path_table(omega: IntervalUnion, b, i: int, t: float, t_min: float | None = 
     number of crossings reaches it.  A state stops the path for the x where
     0 <= |t| - exit(x) - cum < l_j, with exit(x) the time to leave interval
     i.  The state where x + t stays in interval i is included.  The
-    predicted-state guard runs before any state is built.
+    caller runs the predicted-state guard (``check_state_guard``) first.
 
     With ``t_min`` the table serves every time of the sign of t whose
     magnitude lies between |t_min| and |t|: it keeps each row admissible
-    from some start point at one of those times, and ``select`` reads the
-    rows of any of them.  By default it serves t alone.
+    from some start point at one of those times, and ``PathTable.read``
+    reads the rows of any of them.  By default it serves t alone.
     """
-    check_state_guard(omega, t)
-    return _build_table(omega, b, i, t, t_min)
-
-
-def _build_table(
-    omega: IntervalUnion, b, i: int, t: float, t_min: float | None = None
-) -> PathTable:
-    """``path_table`` once ``check_state_guard`` has passed t."""
     b = np.asarray(b, dtype=complex)
     forward = t >= 0
     big_t = abs(t)
@@ -392,7 +378,7 @@ def end_states(omega: IntervalUnion, b, xs, ts) -> EndStates:
 
     The pairs that start in the same interval with t of the same sign share
     one path table, built for the largest |t| among them and serving down
-    to the smallest (``path_table``'s ``t_min``), and read with one mask
+    to the smallest (``_build_table``'s ``t_min``), and read with one mask
     (``PathTable.read``).  The predicted state count grows with |t| alone,
     so the state guard checks the largest |t| of the batch, once, before
     any table is built.  Raises XNotInOmega when a start point is not in an

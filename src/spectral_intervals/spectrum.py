@@ -53,12 +53,6 @@ def transfer_matrix(omega: IntervalUnion, b, lam) -> np.ndarray:
     return left[..., :, None] * b * right[..., None, :]
 
 
-def eigenvalue_distance(omega: IntervalUnion, b, lam: float) -> float:
-    """h(lambda): distance from 1 to the closest eigenvalue of M(lambda)."""
-    mu = np.linalg.eigvals(transfer_matrix(omega, b, lam))
-    return float(np.min(np.abs(1.0 - mu)))
-
-
 def _phase_data(omega: IntervalUnion, b, lams: np.ndarray):
     """For each lambda, the sum of the eigenphases of M(lambda) in [0, 2pi),
     the signed angle of its eigenvalue closest to 1, and g(lambda) (see
@@ -254,11 +248,6 @@ def _eigenspaces(omega: IntervalUnion, b, lams):
         residuals[s:s + CHUNK] = res.max(axis=1)
         bases += [list(v[m]) for v, m in zip(vecs, null)]
     return bases, residuals.tolist()
-
-
-def nullspace_at(omega: IntervalUnion, b, lam: float):
-    """Orthonormal basis of {c : B E(lambda a)c = E(lambda b)c}; [] off spectrum."""
-    return _eigenspaces(omega, b, [lam])[0][0]
 
 
 def _boundary_residuals(omega: IntervalUnion, b, lams, vecs) -> np.ndarray:

@@ -131,6 +131,9 @@ def test_evolve(problem, capsys):
     assert rep["samples"]
     for s in rep["samples"]:
         assert len(s["value"]) == 2
+    # 4 samples on every sub-piece, one atom per sub-piece (the bump is a polynomial)
+    assert len(rep["samples"]) == 4 * rep["stats"]["pieces"]
+    assert rep["stats"]["atoms"] == rep["stats"]["pieces"]
 
 
 def _assert_stats(stats, stages):
@@ -147,6 +150,7 @@ def test_evolve_and_paths_stats(problem, capsys):
     assert rep["stats"]["tables"] == 2
     # two unit intervals: at most 2 * (2 + 1) states per table
     assert rep["stats"]["state_bound"] == 6
+    assert len(rep["samples"]) == 16 * rep["stats"]["pieces"]
     code, rep = run_json(capsys, ["paths", problem, "--x", "0.5", "--t", "2.0", "--list-paths"])
     assert code == 0
     _assert_stats(rep["stats"], {"table", "sums", "identities", "list_paths"})

@@ -7,7 +7,9 @@ from scipy.stats import unitary_group
 from spectral_intervals import evolution, paths
 from spectral_intervals.errors import GuardExceeded, NotEigenCombination, XNotInOmega
 from spectral_intervals.evolution import (
+    MAX_DEGREE,
     Atom,
+    Piece,
     PiecewiseExpPoly,
     _poly_exp_integral,
     apply_U_paths,
@@ -22,12 +24,13 @@ from spectral_intervals.evolution import (
     reflection_consistency,
     sample_local_pair,
     shift_poly,
+    shift_polys,
 )
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import MAX_PATHS_ENV, enumerate_paths
 from spectral_intervals.spectrum import compute_spectrum
 
-from oracles import boundary_condition_check
+from oracles import apply_U_per_subpiece, boundary_condition_check
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 OM = new_interval_union([(0, 1), (2, 3)])
@@ -47,6 +50,68 @@ def test_shift_poly(coeffs, delta, x):
     direct = sum(c * (x + delta) ** k for k, c in enumerate(coeffs))
     via = sum(c * x ** k for k, c in enumerate(shifted))
     assert via == pytest.approx(direct, abs=1e-7 * max(1, abs(direct)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, MAX_DEGREE + 1).flatmap(
+        lambda size: st.lists(
+            st.tuples(
+                st.lists(
+                    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+                    min_size=size,
+                    max_size=size,
+                ),
+                st.floats(-5, 5),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_batched_shift_equals_shift_poly_row_by_row(rows):
+    got = shift_polys(np.array([c for c, _ in rows], dtype=complex), np.array([d for _, d in rows]))
+    for row, (coeffs, delta) in zip(got, rows):
+        want = np.array(shift_poly(coeffs, delta))
+        # the rounding of either: a few ulps of sum_m |c_m| (1 + |delta|)^m
+        scale = sum(abs(c) * (1 + abs(delta)) ** m for m, c in enumerate(coeffs))
+        assert np.max(np.abs(row - want)) <= 1e-14 * max(scale, 1e-300)
+
+
+def test_evaluate_matches_piece_evaluate():
+    # pieces with 0, 1 and 3 atoms of mixed degrees, and a gap between them
+    pieces = (
+        Piece(0.0, 0.4, ()),
+        Piece(0.4, 1.0, (Atom(0.3, (1.0, 2.0 - 1j)),)),
+        Piece(
+            2.0,
+            2.5,
+            (
+                Atom(-1.2, (0.5j,)),
+                Atom(0.0, (1.0, 0.0, -2.0)),
+                Atom(2.7, (0.3, -1.0, 0.2, 0.1j, 0.05)),
+            ),
+        ),
+        Piece(2.5, 3.0, (Atom(0.7, (1.0, 1.0)),)),
+    )
+    f = PiecewiseExpPoly(OM, pieces)
+    edges = [0.0, 0.4, 1.0, 2.0, 2.5, 3.0]
+    xs = np.concatenate([edges, probe_points(f, 5), [-0.3, 1.5, 3.4]])
+
+    def expected(x):
+        """On the last piece that starts at or before x, the first one left of all."""
+        piece = max((p for p in pieces if p.lo <= x), key=lambda p: p.lo, default=pieces[0])
+        return complex(piece.evaluate(np.array(x)))
+
+    want = np.array([expected(x) for x in xs])
+    got = f.evaluate(xs)
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - want)) < 1e-13
+    for x, w in zip(xs.tolist(), want.tolist()):
+        value = f.evaluate(x)
+        assert np.ndim(value) == 0 and abs(value - w) < 1e-13
+    assert f.evaluate(0.2) == 0  # the piece without atoms
+    assert np.array_equal(f(xs[:28].reshape(4, 7)), got[:28].reshape(4, 7))
 
 
 def test_atom_evaluate_and_shift():
@@ -499,3 +564,70 @@ def test_apply_U_paths_guard(monkeypatch):
     # fewer than 4 crossings: 2 * C(5, 2) = 20 states at most (2^5 paths)
     with pytest.raises(GuardExceeded, match="state count 20 "):
         apply_U_paths(om, SQRT_SWAP, 4.0, _bump(om))
+
+
+# -- batched assembly against the per-sub-piece oracle -----------------------
+
+#: (intervals, matrix): the README pair, three unequal lengths, a tiling pair
+ASSEMBLY_SETS = {
+    "pair": ([(0, 1), (2, 3)], SQRT_SWAP),
+    "unequal": ([(0, 0.7), (1.5, 2.8), (3.1, 3.9)], unitary_group.rvs(3, random_state=5)),
+    "tiling": ([(0, 1), (4, 5), (8, 9)], np.roll(np.eye(3), 1, axis=1).astype(complex)),
+}
+
+
+def _assembly_function(kind, om, b):
+    if kind == "bump":
+        return _bump(om)
+    if kind == "eigenfunction":
+        return eigenfunction(om, compute_spectrum(om, b, window=(-1.1, 1.1)), 1)
+    if kind == "mixed":
+        # one frequency with 1, 2 or 3 coefficients on different intervals,
+        # a trailing zero coefficient that still counts, and an interval
+        # without atoms
+        a = [(0.5, (1.0,)), (0.0, (1.0, 2.0, 0.0))]
+        b2 = [(0.5, (1.0, 2.0j)), (-0.25, (0.5,))]
+        c = [(0.5, (0.5, -1.0, 3.0))]
+        return PiecewiseExpPoly.from_atoms(om, {2: [a, c], 3: [a, b2, []]}[om.n])
+    f = random_domain_function(om, b, np.random.default_rng(om.n))
+    if kind == "evolved":
+        # several pieces per interval, of several atoms each
+        f = apply_U_paths(om, b, 0.45, f).function
+        assert len(f.pieces) > om.n
+    return f
+
+
+@pytest.mark.parametrize("t", [2.3, -1.9])
+@pytest.mark.parametrize("kind", ["bump", "eigenfunction", "random", "evolved", "mixed"])
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_SETS))
+def test_apply_U_paths_matches_the_per_subpiece_oracle(name, kind, t):
+    intervals, b = ASSEMBLY_SETS[name]
+    om = new_interval_union(intervals)
+    f = _assembly_function(kind, om, b)
+    got = apply_U_paths(om, b, t, f)
+    want = apply_U_per_subpiece(om, b, t, f)
+    assert got.refinement == want.refinement
+    assert got.path_count == want.path_count
+    assert got.stats["ends"] == want.stats["ends"]
+    assert got.stats["pieces"] == len(got.function.pieces) == len(want.function.pieces)
+    assert got.stats["atoms"] == sum(len(p.atoms) for p in want.function.pieces)
+    for p, q in zip(got.function.pieces, want.function.pieces):
+        assert (p.lo, p.hi) == (q.lo, q.hi)
+        # one atom per frequency, with the coefficient count of the oracle's
+        assert sorted((a.freq, len(a.coeffs)) for a in p.atoms) == sorted(
+            (a.freq, len(a.coeffs)) for a in q.atoms
+        )
+        xs = np.linspace(p.lo, p.hi, 7)
+        expected = q.evaluate(xs)
+        scale = np.maximum(1.0, np.abs(expected))
+        assert np.max(np.abs(p.evaluate(xs) - expected) / scale) < 1e-12
+        assert np.max(np.abs(got.function.evaluate(xs[1:-1]) - expected[1:-1]) / scale[1:-1]) < 1e-12
+
+
+def test_apply_U_paths_end_outside_every_piece():
+    # f covers only part of the set: an end in the uncovered part has no piece
+    f = PiecewiseExpPoly(OM, (Piece(0.0, 0.5, (Atom(0.0, (1.0,)),)), Piece(2.0, 3.0, ())))
+    with pytest.raises(XNotInOmega, match="outside every piece"):
+        apply_U_per_subpiece(OM, SQRT_SWAP, 0.3, f)
+    with pytest.raises(XNotInOmega, match="outside every piece"):
+        apply_U_paths(OM, SQRT_SWAP, 0.3, f)

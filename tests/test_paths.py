@@ -28,10 +28,11 @@ from spectral_intervals.paths import (
     local_translation_identities,
     path_sum_by_end,
     path_cap,
-    path_table,
     predicted_path_count,
     predicted_state_count,
 )
+
+from oracles import path_table, select
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 OM = new_interval_union([(0, 1), (2, 3)])
@@ -431,12 +432,12 @@ def test_path_table_states():
     for x in (0.1, 0.5, 0.9):
         states = end_states(OM, SQRT_SWAP, x, 2.0)
         assert int(states.count.sum()) == len(enumerate_paths(OM, SQRT_SWAP, x, 2.0))
-        idx, ends = table.select(x, 2.0)
+        idx, ends = select(table, x, 2.0)
         assert ends == pytest.approx(x + table.shift[idx])
     # every row is admissible from some start point of interval 0
     seen = set()
     for x in np.linspace(0.0, 1.0, 201)[1:-1]:
-        seen.update(table.select(x, 2.0)[0].tolist())
+        seen.update(select(table, x, 2.0)[0].tolist())
     assert seen == set(range(len(table.final)))
     # no path stays in interval 0 for t = 2 > l_0
     assert not np.any((table.final == 0) & (table.shift == 2.0))
@@ -455,8 +456,8 @@ def test_path_table_serves_a_range_of_times(sign):
         for big_t in np.append(rng.uniform(0.2, 3.1, size=20), [0.2, 3.1]):
             own = path_table(om, b, i, sign * big_t)
             for x in rng.uniform(a, c, size=5):
-                idx, ends = shared.select(x, sign * big_t)
-                want_idx, want_ends = own.select(x, sign * big_t)
+                idx, ends = select(shared, x, sign * big_t)
+                want_idx, want_ends = select(own, x, sign * big_t)
                 got = sorted(zip(shared.final[idx], ends, shared.weight[idx]), key=lambda r: r[1])
                 want = sorted(
                     zip(own.final[want_idx], want_ends, own.weight[want_idx]), key=lambda r: r[1]

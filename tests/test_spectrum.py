@@ -19,12 +19,12 @@ from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.spectrum import (
     compute_spectrum,
     default_window,
-    eigenvalue_distance,
     equal_length_spectrum,
-    nullspace_at,
     spectral_matrix_check,
     transfer_matrix,
 )
+
+from oracles import eigenvalue_distance, nullspace_at
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
