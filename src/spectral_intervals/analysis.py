@@ -10,6 +10,7 @@ with their tiling and translation-congruence chains.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     SpectralIntervalsError,
     WrongStructure,
 )
-from .evolution import PiecewiseExpPoly, _poly_exp_integral, inner_product
+from .evolution import PiecewiseExpPoly, _overlaps, _poly_exp_integral, inner_product
 from .intervals import (
     IntervalUnion,
     gap_decomposition,
@@ -35,23 +36,37 @@ from .spectrum import SpectralCheck, SpectrumReport, spectral_matrix_check
 
 
 def exp_gram(omega: IntervalUnion, lambdas) -> np.ndarray:
-    """Gram matrix of the exponentials e_lambda over L^2(omega), closed form."""
+    """Gram matrix of the exponentials e_lambda over L^2(omega), closed form.
+
+    The integral of e^{2*pi*i*s*x} over (a, b) is
+    l * e^{i*pi*s*(a+b)} * sinc(s*l), l = b - a, so with
+    w_j = e^{i*pi*lambda*(a_j+b_j)} the matrix is
+    sum_j l_j * (w_j w_j^H) o sinc((lambda_k - lambda_l) * l_j): one product
+    over all intervals, with no series branch near s = 0
+    (``np.sinc(0) = 1``).
+    """
     lambdas = np.asarray(list(lambdas), dtype=float)
-    diff = lambdas[:, None] - lambdas[None, :]
-    g = np.zeros(diff.shape, dtype=complex)
-    for a, b in omega.endpoints:
-        g += _poly_exp_integral((1.0,), diff, a, b)
-    return g
+    lefts, rights = np.array(omega.lefts), np.array(omega.rights)
+    lengths = rights - lefts
+    w = np.exp(1j * np.pi * np.outer(lefts + rights, lambdas))
+    sinc = np.sinc((lambdas[:, None] - lambdas[None, :]) * lengths[:, None, None])
+    return np.einsum("j,jk,jl,jkl->kl", lengths, w, w.conj(), sinc)
 
 
 @dataclass
 class SpectralVerdict:
-    """Finite-window evidence that a frequency set is a spectrum."""
+    """Finite-window evidence that a frequency set is a spectrum.
+
+    ``rows`` counts the integral-kernel rows evaluated (the probe's norm and
+    its Parseval coefficients); ``seconds`` times the ``gram``, ``norm`` and
+    ``parseval`` stages."""
 
     orthogonal_on_window: bool
     max_offdiagonal: float
     density_ratio: float
     parseval_residual: float
+    rows: int = 0
+    seconds: dict = field(default_factory=dict)
 
 
 def spectral_pair_evidence(
@@ -64,14 +79,17 @@ def spectral_pair_evidence(
 
     The Parseval residual ||f||^2 - sum |<f, e_lambda>|^2 / L decreases with
     the window; it is reported, never thresholded, because completeness is
-    not finitely decidable.
+    not finitely decidable.  The coefficients <f, e_lambda> take one kernel
+    call, with one row per piece and atom of the probe and lambda.
     """
+    t0 = time.perf_counter()
     lambdas = sorted(float(l) for l in lambdas)
     g = exp_gram(omega, lambdas)
     off = g - np.diag(np.diag(g))
     max_off = float(np.max(np.abs(off))) if len(lambdas) > 1 else 0.0
     width = lambdas[-1] - lambdas[0] if len(lambdas) > 1 else 1.0
     density = len(lambdas) / (omega.measure * width) if width > 0 else math.inf
+    t1 = time.perf_counter()
     if probe is None:
         # bump vanishing at all endpoints, in every boundary domain
         probe = PiecewiseExpPoly.from_atoms(
@@ -81,15 +99,22 @@ def spectral_pair_evidence(
                 for a, b in omega.endpoints
             ],
         )
+    arr = probe._arrays
+    piece, atom = (arr.size > 0).nonzero()
+    coeffs = _poly_exp_integral(
+        arr.coeffs[piece, atom, None, :],
+        arr.freq[piece, atom, None] - np.array(lambdas),
+        arr.lo[piece, None],
+        arr.hi[piece, None],
+    )
+    coeff2 = float(np.sum(np.abs(coeffs.sum(axis=0)) ** 2)) / omega.measure
+    t2 = time.perf_counter()
     norm2 = inner_product(omega, probe, probe).real
-    # <probe, e_lambda> for every lambda at once, one integral per atom
-    lams = np.array(lambdas)
-    coeffs = np.zeros(len(lams), dtype=complex)
-    for piece in probe.pieces:
-        for atom in piece.atoms:
-            coeffs += _poly_exp_integral(atom.coeffs, atom.freq - lams, piece.lo, piece.hi)
-    coeff2 = float(np.sum(np.abs(coeffs) ** 2)) / omega.measure
-    return SpectralVerdict(max_off < tol, max_off, density, norm2 - coeff2)
+    seconds = {"gram": t1 - t0, "parseval": t2 - t1, "norm": time.perf_counter() - t2}
+    atoms = np.bincount(piece, minlength=len(arr.lo))
+    kf, kg, _, _ = _overlaps(probe, probe)
+    rows = coeffs.size + int(atoms[kf] @ atoms[kg])
+    return SpectralVerdict(max_off < tol, max_off, density, norm2 - coeff2, rows, seconds)
 
 
 @dataclass

@@ -239,6 +239,8 @@ def cmd_verify(args) -> int:
             "max_offdiagonal": evidence.max_offdiagonal,
             "density_ratio": evidence.density_ratio,
             "parseval_residual": evidence.parseval_residual,
+            "rows": evidence.rows,
+            "seconds": evidence.seconds,
         }
     if args.trials:
         lt = local_translation_test(omega, b, args.trials, seed=args.seed)

@@ -9,11 +9,14 @@ sub-pieces at once, then one batched shift, scaling and merge of the atoms
 of f for every sub-piece.  A function keeps an array view of its pieces
 (``_PieceArrays``), so ``evaluate`` is one search over the piece starts and
 one vectorised sum over the atoms (``_atom_values``, the evaluator of the
-local-translation trials too).  The spectral (eigenbasis) evolution serves
-as an independent functional-calculus oracle.
+local-translation trials too).  ``inner_product`` runs on the same views:
+one row per piece of the common refinement and pair of atoms, all
+integrated by one call of the kernel ``_poly_exp_integral``.  The spectral
+(eigenbasis) evolution serves as an independent functional-calculus oracle.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import time
@@ -222,7 +225,7 @@ class PiecewiseExpPoly:
         """The pieces as arrays (``_PieceArrays``), built once."""
         flat = [(k, atom) for k, p in enumerate(self.pieces) for atom in p.atoms]
         size = np.array([len(atom.coeffs) for _, atom in flat], dtype=int)
-        coeffs = np.zeros((len(flat), size.max(initial=0)), dtype=complex)
+        coeffs = np.zeros((len(flat), size.max(initial=1)), dtype=complex)
         for row, (_, atom) in zip(coeffs, flat):
             row[: len(atom.coeffs)] = atom.coeffs
         return _PieceArrays.scatter(
@@ -294,27 +297,12 @@ class PiecewiseExpPoly:
     def __add__(self, other: "PiecewiseExpPoly") -> "PiecewiseExpPoly":
         if self.omega.endpoints != other.omega.endpoints:
             raise ValueError("functions live on different sets")
-        pieces = []
-        for lo, hi in _common_refinement(self, other):
-            atoms = list(self.piece_containing((lo + hi) / 2).atoms)
-            atoms += list(other.piece_containing((lo + hi) / 2).atoms)
-            pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
-        return PiecewiseExpPoly(self.omega, tuple(pieces))
-
-
-def _common_refinement(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
-    cuts = sorted(
-        {p.lo for p in f.pieces}
-        | {p.hi for p in f.pieces}
-        | {p.lo for p in g.pieces}
-        | {p.hi for p in g.pieces}
-    )
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        if f.omega.index_of(mid) is not None and hi - lo > 1e-13:
-            out.append((lo, hi))
-    return out
+        kf, kg, lo, hi = _overlaps(self, other)
+        pieces = tuple(
+            Piece(l, h, _merge_atoms(self.pieces[i].atoms + other.pieces[j].atoms))
+            for i, j, l, h in zip(kf.tolist(), kg.tolist(), lo.tolist(), hi.tolist())
+        )
+        return PiecewiseExpPoly(self.omega, pieces)
 
 
 def probe_points(f: PiecewiseExpPoly, per_piece: int = PROBE_POINTS_PER_PIECE):
@@ -335,72 +323,120 @@ _MONOMIAL = np.array(
      for a in range(2 * MAX_DEGREE + 1)]
 )
 _INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(_TAYLOR_TERMS)])
+# [a, b] -> the term of z^b in the integral of w^a * e^{zw} over (-1, 1)
+_SERIES = _MONOMIAL * _INV_FACTORIAL
+# the least |z| at which |z|^b / b! reaches 2^-64, for b = 1, 2, ...
+_TERM_RADIUS = tuple((2.0**-64 * math.factorial(b)) ** (1.0 / b) for b in range(1, _TAYLOR_TERMS))
+# (-1)^k * k!: the weight of p^(k)(x) / k! in the antiderivative
+_SIGNED_FACTORIAL = np.array([(-1.0) ** k * math.factorial(k) for k in range(2 * MAX_DEGREE + 1)])
 
 
-def _poly_exp_integral(coeffs, s, lo: float, hi: float):
-    """Integral of p(x) * e^{2*pi*i*s*x} over (lo, hi), p given by coeffs.
+def _poly_exp_integral(coeffs, s, lo, hi):
+    """Integral of p(x) * e^{2*pi*i*s*x} over (lo, hi), row by row.
 
-    ``s`` is a scalar or an array of frequencies; the result has the shape
-    of ``s`` (a complex for a scalar).  With c = 2*pi*i*s and h the half-width of (lo, hi):
-    where |c|*h > max(1, deg p) the exact antiderivative
+    ``coeffs`` holds ascending coefficients on its last axis; its leading
+    axes, ``s``, ``lo`` and ``hi`` broadcast to the shape of the result, one
+    row per element (a complex when all are scalars).  With c = 2*pi*i*s,
+    h the half-width of (lo, hi) and deg the degree of the row's p: where
+    |c|*h > max(1, deg) the exact antiderivative
     e^{cx} * sum_k (-1)^k p^(k)(x) / c^(k+1) is used, whose terms do not
-    cancel there; elsewhere (lo, hi) is cut into at most 4*max(1, deg p)
-    equal chunks on which |c| times the half-width is at most 1/4, and the
-    Taylor series of e^{cx} about each chunk's centre is integrated against
-    p.  The cost does not grow with |s|.
+    cancel there; elsewhere (lo, hi) is cut into at most 4*max(1, deg) equal
+    chunks on which |c| times the half-width is at most 1/4, and the Taylor
+    series of e^{cx} about each chunk's centre is integrated against p.  The
+    cost does not grow with |s|.  Each method runs once, over all its rows.
     """
-    s = np.asarray(s, dtype=float)
-    c = 2j * np.pi * s.ravel()
-    out = np.zeros(c.shape, dtype=complex)
-    h = (hi - lo) / 2
-    if h > 0:
-        deg = len(coeffs) - 1
-        phase = np.abs(c) * h
-        big = phase > max(1, deg)
-        if big.any():
-            out[big] = _antiderivative(coeffs, c[big], hi) - _antiderivative(coeffs, c[big], lo)
-        small = ~big
-        if small.any():
-            out[small] = _taylor_chunks(coeffs, c[small], lo, h, float(phase[small].max()))
-    return out.reshape(s.shape) if s.ndim else complex(out[0])
+    coeffs = np.asarray(coeffs, dtype=complex)
+    shape = np.broadcast(coeffs[..., 0], s, lo, hi).shape
+    grid = np.empty((3, *shape))
+    grid[0], grid[1], grid[2] = s, lo, hi
+    rows = np.empty((*shape, coeffs.shape[-1]), dtype=complex)
+    rows[...] = coeffs
+    count = math.prod(shape)
+    out = _integrals(rows.reshape(count, coeffs.shape[-1]), *grid.reshape(3, count))
+    return out.reshape(shape) if shape else complex(out[0])
 
 
-def _antiderivative(coeffs, c: np.ndarray, x: float) -> np.ndarray:
-    """e^{cx} * sum_k (-1)^k p^(k)(x) / c^(k+1) for each c."""
-    at_x = shift_poly(coeffs, x)  # p^(k)(x) / k!
-    signed = np.array([(-1) ** k * math.factorial(k) * a for k, a in enumerate(at_x)])
+def _integrals(coeffs: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_poly_exp_integral`` on flat rows: coefficients (R, D), frequencies,
+    lower and upper ends (R,)."""
+    c, h = 2j * np.pi * s, (hi - lo) / 2
+    phase = np.abs(c) * h
+    deg = (coeffs != 0).cumsum(axis=1).argmax(axis=1)  # the last non-zero coefficient
+    big = phase > np.maximum(deg, 1)
+    out = np.zeros(len(c), dtype=complex)
+    if big.any():
+        both = np.concatenate([hi[big], lo[big]])
+        ends = _antiderivative(np.tile(coeffs[big], (2, 1)), np.tile(c[big], 2), both)
+        out[big] = ends[: len(both) // 2] - ends[len(both) // 2 :]
+    small = ~big & (h > 0)
+    if small.any():
+        out[small] = _taylor_chunks(coeffs[small], c[small], lo[small], h[small], phase[small])
+    return out
+
+
+def _antiderivative(coeffs: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """e^{cx} * sum_k (-1)^k p^(k)(x) / c^(k+1) for each row, the sum by
+    Horner's rule in 1/c."""
+    at_x = shift_polys(coeffs, x) * _SIGNED_FACTORIAL[: coeffs.shape[1]]  # (-1)^k p^(k)(x)
     inv = 1.0 / c
-    return np.exp(c * x) * (inv[:, None] ** np.arange(1, len(at_x) + 1) @ signed)
+    acc = at_x[:, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * inv + at_x[:, k]
+    return np.exp(c * x) * acc * inv
 
 
-def _taylor_chunks(coeffs, c: np.ndarray, lo: float, h: float, phase: float) -> np.ndarray:
-    """Sum over equal chunks of the integral of p times the Taylor series of
-    e^{cx} about the chunk's centre, for |c|*h <= phase."""
-    nchunks = max(1, math.ceil(phase / _CHUNK_PHASE))
-    hc = h / nchunks
-    # (c*hc)^b / b!: the series in w = (x - centre) / hc
-    expo = (c[:, None] * hc) ** np.arange(_TAYLOR_TERMS) * _INV_FACTORIAL
-    ncoef = len(coeffs)
-    total = np.zeros(c.shape, dtype=complex)
-    for j in range(nchunks):
-        centre = lo + (2 * j + 1) * hc
-        centred = np.array(shift_poly(coeffs, centre)) * hc ** np.arange(1, ncoef + 1)
-        total += np.exp(c * centre) * (expo @ (centred @ _MONOMIAL[:ncoef]))
-    return total
+def _taylor_chunks(coeffs, c, lo, h, phase) -> np.ndarray:
+    """For each row, the sum over max(1, ceil(phase / _CHUNK_PHASE)) equal
+    chunks of the integral of p times the Taylor series of e^{cx} about the
+    chunk's centre.  Every (row, chunk) is one entry of the arrays; the
+    chunks of a row are summed by ``np.add.reduceat``."""
+    nchunks = np.maximum(1, np.ceil(phase / _CHUNK_PHASE)).astype(int)
+    first = np.cumsum(nchunks) - nchunks
+    row = np.repeat(np.arange(len(c)), nchunks)
+    hc = (h / nchunks)[row]
+    centre = lo[row] + (2 * (np.arange(len(row)) - first[row]) + 1) * hc
+    size = coeffs.shape[1]
+    centred = shift_polys(coeffs[row], centre) * hc[:, None] ** np.arange(1, size + 1)
+    # the integral over a chunk is sum_b q_b z^b, z = c*hc, summed by Horner's
+    # rule up to the first power whose |z|^b / b! is below 2^-64 everywhere
+    terms = 1 + bisect.bisect_right(_TERM_RADIUS, float((phase / nchunks).max()))
+    z = c[row] * hc
+    q = _SERIES[:size, :terms].T @ centred.T
+    acc = q[-1]
+    for b in range(terms - 2, -1, -1):
+        acc = acc * z + q[b]
+    return np.add.reduceat(np.exp(c[row] * centre) * acc, first)
+
+
+def _overlaps(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
+    """The pieces of the common refinement of f and g: the overlaps, longer
+    than 1e-13, of a piece of f with a piece of g, as the indices (kf, kg)
+    of the two pieces and the overlap's ends (lo, hi)."""
+    fa, ga = f._arrays, g._arrays
+    lo, hi = np.maximum.outer(fa.lo, ga.lo), np.minimum.outer(fa.hi, ga.hi)
+    kf, kg = (hi - lo > 1e-13).nonzero()
+    return kf, kg, lo[kf, kg], hi[kf, kg]
+
+
+def _pairing(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
+    """The kernel rows of <f, g>: one per piece of the common refinement
+    (``_overlaps``) and pair of an atom of f with an atom of g there, as
+    (coefficients of p_f * conj(p_g), frequency difference, lo, hi)."""
+    fa, ga = f._arrays, g._arrays
+    kf, kg, lo, hi = _overlaps(f, g)
+    m, a, b = ((fa.size[kf] > 0)[:, :, None] & (ga.size[kg] > 0)[:, None, :]).nonzero()
+    pf, pg = kf[m], kg[m]
+    cf, cg = fa.coeffs[pf, a], ga.coeffs[pg, b].conj()
+    prod = np.zeros((len(m), cf.shape[1] + cg.shape[1] - 1), dtype=complex)
+    for k in range(cf.shape[1]):
+        prod[:, k : k + cg.shape[1]] += cf[:, k, None] * cg
+    return prod, fa.freq[pf, a] - ga.freq[pg, b], lo[m], hi[m]
 
 
 def inner_product(omega: IntervalUnion, f: PiecewiseExpPoly, g: PiecewiseExpPoly) -> complex:
-    """L^2(omega) pairing <f, g> in closed form per atom pair."""
-    total = 0j
-    for lo, hi in _common_refinement(f, g):
-        mid = (lo + hi) / 2
-        pf = f.piece_containing(mid)
-        pg = g.piece_containing(mid)
-        for af in pf.atoms:
-            for ag in pg.atoms:
-                prod = np.convolve(af.coeffs, np.conj(ag.coeffs))
-                total += _poly_exp_integral(prod, af.freq - ag.freq, lo, hi)
-    return total
+    """L^2(omega) pairing <f, g> in closed form: one kernel call over every
+    (refinement piece, atom pair) row (``_pairing``)."""
+    return complex(_integrals(*_pairing(f, g)).sum())
 
 
 def norm(omega: IntervalUnion, f: PiecewiseExpPoly) -> float:

@@ -1,7 +1,19 @@
 """Checks the tests share that the package itself has no use for."""
+import math
+
 import numpy as np
 
-from spectral_intervals.evolution import EvolutionResult, PiecewiseExpPoly, Piece, _merge_atoms
+from spectral_intervals.evolution import (
+    _CHUNK_PHASE,
+    _INV_FACTORIAL,
+    _MONOMIAL,
+    _TAYLOR_TERMS,
+    EvolutionResult,
+    Piece,
+    PiecewiseExpPoly,
+    _merge_atoms,
+    shift_poly,
+)
 from spectral_intervals.paths import PathTable, _build_table, check_state_guard
 from spectral_intervals.spectrum import TOL_EIG, transfer_matrix
 
@@ -98,3 +110,94 @@ def apply_U_per_subpiece(omega, b, t: float, f: PiecewiseExpPoly) -> EvolutionRe
             pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
     function = PiecewiseExpPoly(omega, tuple(pieces))
     return EvolutionResult(function, refinement, total_paths, {"ends": ends_read})
+
+
+# -- integrals ---------------------------------------------------------------
+
+
+def poly_exp_integral(coeffs, s, lo: float, hi: float):
+    """Integral of p(x) * e^{2*pi*i*s*x} over (lo, hi) for one polynomial and
+    interval, ``s`` a scalar or an array: the kernel as it was before it took
+    rows.  The method is chosen per s by deg = len(coeffs) - 1; the chunk
+    count of the Taylor series is set by the largest phase among the s that
+    use it."""
+    s = np.asarray(s, dtype=float)
+    c = 2j * np.pi * s.ravel()
+    out = np.zeros(c.shape, dtype=complex)
+    h = (hi - lo) / 2
+    if h > 0:
+        deg = len(coeffs) - 1
+        phase = np.abs(c) * h
+        big = phase > max(1, deg)
+        if big.any():
+            out[big] = _antiderivative(coeffs, c[big], hi) - _antiderivative(coeffs, c[big], lo)
+        small = ~big
+        if small.any():
+            out[small] = _taylor_chunks(coeffs, c[small], lo, h, float(phase[small].max()))
+    return out.reshape(s.shape) if s.ndim else complex(out[0])
+
+
+def _antiderivative(coeffs, c: np.ndarray, x: float) -> np.ndarray:
+    """e^{cx} * sum_k (-1)^k p^(k)(x) / c^(k+1) for each c."""
+    at_x = shift_poly(coeffs, x)  # p^(k)(x) / k!
+    signed = np.array([(-1) ** k * math.factorial(k) * a for k, a in enumerate(at_x)])
+    inv = 1.0 / c
+    return np.exp(c * x) * (inv[:, None] ** np.arange(1, len(at_x) + 1) @ signed)
+
+
+def _taylor_chunks(coeffs, c: np.ndarray, lo: float, h: float, phase: float) -> np.ndarray:
+    """Sum over equal chunks of the integral of p times the Taylor series of
+    e^{cx} about the chunk's centre, for |c|*h <= phase."""
+    nchunks = max(1, math.ceil(phase / _CHUNK_PHASE))
+    hc = h / nchunks
+    expo = (c[:, None] * hc) ** np.arange(_TAYLOR_TERMS) * _INV_FACTORIAL
+    ncoef = len(coeffs)
+    total = np.zeros(c.shape, dtype=complex)
+    for j in range(nchunks):
+        centre = lo + (2 * j + 1) * hc
+        centred = np.array(shift_poly(coeffs, centre)) * hc ** np.arange(1, ncoef + 1)
+        total += np.exp(c * centre) * (expo @ (centred @ _MONOMIAL[:ncoef]))
+    return total
+
+
+def exp_gram_per_interval(omega, lambdas) -> np.ndarray:
+    """Gram matrix of the e_lambda over omega: one ``poly_exp_integral`` per
+    interval, on the whole matrix of differences lambda_k - lambda_l."""
+    lambdas = np.asarray(list(lambdas), dtype=float)
+    diff = lambdas[:, None] - lambdas[None, :]
+    g = np.zeros(diff.shape, dtype=complex)
+    for a, b in omega.endpoints:
+        g += poly_exp_integral((1.0,), diff, a, b)
+    return g
+
+
+def common_refinement(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
+    """The pieces (lo, hi) between consecutive breakpoints of f and g that
+    are longer than 1e-13 and whose midpoint lies in the set."""
+    cuts = sorted(
+        {p.lo for p in f.pieces}
+        | {p.hi for p in f.pieces}
+        | {p.lo for p in g.pieces}
+        | {p.hi for p in g.pieces}
+    )
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        if f.omega.index_of(mid) is not None and hi - lo > 1e-13:
+            out.append((lo, hi))
+    return out
+
+
+def inner_product_per_pair(omega, f: PiecewiseExpPoly, g: PiecewiseExpPoly) -> complex:
+    """<f, g> with one ``poly_exp_integral`` per atom pair on each piece of
+    the common refinement."""
+    total = 0j
+    for lo, hi in common_refinement(f, g):
+        mid = (lo + hi) / 2
+        pf = f.piece_containing(mid)
+        pg = g.piece_containing(mid)
+        for af in pf.atoms:
+            for ag in pg.atoms:
+                prod = np.convolve(af.coeffs, np.conj(ag.coeffs))
+                total += poly_exp_integral(prod, af.freq - ag.freq, lo, hi)
+    return total
