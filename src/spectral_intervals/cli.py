@@ -118,7 +118,8 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(report) + "\n"
+        # a report is a tree the command built: no container can recur
+        text = json.dumps(report, check_circular=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -13,9 +13,9 @@ of one start range.  Both depend on k only through the length k.l it
 covers, and within a class of commensurable lengths (integer multiples of
 one unit) that length is one integer.  ``_build_table`` therefore propagates
 weights forward over the end states (j, covered length per class) once per
-interval, so callers that need only end sums never build the paths
-themselves; ``enumerate_paths`` lists single paths for reports and per-path
-checks.  The rows also give every point where the sum over paths changes
+interval, one node of n states per covered length, so callers that need
+only end sums never build the paths themselves; ``enumerate_paths`` lists
+single paths for reports and per-path checks.  The rows also give every point where the sum over paths changes
 with x: the edges of their start ranges, and the start points whose end
 x + shift meets a breakpoint of the function summed.
 """
@@ -117,19 +117,33 @@ def _check_paths(omega: IntervalUnion, t: float, cap: int, what: str) -> None:
 MAX_PATH_COUNT = int(np.iinfo(np.int64).max)
 
 
+def _class_bound(big_t: float, unit: float, joined: tuple) -> int:
+    """Upper bound on the covered lengths m * unit < big_t of one length
+    class: floor(big_t / unit) + 1, and for a merged class no more than the
+    product of the bounds of the classes it joined, whose covered lengths
+    add up to its own."""
+    own = math.floor(min(big_t / unit, sys.float_info.max)) + 1
+    if not joined:
+        return own
+    return min(own, math.prod(_class_bound(big_t, *part) for part in joined))
+
+
 def predicted_state_count(omega: IntervalUnion, t: float) -> int:
     """Upper bound on the states of one path table for time t.
 
     A state covers m_c * u_c < |t| in each length class c (unit u_c), so
-    there are at most n * prod_c (floor(|t|/u_c) + 1) of them.  Its count
-    vector k has |k| < L = max(ceil(|t|/lmin), 1), so there are also at most
+    there are at most n * prod_c (floor(|t|/u_c) + 1) of them; a merged
+    class counts no more covered lengths than the classes it joined
+    together (``_class_bound``).  Its count vector k has
+    |k| < L = max(ceil(|t|/lmin), 1), so there are also at most
     n * C(L - 1 + n, n): fewer than ``predicted_path_count`` for n >= 2, and
     unlike it this counts the L states of a single interval.  The bound is
     the smaller of the two.
     """
     big_t, n = abs(t), omega.n
+    classes = omega.length_classes
     per_class = n * math.prod(
-        math.floor(min(big_t / u, sys.float_info.max)) + 1 for u in omega.length_classes.units
+        _class_bound(big_t, u, joined) for u, joined in zip(classes.units, classes.joined)
     )
     levels = max(_levels(omega, t), 1)
     return min(per_class, n * math.comb(levels - 1 + n, n))
@@ -292,12 +306,22 @@ def _build_table(
     (``IntervalUnion.length_classes``): with rationally independent lengths
     that is the count vector k, with commensurable ones a single integer.
     The shift depends on k only through that length, so paths that meet in
-    a state merge their weights and path counts.  States are propagated in order of
-    covered length, so a state is complete before it is extended, whatever
-    number of crossings reaches it.  A state stops the path for the x where
-    0 <= |t| - exit(x) - cum < l_j, with exit(x) the time to leave interval
-    i.  The state where x + t stays in interval i is included.  The
-    caller runs the predicted-state guard (``check_state_guard``) first.
+    a state merge their weights and path counts.  The n states (j, m) of
+    one covered length m form a node: they are created together, by the
+    first crossing that reaches m, and share its covered length cum and
+    their path count.  Nodes are propagated in order of cum, so a node is
+    complete before it is extended, whatever number of crossings reaches
+    it; extending it across interval j adds its weight of j times row j of
+    B to the n weights of node m + m_j, one dictionary lookup per crossing.
+    A node is keyed by one integer, the mixed-radix code of m, so a
+    crossing adds a fixed positive offset and (cum, key) orders the heap:
+    the order of one heap entry per state (cum, j, m), which sums every
+    weight in the same order, as long as no two nodes share a float cum.
+    A state stops the path for the x where 0 <= |t| - exit(x) - cum < l_j,
+    with exit(x) the time to leave interval i; one (nodes x n) mask picks
+    those rows at the end, in order of node, then of j.  The state where
+    x + t stays in interval i is included.  The caller runs the
+    predicted-state guard (``check_state_guard``) first.
 
     With ``t_min`` the table serves every time of the sign of t whose
     magnitude lies between |t_min| and |t|: it keeps each row admissible
@@ -310,52 +334,71 @@ def _build_table(
     small_t = big_t if t_min is None else abs(t_min)
     n = omega.n
     a, c = omega.endpoints[i]
-    lefts, rights, lengths = omega.lefts, omega.rights, omega.lengths
+    lengths = omega.lengths
     weights = (b if forward else b.conj().T).tolist()
     classes = omega.length_classes
+    # node keys: m in mixed radix, the first class most significant; a node
+    # is at most _levels crossings deep, so m_c <= levels * largest multiple
+    levels = _levels(omega, t)
+    top = [0] * len(classes.units)
+    for k, multiple in zip(classes.classes, classes.multiples):
+        top[k] = max(top[k], multiple)
+    stride, radix = [], 1
+    for multiple in reversed(top):
+        stride.append(radix)
+        radix *= levels * multiple + 1
+    stride.reverse()
+    # per crossing of interval j: its length, key offset and row of weights
+    crossings = [
+        (length, classes.multiples[j] * stride[classes.classes[j]], weights[j])
+        for j, length in enumerate(lengths)
+    ]
+    # pending nodes key -> [the n summed weights, path count]; the heap
+    # orders them by cum, that of the first crossing to reach the node
+    pending = {0: [list(weights[i]), 1]}
+    heap = [(0.0, 0)]
+    cums, node_weights, counts = [], [], []
+    while heap:
+        cum, key = heapq.heappop(heap)
+        w, count = pending.pop(key)
+        cums.append(cum)
+        node_weights.append(w)
+        counts.append(count)
+        for wj, (length, offset, row) in zip(w, crossings):
+            cum_next = cum + length
+            if cum_next >= big_t:
+                continue  # no start point has time left to cross j
+            key_next = key + offset
+            target = pending.get(key_next)
+            if target is None:
+                pending[key_next] = [[wj * r for r in row], count]
+                heapq.heappush(heap, (cum_next, key_next))
+            else:
+                target[0] = [s + wj * r for s, r in zip(target[0], row)]
+                target[1] += count
+
     # The start range of a state, [lo, hi) at |t| = big_t stretched to cover
     # |t| = small_t, meets interval i iff cum < big_t and cum + l_j > reach.
-    # Its rows: (final interval, covered length, weight, path count), first
-    # the path that stays in interval i, with cum = -l_i so that its
-    # remainder too is measured from the entry edge of its final interval.
+    # First the row of the path that stays in interval i, with cum = -l_i so
+    # that its remainder too is measured from the entry edge of its final
+    # interval.
     reach = small_t - lengths[i]
-    rows: list[tuple] = [(i, -lengths[i], 1.0 + 0j, 1)] if reach < 0 else []
-    # pending states (j, m) -> [summed weight, path count], m the covered
-    # length per class in units of the class; the heap orders them by the
-    # covered length cum, that of the first path to reach the state
-    none = (0,) * len(classes.units)
-    pending = {(j, none): [weights[i][j], 1] for j in range(n)}
-    heap = [(0.0, j, none) for j in range(n)]
-    states = 0
-    while heap:
-        cum, j, m = heapq.heappop(heap)
-        w, count = pending.pop((j, m))
-        states += 1
-        cum_next = cum + lengths[j]
-        if cum < big_t and cum_next > reach:
-            rows.append((j, cum, w, count))
-        if cum_next >= big_t:
-            continue  # no start point has time left to cross j
-        k = classes.classes[j]
-        m_next = m[:k] + (m[k] + classes.multiples[j],) + m[k + 1:]
-        row = weights[j]
-        for jj in range(n):
-            state = pending.get((jj, m_next))
-            if state is None:
-                pending[(jj, m_next)] = [w * row[jj], count]
-                heapq.heappush(heap, (cum_next, jj, m_next))
-            else:
-                state[0] += w * row[jj]
-                state[1] += count
-
-    cols = list(zip(*rows))
-    final, cum = np.array(cols[0], dtype=int), np.array(cols[1], dtype=float)
-    weight, count = np.array(cols[2], dtype=complex), np.array(cols[3], dtype=np.int64)
+    node_cum = np.array(cums)
+    length = np.array(lengths)
+    node, final = np.nonzero((node_cum[:, None] < big_t) & (node_cum[:, None] + length > reach))
+    cum = node_cum[node]
+    weight = np.array(node_weights, dtype=complex)[node, final]
+    count = np.array(counts, dtype=np.int64)[node]
+    if reach < 0:
+        final = np.concatenate(([i], final))
+        cum = np.concatenate(([-lengths[i]], cum))
+        weight = np.concatenate(([1.0 + 0j], weight))
+        count = np.concatenate((np.ones(1, dtype=np.int64), count))
     if forward:
-        entry = np.array(lefts)[final]
+        entry = np.array(omega.lefts)[final]
         shift = entry - c + t - cum
     else:
-        entry = np.array(rights)[final]
+        entry = np.array(omega.rights)[final]
         shift = entry - a + t + cum
     return PathTable(
         forward,
@@ -363,12 +406,12 @@ def _build_table(
         c if forward else a,
         final,
         entry,
-        np.array(lengths)[final],
+        length[final],
         cum,
         shift,
         weight,
         count,
-        states,
+        n * len(cums),
     )
 
 

@@ -314,7 +314,7 @@ class SpectrumReport:
         return [len(basis) for basis in self.eigenspaces]
 
     def constant_flags(self, tol: float = 1e-6) -> list[bool]:
-        return [len(basis) == 1 and _is_constant(basis[0], tol) for basis in self.eigenspaces]
+        return _constant_flags(self.eigenspaces, tol).tolist()
 
 
 def _stats(grid_points: int, eig_rows: int) -> dict:
@@ -455,10 +455,17 @@ class SpectralCheck:
         return self.verdict in ("spectral_exact", "spectral_on_window")
 
 
-def _is_constant(v: np.ndarray, tol: float) -> bool:
-    u = np.ones(len(v), dtype=complex) / math.sqrt(len(v))
-    proj = (u.conj() @ v) * u
-    return bool(np.linalg.norm(v - proj) < tol)
+def _constant_flags(eigenspaces: list[list[np.ndarray]], tol: float) -> np.ndarray:
+    """Per eigenspace, whether it is one-dimensional and spanned by a
+    constant vector: every one-dimensional basis vector v is projected on
+    the constant unit vector u at once, and v is constant when
+    |v - (u*v)u| < tol."""
+    flags = np.array([len(basis) == 1 for basis in eigenspaces], dtype=bool)
+    if flags.any():
+        v = np.array([basis[0] for basis in eigenspaces if len(basis) == 1])
+        u = np.ones(v.shape[1]) / math.sqrt(v.shape[1])
+        flags[flags] = np.linalg.norm(v - np.outer(v @ u, u), axis=1) < tol
+    return flags
 
 
 def spectral_matrix_check(
@@ -483,12 +490,14 @@ def spectral_matrix_check(
         ell = omega.measure / omega.n
         # one representative lambda per phase class, plus every window point
         alphas = np.array(omega.lefts)
+        lams, bases = [], []
         for group in eig.phase_groups():
-            theta = eig.phases[group[0]]
-            lam = theta / ell
-            basis = [np.conj(cis(lam * alphas)) * eig.vectors[:, idx] for idx in group]
-            if len(basis) > 1 or not _is_constant(basis[0], tol_const):
-                return SpectralCheck("not_spectral", lam, basis, report)
+            lam = eig.phases[group[0]] / ell
+            lams.append(lam)
+            bases.append([np.conj(cis(lam * alphas)) * eig.vectors[:, idx] for idx in group])
+        bad = np.flatnonzero(~_constant_flags(bases, tol_const))
+        if bad.size:
+            return SpectralCheck("not_spectral", lams[bad[0]], bases[bad[0]], report)
         offsets = [(a - omega.lefts[0]) / ell for a in omega.lefts]
         if all(abs(o - round(o)) < omega.tol() for o in offsets):
             return SpectralCheck("spectral_exact", None, None, report)
@@ -496,7 +505,8 @@ def spectral_matrix_check(
         report = compute_spectrum(omega, b, window, grid_step)
         if not report.eigenvalues:
             return SpectralCheck("undecided", None, None, report)
-    for lam, basis in zip(report.eigenvalues, report.eigenspaces):
-        if len(basis) != 1 or not _is_constant(basis[0], tol_const):
-            return SpectralCheck("not_spectral", lam, basis, report)
+    bad = np.flatnonzero(~_constant_flags(report.eigenspaces, tol_const))
+    if bad.size:
+        k = bad[0]
+        return SpectralCheck("not_spectral", report.eigenvalues[k], report.eigenspaces[k], report)
     return SpectralCheck("spectral_on_window", None, None, report)

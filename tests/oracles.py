@@ -1,4 +1,5 @@
 """Checks the tests share that the package itself has no use for."""
+import heapq
 import math
 
 import numpy as np
@@ -58,6 +59,81 @@ def path_table(omega, b, i: int, t: float, t_min: float | None = None) -> PathTa
     built after the state guard has passed t."""
     check_state_guard(omega, t)
     return _build_table(omega, b, i, t, t_min)
+
+
+def build_table_per_state(
+    omega, b, i: int, t: float, t_min: float | None = None
+) -> PathTable:
+    """``_build_table`` as it was before it propagated nodes: one heap entry
+    (cum, j, m) and one dictionary entry per state (j, m), one lookup per
+    (state, successor).  A state is complete before it is extended because
+    states pop in order of cum, that of the first path to reach them."""
+    b = np.asarray(b, dtype=complex)
+    forward = t >= 0
+    big_t = abs(t)
+    small_t = big_t if t_min is None else abs(t_min)
+    n = omega.n
+    a, c = omega.endpoints[i]
+    lefts, rights, lengths = omega.lefts, omega.rights, omega.lengths
+    weights = (b if forward else b.conj().T).tolist()
+    classes = omega.length_classes
+    # The start range of a state, [lo, hi) at |t| = big_t stretched to cover
+    # |t| = small_t, meets interval i iff cum < big_t and cum + l_j > reach.
+    # Its rows: (final interval, covered length, weight, path count), first
+    # the path that stays in interval i, with cum = -l_i so that its
+    # remainder too is measured from the entry edge of its final interval.
+    reach = small_t - lengths[i]
+    rows: list[tuple] = [(i, -lengths[i], 1.0 + 0j, 1)] if reach < 0 else []
+    # pending states (j, m) -> [summed weight, path count], m the covered
+    # length per class in units of the class; the heap orders them by the
+    # covered length cum, that of the first path to reach the state
+    none = (0,) * len(classes.units)
+    pending = {(j, none): [weights[i][j], 1] for j in range(n)}
+    heap = [(0.0, j, none) for j in range(n)]
+    states = 0
+    while heap:
+        cum, j, m = heapq.heappop(heap)
+        w, count = pending.pop((j, m))
+        states += 1
+        cum_next = cum + lengths[j]
+        if cum < big_t and cum_next > reach:
+            rows.append((j, cum, w, count))
+        if cum_next >= big_t:
+            continue  # no start point has time left to cross j
+        k = classes.classes[j]
+        m_next = m[:k] + (m[k] + classes.multiples[j],) + m[k + 1:]
+        row = weights[j]
+        for jj in range(n):
+            state = pending.get((jj, m_next))
+            if state is None:
+                pending[(jj, m_next)] = [w * row[jj], count]
+                heapq.heappush(heap, (cum_next, jj, m_next))
+            else:
+                state[0] += w * row[jj]
+                state[1] += count
+
+    cols = list(zip(*rows))
+    final, cum = np.array(cols[0], dtype=int), np.array(cols[1], dtype=float)
+    weight, count = np.array(cols[2], dtype=complex), np.array(cols[3], dtype=np.int64)
+    if forward:
+        entry = np.array(lefts)[final]
+        shift = entry - c + t - cum
+    else:
+        entry = np.array(rights)[final]
+        shift = entry - a + t + cum
+    return PathTable(
+        forward,
+        big_t,
+        c if forward else a,
+        final,
+        entry,
+        np.array(lengths)[final],
+        cum,
+        shift,
+        weight,
+        count,
+        states,
+    )
 
 
 def select(table: PathTable, x: float, t: float):

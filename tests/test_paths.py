@@ -1,4 +1,5 @@
 """Path enumeration and the weight-sum identities."""
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from spectral_intervals.errors import (
 from spectral_intervals.intervals import MAX_DENOMINATOR, Commensurability, new_interval_union
 from spectral_intervals.paths import (
     MAX_PATHS_ENV,
+    PathTable,
     _cluster,
     aggregate_equal_length,
     check_path_guard,
@@ -32,7 +34,7 @@ from spectral_intervals.paths import (
     predicted_state_count,
 )
 
-from oracles import path_table, select
+from oracles import build_table_per_state, path_table, select
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 OM = new_interval_union([(0, 1), (2, 3)])
@@ -103,19 +105,41 @@ def test_predicted_count_and_guard(monkeypatch):
     assert path_table(OM, SQRT_SWAP, 0, 3.0).states <= 8
 
 
-#: draws of the state-guard properties: 2-6 lengths, free or small integer
-#: multiples of the first, and a time
+#: draws of the state-guard properties: 2-6 lengths, free, small integer
+#: multiples of the first or linked to it, a time, and the denominators of
+#: linked lengths
 GUARD_DRAWS = (
     st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
     st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=6, max_size=6),
-    st.booleans(),
+    st.sampled_from(["free", "multiples", "linked"]),
     st.floats(-40.0, 40.0),
+    st.lists(st.integers(2, 64), min_size=3, max_size=3),
 )
 
 
-def _guard_set(lengths, ratios, commensurable):
-    if commensurable:
+def _linked_lengths(lengths, ratios, qs):
+    """Lengths that one merge round joins to the first length b, as
+    (q + 1)/q * b or integer multiples of b, and lengths (dQ + 1)/(dQ) * b
+    that fit only the unit b/d of that merged class, d = lcm(q1, q2); in
+    the order of the drawn lengths, so that any of them may come first."""
+    q1, q2, big_q = qs
+    b, d = lengths[0], math.lcm(q1, q2)
+    pool = [
+        b,
+        b * (d * big_q + 1) / (d * big_q),
+        b * (q1 + 1) / q1,
+        b * (q2 + 1) / q2,
+        b * (d * big_q - 1) / (d * big_q),
+        *(b * r for r in ratios),
+    ][: len(lengths)]
+    return [pool[k] for k in sorted(range(len(lengths)), key=lengths.__getitem__)]
+
+
+def _guard_set(lengths, ratios, kind, qs):
+    if kind == "multiples":
         lengths = [lengths[0] * r for r in ratios[: len(lengths)]]
+    elif kind == "linked":
+        lengths = _linked_lengths(lengths, ratios, qs)
     eps, pos = [], 0.0
     for length in lengths:
         eps.append((pos, pos + length))
@@ -125,9 +149,9 @@ def _guard_set(lengths, ratios, commensurable):
 
 @settings(deadline=None, max_examples=200)
 @given(*GUARD_DRAWS)
-def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, commensurable, t):
+def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, kind, t, qs):
     # so no table that passes the path guard trips the state guard
-    om = _guard_set(lengths, ratios, commensurable)
+    om = _guard_set(lengths, ratios, kind, qs)
     assert predicted_state_count(om, t) <= predicted_path_count(om, t)
     if predicted_path_count(om, t) <= path_cap():
         check_state_guard(om, t)
@@ -158,16 +182,18 @@ def _first_value_classes(values, tol):
         units.append(v0 * common / den)
         for (j, _, _), m in zip(group, mults):
             classes[j], multiples[j] = c, m // common
-    return Commensurability(tuple(classes), tuple(multiples), tuple(units))
+    return Commensurability(
+        tuple(classes), tuple(multiples), tuple(units), tuple(() for _ in units)
+    )
 
 
 @settings(deadline=None, max_examples=200)
 @given(*GUARD_DRAWS)
 def test_unit_keyed_classes_trip_no_guard_the_first_value_rule_passed(
-    lengths, ratios, commensurable, t
+    lengths, ratios, kind, t, qs
 ):
-    om = _guard_set(lengths, ratios, commensurable)
-    oracle = _guard_set(lengths, ratios, commensurable)
+    om = _guard_set(lengths, ratios, kind, qs)
+    oracle = _guard_set(lengths, ratios, kind, qs)
     oracle.__dict__["length_classes"] = _first_value_classes(oracle.lengths, oracle.tol() / 1000)
     try:
         check_state_guard(oracle, t)
@@ -182,6 +208,81 @@ def test_first_value_oracle_splits_the_tiling_lengths():
     assert _first_value_classes((65.0, 1.0, 64.0), 1e-12).classes == (0, 1, 1)
     om = new_interval_union([(0, 1), (4.03, 5.04), (8.07, 9.09)])
     assert len(om.length_classes.units) == 1
+
+
+#: lengths 1, 65/64, 4/3, 1 + 1/12096, 2, 2: one merge round joins all but
+#: 1 + 1/12096 (unit 1/192), and a second joins that one, which fits only
+#: the unit 1/192 (at 12097/63)
+LINKED = new_interval_union(
+    [(0, 1), (2, 3.015625), (4, 5.333333333333333), (6, 7.000082671957672), (8, 10), (11, 13)]
+)
+
+
+def test_linked_classes_are_bounded_by_the_classes_they_joined(monkeypatch):
+    classes = LINKED.length_classes
+    assert classes.classes == (0,) * 6
+    # each join pairs the classes of the coarsest common unit first: 1 and
+    # 2 (unit 1), then 4/3 (unit 1/3), then 65/64 (unit 1/192), and then
+    # the second round joins 1 + 1/12096
+    ((unit, (((third, ((whole, _), four_thirds)), _))), linked) = classes.joined[0]
+    assert (unit, third, whole) == pytest.approx((1 / 192, 1 / 3, 1.0))
+    assert four_thirds == (pytest.approx(4 / 3), ())
+    assert linked == (pytest.approx(1 + 1 / 12096), ())
+    # at |t| = 20: 21 * 16 -> 61 for unit 1/3, times 20 (65/64) and 20
+    # (1 + 1/12096), over n = 6 intervals; the first-value rule predicted
+    # 6 * 3841 * 20, and the one merged class alone 6 * C(25, 6) = 1,062,600
+    monkeypatch.delenv(MAX_PATHS_ENV, raising=False)
+    assert check_state_guard(LINKED, 20.0) == (6 * 61 * 20 * 20, 10**6)
+    assert check_state_guard(LINKED, -20.0) == (6 * 61 * 20 * 20, 10**6)
+    oracle = new_interval_union(LINKED.endpoints)
+    oracle.__dict__["length_classes"] = _first_value_classes(oracle.lengths, oracle.tol() / 1000)
+    assert predicted_state_count(oracle, 20.0) == 460_920
+    assert path_table(LINKED, np.eye(6), 0, 20.0).states == 24_066
+
+
+def test_lattice8_table_has_120_states():
+    # eight unit intervals 2*{0..7} + [0, 1): one length class, so at
+    # |t| = 15 a table has 8 * 15 states against 8 * 16 predicted
+    lattice8 = new_interval_union([(2 * k, 2 * k + 1) for k in range(8)])
+    b = unitary_group.rvs(8, random_state=3)
+    assert path_table(lattice8, b, 0, 15.0).states == 120
+    assert predicted_state_count(lattice8, 15.0) == 128
+
+
+#: fixed sets of the node-table property: one merged class (1 : 1.01 :
+#: 1.02), equal lengths on a lattice, and linked classes
+NODE_SETS = {
+    "merged": new_interval_union([(0, 1), (4.03, 5.04), (8.07, 9.09)]),
+    "equal": new_interval_union([(2 * k, 2 * k + 1) for k in range(8)]),
+    "linked": LINKED,
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from(["independent", *NODE_SETS]),
+    st.lists(st.floats(0.5, 2.0), min_size=2, max_size=4),
+    st.integers(0, 7),
+    st.floats(-8.0, 8.0),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_node_table_equals_the_per_state_loop(name, lengths, start, t, t_min, seed):
+    # bit for bit, row order and dtypes included: "independent" lays out
+    # the drawn lengths, which are rationally independent but by chance
+    om = _guard_set(lengths, None, "free", None) if name == "independent" else NODE_SETS[name]
+    b = unitary_group.rvs(om.n, random_state=seed)
+    i = start % om.n
+    t_min = None if t_min is None else t_min * t
+    got = paths_module._build_table(om, b, i, t, t_min)
+    want = build_table_per_state(om, b, i, t, t_min)
+    for field in dataclasses.fields(PathTable):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
+            assert g.tobytes() == w.tobytes(), field.name
+        else:
+            assert g == w, field.name
 
 
 def test_state_guard_keeps_path_counts_in_int64(monkeypatch):
