@@ -16,7 +16,7 @@ from spectral_intervals.evolution import (
     shift_poly,
 )
 from spectral_intervals.paths import PathTable, _build_table, check_state_guard
-from spectral_intervals.spectrum import TOL_EIG, transfer_matrix
+from spectral_intervals.spectrum import CHUNK, TOL_EIG, _real_det, transfer_matrix
 
 
 def boundary_condition_check(b, f, tol: float = 1e-8) -> bool:
@@ -42,6 +42,24 @@ def eigenvalue_distance(omega, b, lam: float) -> float:
     """h(lambda): distance from 1 to the closest eigenvalue of M(lambda)."""
     mu = np.linalg.eigvals(transfer_matrix(omega, b, lam))
     return float(np.min(np.abs(1.0 - mu)))
+
+
+def phase_data_eigvals(omega, b, lams: np.ndarray):
+    """The phase sums in [0, 2pi), nearest angles and g(lambda) of
+    ``spectrum._phase_data``, from stacked eigvals of M(lambda), CHUNK at a
+    time, with det(I - M) = prod(1 - mu)."""
+    sums = np.empty(len(lams))
+    nearest = np.empty(len(lams))
+    dets = np.empty(len(lams), dtype=complex)
+    for s in range(0, len(lams), CHUNK):
+        mu = np.linalg.eigvals(transfer_matrix(omega, b, lams[s:s + CHUNK]))
+        ang = np.angle(mu)
+        sums[s:s + CHUNK] = np.mod(ang, 2 * np.pi).sum(axis=1)
+        pick = np.argmin(np.abs(ang), axis=1)[:, None]
+        nearest[s:s + CHUNK] = np.take_along_axis(ang, pick, axis=1)[:, 0]
+        dets[s:s + CHUNK] = np.prod(1.0 - mu, axis=1)
+    arg_det = float(np.angle(np.linalg.det(b)))
+    return sums, nearest, _real_det(omega, b, lams, arg_det, dets)
 
 
 def nullspace_at(omega, b, lam: float) -> list:

@@ -405,6 +405,8 @@ def test_spectrum_stats(tmp_path, capsys, command):
     assert stats["eig_rows"] >= decomposed
     # the simple roots are solved on the real determinant, by stacked LU
     assert stats["lu_rows"] >= 1
+    # matrices with an eigenvalue near -1 are among the decomposed ones
+    assert 0 <= stats["pole_rows"] <= stats["eig_rows"]
     assert set(stats["seconds"]) == {"grid", "locate", "eigenspaces"}
 
 
@@ -416,7 +418,7 @@ def test_equal_length_spectrum_stats(problem, capsys):
     stats = rep["spectrum_stats"]
     assert (stats["grid_points"], stats["levels"], stats["bracket_iterations"]) == (0, 0, 0)
     assert stats["eig_rows"] == 1
-    assert stats["lu_rows"] == 0
+    assert stats["lu_rows"] == stats["pole_rows"] == 0
 
 
 def test_verify_trial_stage_seconds(problem, capsys):

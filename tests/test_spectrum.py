@@ -24,7 +24,7 @@ from spectral_intervals.spectrum import (
     transfer_matrix,
 )
 
-from oracles import eigenvalue_distance, nullspace_at
+from oracles import eigenvalue_distance, nullspace_at, phase_data_eigvals
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -355,10 +355,11 @@ def test_real_determinant_changes_sign_at_simple_roots(seed):
     lams = np.linspace(*window, 101)
     mats = transfer_matrix(om, b, lams)
     # i^n det(I - M) e^{-i(arg det B - 2 pi lambda L)/2} is real ...
-    twist = np.exp(-0.5j * (np.angle(np.linalg.det(b)) - 2 * np.pi * lams * om.measure))
+    arg_det = np.angle(np.linalg.det(b))
+    twist = np.exp(-0.5j * (arg_det - 2 * np.pi * lams * om.measure))
     z = 1j**n * np.linalg.det(np.eye(n) - mats) * twist
     assert np.max(np.abs(z.imag)) < 1e-12 * big
-    g = spectrum._real_det(om, b, lams)
+    g = spectrum._real_det(om, b, lams, arg_det)
     assert np.max(np.abs(g - z.real)) < 1e-12 * big
     # ... and 2^n times the product of sin(theta/2) over the eigenphases, up
     # to a sign (the principal angles flip it where an eigenvalue passes -1)
@@ -368,8 +369,76 @@ def test_real_determinant_changes_sign_at_simple_roots(seed):
     simple = [lam for lam, d in zip(rep.eigenvalues, rep.dims) if d == 1]
     assert simple
     for lam in simple:
-        lo, hi = spectrum._real_det(om, b, np.array([lam - 1e-7, lam + 1e-7]))
+        lo, hi = spectrum._real_det(om, b, np.array([lam - 1e-7, lam + 1e-7]), arg_det)
         assert lo * hi < 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cayley_phase_data_matches_eigvals(n):
+    rng = np.random.default_rng(n)
+    lengths = rng.uniform(0.2, 1.5, n)
+    lefts = np.concatenate([[0.0], np.cumsum(lengths[:-1] + rng.uniform(0.05, 1.5, n - 1))])
+    om = new_interval_union([(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)])
+    b = unitary_group.rvs(n, random_state=rng)
+    # more lambdas than one CHUNK
+    lams = np.linspace(-10, 10, 601)
+    stats = {"pole_rows": 0}
+    got = spectrum._phase_data(om, b, lams, np.angle(np.linalg.det(b)), stats)
+    for x, y in zip(got, phase_data_eigvals(om, b, lams)):
+        assert np.max(np.abs(x - y)) < 1e-12
+    assert 0 <= stats["pole_rows"] < len(lams)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "intervals, b, lam",
+    [
+        # M(0) = SWAP: I + M is exactly singular, and solve would raise for
+        # the whole stack
+        ([(0, 1), (2, 3)], SWAP, 0.0),
+        # B = I on lengths 1 and 2 at lambda = 1/2: M = diag(-1, 1) up to
+        # rounding
+        ([(0, 1), (2, 4)], np.eye(2, dtype=complex), 0.5),
+    ],
+)
+def test_eigenvalues_at_minus_one_take_eigvals(intervals, b, lam):
+    om = new_interval_union(intervals)
+    lams = np.array([lam - 0.1, lam, lam + 0.1])
+    theta, poles = spectrum._eigenphases(transfer_matrix(om, b, lams))
+    assert poles == 1
+    assert np.all(np.abs(theta) <= np.pi)
+    stats = {"pole_rows": 0}
+    got = spectrum._phase_data(om, b, lams, np.angle(np.linalg.det(b)), stats)
+    assert stats["pole_rows"] == 1
+    for x, y in zip(got, phase_data_eigvals(om, b, lams)):
+        assert np.max(np.abs(x - y)) < 1e-12
+
+
+def test_an_eigenvalue_near_minus_one_keeps_every_eigenphase():
+    # |1 + mu| = 0.02 passes the det bound; eigvalsh reading only the lower
+    # triangle of the computed H would err by about 1e-9 here
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([[np.pi - 0.02, 1e-7], rng.uniform(-2, 2, 6)])
+    u = unitary_group.rvs(8, size=20, random_state=rng)
+    mats = (u * np.exp(1j * theta)) @ np.conj(np.swapaxes(u, 1, 2))
+    got, poles = spectrum._eigenphases(mats)
+    assert poles == 0
+    assert np.max(np.abs(np.sort(got, axis=1) - np.sort(theta))) < 1e-12
+
+
+def test_swap_scan_through_its_poles_keeps_the_eigvals_roots(monkeypatch, pair):
+    # SWAP on the README set: at every root k/2 the other eigenvalue of M is
+    # -1, and M(0) = SWAP makes I + M exactly singular
+    om, _ = pair
+    rep = compute_spectrum(om, SWAP, window=(-2, 2))
+    assert rep.stats["pole_rows"] >= 1
+    monkeypatch.setattr(
+        spectrum, "_phase_data", lambda om, b, lams, arg_det, stats: phase_data_eigvals(om, b, lams)
+    )
+    ref = compute_spectrum(om, SWAP, window=(-2, 2))
+    assert rep.dims == ref.dims == [1] * 9
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, ref.eigenvalues))) <= 2 * spectrum.TOL_ROOT
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, np.arange(-4, 5) / 2))) <= spectrum.TOL_ROOT
 
 
 def _projector(basis):
