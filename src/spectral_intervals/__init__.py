@@ -89,8 +89,6 @@ from .paths import (
     enumerate_paths,
     local_translation_identities,
     path_sum_by_end,
-    predicted_path_count,
-    predicted_state_count,
 )
 from .spectrum import (
     SpectralCheck,

@@ -80,7 +80,8 @@ def spectral_pair_evidence(
     The Parseval residual ||f||^2 - sum |<f, e_lambda>|^2 / L decreases with
     the window; it is reported, never thresholded, because completeness is
     not finitely decidable.  The coefficients <f, e_lambda> take one kernel
-    call, with one row per piece and atom of the probe and lambda.
+    call, with one row per piece and atom of the probe and lambda.  The
+    probe f defaults to ``PiecewiseExpPoly.bump``.
     """
     t0 = time.perf_counter()
     lambdas = sorted(float(l) for l in lambdas)
@@ -91,14 +92,7 @@ def spectral_pair_evidence(
     density = len(lambdas) / (omega.measure * width) if width > 0 else math.inf
     t1 = time.perf_counter()
     if probe is None:
-        # bump vanishing at all endpoints, in every boundary domain
-        probe = PiecewiseExpPoly.from_atoms(
-            omega,
-            [
-                [(0.0, (-a * b, a + b, -1.0))]
-                for a, b in omega.endpoints
-            ],
-        )
+        probe = PiecewiseExpPoly.bump(omega)
     arr = probe._arrays
     piece, atom = (arr.size > 0).nonzero()
     coeffs = _poly_exp_integral(

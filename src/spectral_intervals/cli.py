@@ -164,9 +164,7 @@ def cmd_spectrum(args) -> int:
 def _build_function(spec: str, omega, b, window, grid_step):
     """Function specs: 'bump', or 'eigenfunction:K' for the K-th eigenvalue."""
     if spec == "bump":
-        return PiecewiseExpPoly.from_atoms(
-            omega, [[(0.0, (-a * c, a + c, -1.0))] for a, c in omega.endpoints]
-        )
+        return PiecewiseExpPoly.bump(omega)
     if spec.startswith("eigenfunction:"):
         try:
             k = int(spec.split(":", 1)[1])

@@ -29,7 +29,7 @@ import numpy as np
 from .boundary import cis, reflected_boundary_matrix
 from .errors import NotEigenCombination, ValidationError, XNotInOmega
 from .intervals import IntervalUnion, reflect as reflect_set
-from .paths import _build_table, check_state_guard, end_states
+from .paths import _build_table, _cap, end_states
 from .spectrum import SpectrumReport
 
 MAX_DEGREE = 8
@@ -215,6 +215,12 @@ class PiecewiseExpPoly:
         return cls.from_atoms(
             omega, [[(lam, (complex(a),))] for a in amplitudes]
         )
+
+    @classmethod
+    def bump(cls, omega: IntervalUnion):
+        """(x - a)(c - x) on every interval (a, c): it vanishes at every
+        endpoint, so it lies in the domain of every boundary matrix."""
+        return cls.from_atoms(omega, [[(0.0, (-a * c, a + c, -1.0))] for a, c in omega.endpoints])
 
     @classmethod
     def zero(cls, omega: IntervalUnion):
@@ -453,9 +459,9 @@ class EvolutionResult:
     ``stats`` says how it was produced: ``tables`` built, ``states``
     propagated in them, ``ends`` (end states summed over all sub-pieces),
     ``pieces`` (sub-pieces assembled), ``atoms`` (atoms of the result, after
-    the merge by frequency), the predicted ``state_bound`` of each table,
-    the ``cap`` it was checked against, and ``seconds`` for the ``tables``,
-    ``cuts`` and ``pieces`` stages.
+    the merge by frequency), ``state_bound``, the most states one table
+    held, the ``cap`` the guard compared it with, and ``seconds`` for the
+    ``tables``, ``cuts`` and ``pieces`` stages.
     """
 
     function: PiecewiseExpPoly
@@ -473,22 +479,23 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     final interval; nothing else changes the sum.  Each table is read at
     the midpoints of all the sub-pieces of its interval with one mask
     (``PathTable.read``), and ``_assemble`` builds every sub-piece in one
-    batched pass.  The n tables share t, so the state guard checks it once,
-    before any is built.
+    batched pass.  Each table guards itself as it is built
+    (``_build_table``); a non-finite t raises ValidationError first.
     """
-    state_bound, cap = check_state_guard(omega, t)
+    cap = _cap(t)
     bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
     # inside[j, m]: breakpoint m lies strictly inside interval j
     inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()
     refinement: dict[int, list[float]] = {}
     parts = []
-    total_paths = states = ends_read = pieces = 0
+    total_paths = states = state_bound = ends_read = pieces = 0
     seconds = dict.fromkeys(("tables", "cuts", "pieces"), 0.0)
     for i, (alo, ahi) in enumerate(omega.endpoints):
         t0 = time.perf_counter()
         table = _build_table(omega, b, i, t)
         states += table.states
+        state_bound = max(state_bound, table.states)
         t1 = time.perf_counter()
         sign = 1.0 if table.forward else -1.0
         edge = table.exit_edge - sign * table.big_t + sign * table.cum
@@ -722,7 +729,7 @@ def sample_local_pair(omega: IntervalUnion, rng: np.random.Generator):
 class LocalTranslationReport:
     """Outcome of the trials; ``tables`` path tables were built and
     ``states`` end states read over all trials.  ``state_bound`` is the
-    largest predicted state count of a table, checked against ``cap``;
+    most states one table held, which the guard compared with ``cap``;
     ``seconds`` times the ``draw``, ``states`` and ``evaluate`` stages."""
 
     passed: bool

@@ -7,7 +7,6 @@ functions on immutable values.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,64 +112,42 @@ class Commensurability:
     """Classes of rationally related values.
 
     Value j is ``multiples[j] * units[classes[j]]``; the multiples of one
-    class are coprime positive integers.  ``joined[c]`` holds the two
-    classes whose join made class c, each as a pair (its unit, the classes
-    joined into it), down to the classes the values started in, for which
-    it is ().
+    class are coprime positive integers.
     """
 
     classes: tuple[int, ...]
     multiples: tuple[int, ...]
     units: tuple[float, ...]
-    joined: tuple[tuple, ...]
 
 
 #: largest denominator of a ratio that makes two values commensurable
 MAX_DENOMINATOR = 64
 
 
-def _join_pairwise(parts: list[tuple[int, tuple]], scale: float) -> tuple:
-    """The classes of one merge, joined two at a time, the pair with the
-    coarsest common unit first: ``parts`` holds each class's unit as an
-    integer multiple of ``scale`` beside its (unit, joined) pair.  Returns
-    the two (unit, joined) pairs that the last join joins."""
-    while len(parts) > 2:
-        a, b = max(
-            itertools.combinations(range(len(parts)), 2),
-            key=lambda ab: math.gcd(parts[ab[0]][0], parts[ab[1]][0]),
-        )
-        whole = math.gcd(parts[a][0], parts[b][0])
-        parts[a] = (whole, (whole * scale, (parts[a][1], parts[b][1])))
-        del parts[b]
-    return tuple(part for _, part in parts)
-
-
 def commensurability(values, tol: float) -> Commensurability:
     """Group positive values into classes of integer multiples of one unit.
 
     Every value starts as a class of its own, with itself as unit; values
-    within ``tol`` of each other start as one class.  Class b fits class a when unit b is (p/q) times unit a, with q at most
-    ``MAX_DENOMINATOR``, to within ``tol`` over the largest multiple of b,
-    so that every value of b stays within ``tol``.  Classes that fit in
-    either direction merge into one class with the finer unit (unit a / q).
-    Every value is still an integer multiple of that unit, so a class that
-    fit one of them fits the merged class too.  Each round tests all pairs
-    of classes at once and merges every connected set of fitting classes,
-    until none fits another.  So the partition does not depend on the order
+    within ``tol`` of each other start as one class.  Class b fits class a
+    when unit b is (p/q) times unit a, with q at most ``MAX_DENOMINATOR``,
+    to within ``tol`` over the largest multiple of b, so that every value
+    of b stays within ``tol``.  Classes that fit in either direction merge
+    into one class with the finer unit (unit a / q).  Every value is still
+    an integer multiple of that unit, so a class that fit one of them fits
+    the merged class too.  Each round tests all pairs of classes at once
+    and merges every connected set of fitting classes, until none fits
+    another.  So the partition does not depend on the order
     of the values: (1, 1.01, 1.02) is one class of unit 0.01 although
     1.01 / 1 = 101/100.  A merge whose unit would fall below
     ``MAX_DENOMINATOR**2 * tol`` is refused: near that unit nearly every
     value lies within ``tol`` of some (p/q) * unit, and the test no longer
     tells commensurable values apart.  Classes are numbered in order of
-    their first value, and the multiples of one class are coprime.  A
-    merge records how it joined its classes, two at a time
-    (``_join_pairwise``), in ``joined``.
+    their first value, and the multiples of one class are coprime.
     """
     qs = np.arange(1, MAX_DENOMINATOR + 1)
     floor = MAX_DENOMINATOR ** 2 * tol
     # one entry per class, in order of its first value: the indices of its
-    # values (the first one smallest), their multiples of the unit, the unit
-    # and the (unit, joined) pairs of the classes merged into it.
+    # values (the first one smallest), their multiples of the unit, the unit.
     # A value within tol of the next smaller one fits it at p = q = 1, so the
     # first round would merge them: they start in one class
     values = [float(v) for v in values]
@@ -181,13 +158,13 @@ def commensurability(values, tol: float) -> Commensurability:
         else:
             runs.append([j])
     classes = sorted(
-        ((sorted(run), [1] * len(run), values[min(run)], ()) for run in runs),
+        ((sorted(run), [1] * len(run), values[min(run)]) for run in runs),
         key=lambda cls: cls[0][0],
     )
     merged = True
     while merged and len(classes) > 1:
-        u = np.array([cls[2] for cls in classes])
-        slack = np.array([tol / max(cls[1]) for cls in classes])
+        u = np.array([unit for _, _, unit in classes])
+        slack = np.array([tol / max(ms) for _, ms, _ in classes])
         # x[a, b, q - 1] = q * unit b / unit a: class b fits class a at q
         # when x is within slack[b] * q / unit a of an integer p >= 1
         x = np.multiply.outer(u / u[:, None], qs)
@@ -226,31 +203,25 @@ def commensurability(values, tol: float) -> Commensurability:
                 seen[c] = True
             if len(group) > 1:
                 den = math.lcm(*(d for _, d in scale.values()))
-                whole, parts = [], []
+                whole = []
                 for c in group:
                     n, d = scale[c]
                     whole += [m * n * (den // d) for m in classes[c][1]]
-                    # class c's own unit, in units of unit root / den
-                    parts.append((n * (den // d), (classes[c][2], classes[c][3])))
                 common = math.gcd(*whole)
                 unit = classes[root][2] * common / den
                 if unit >= floor:
                     members = [j for c in group for j in classes[c][0]]
-                    joined = _join_pairwise(parts, classes[root][2] / den)
-                    next_classes.append((members, [m // common for m in whole], unit, joined))
+                    next_classes.append((members, [m // common for m in whole], unit))
                     merged = True
                     continue
             next_classes.extend(classes[c] for c in group)
         classes = sorted(next_classes, key=lambda cls: cls[0][0])
     labels, multiples = [0] * len(values), [0] * len(values)
-    for c, (members, ms, _, _) in enumerate(classes):
+    for c, (members, ms, _) in enumerate(classes):
         for j, m in zip(members, ms):
             labels[j], multiples[j] = c, m
     return Commensurability(
-        tuple(labels),
-        tuple(multiples),
-        tuple(cls[2] for cls in classes),
-        tuple(cls[3] for cls in classes),
+        tuple(labels), tuple(multiples), tuple(unit for _, _, unit in classes)
     )
 
 

@@ -15,9 +15,15 @@ one unit) that length is one integer.  ``_build_table`` therefore propagates
 weights forward over the end states (j, covered length per class) once per
 interval, one node of n states per covered length, so callers that need
 only end sums never build the paths themselves; ``enumerate_paths`` lists
-single paths for reports and per-path checks.  The rows also give every point where the sum over paths changes
-with x: the edges of their start ranges, and the start points whose end
-x + shift meets a breakpoint of the function summed.
+single paths for reports and per-path checks.  The rows also give every
+point where the sum over paths changes with x: the edges of their start
+ranges, and the start points whose end x + shift meets a breakpoint of the
+function summed.
+
+Both are guarded by the work they do, counted while they do it: a table
+stops once its states pass the cap (``path_cap``) or the path count of one
+state passes int64, and the walk of ``enumerate_paths`` once the words it
+visits pass the cap.
 """
 from __future__ import annotations
 
@@ -79,11 +85,6 @@ def _levels(omega: IntervalUnion, t: float) -> int:
     return math.ceil(min(abs(t) / omega.lmin, sys.float_info.max))
 
 
-def predicted_path_count(omega: IntervalUnion, t: float) -> int:
-    """Upper bound n^(ceil(|t|/lmin) + 1) on the number of admissible paths."""
-    return omega.n ** (_levels(omega, t) + 1)
-
-
 def _cap(t: float) -> int:
     """The cap a guard checks against; a non-finite t raises ValidationError."""
     if not math.isfinite(t):
@@ -91,93 +92,23 @@ def _cap(t: float) -> int:
     return path_cap()
 
 
-def check_path_guard(omega: IntervalUnion, t: float) -> int:
-    """Raise GuardExceeded when the predicted path count passes the cap.
-
-    The cap is ``path_cap()``: 10^6 unless SPECTRAL_INTERVALS_MAX_PATHS
-    sets it.  Returns the cap; a non-finite t raises ValidationError.
-    """
-    cap = _cap(t)
-    _check_paths(omega, t, cap, f"cap {cap}")
-    return cap
-
-
-def _check_paths(omega: IntervalUnion, t: float, cap: int, what: str) -> None:
-    """Raise GuardExceeded, naming ``what``, when the predicted path count
-    n^(L+1) passes ``cap``; logarithms first, so that a huge exponent builds
-    no huge integer."""
-    exponent = _levels(omega, t) + 1
-    if exponent * math.log(omega.n) > math.log(cap) + 1 or omega.n ** exponent > cap:
-        raise GuardExceeded(
-            f"predicted path count {omega.n}^{exponent} exceeds {what} for t={t}"
-        )
-
-
 #: largest path count a table row holds
 MAX_PATH_COUNT = int(np.iinfo(np.int64).max)
-
-
-def _class_bound(big_t: float, unit: float, joined: tuple) -> int:
-    """Upper bound on the covered lengths m * unit < big_t of one length
-    class: floor(big_t / unit) + 1, and for a merged class no more than the
-    product of the bounds of the classes it joined, whose covered lengths
-    add up to its own."""
-    own = math.floor(min(big_t / unit, sys.float_info.max)) + 1
-    if not joined:
-        return own
-    return min(own, math.prod(_class_bound(big_t, *part) for part in joined))
-
-
-def predicted_state_count(omega: IntervalUnion, t: float) -> int:
-    """Upper bound on the states of one path table for time t.
-
-    A state covers m_c * u_c < |t| in each length class c (unit u_c), so
-    there are at most n * prod_c (floor(|t|/u_c) + 1) of them; a merged
-    class counts no more covered lengths than the classes it joined
-    together (``_class_bound``).  Its count vector k has
-    |k| < L = max(ceil(|t|/lmin), 1), so there are also at most
-    n * C(L - 1 + n, n): fewer than ``predicted_path_count`` for n >= 2, and
-    unlike it this counts the L states of a single interval.  The bound is
-    the smaller of the two.
-    """
-    big_t, n = abs(t), omega.n
-    classes = omega.length_classes
-    per_class = n * math.prod(
-        _class_bound(big_t, u, joined) for u, joined in zip(classes.units, classes.joined)
-    )
-    levels = max(_levels(omega, t), 1)
-    return min(per_class, n * math.comb(levels - 1 + n, n))
-
-
-def check_state_guard(omega: IntervalUnion, t: float) -> tuple[int, int]:
-    """Raise GuardExceeded when the predicted state count passes the cap.
-
-    The cap is that of ``check_path_guard``.  A table also counts the paths
-    of each state in int64, so a predicted path count above 2^63 - 1 trips
-    the guard too, whatever the cap.  Returns the predicted state count and
-    the cap; a non-finite t raises ValidationError.
-    """
-    cap = _cap(t)
-    predicted = predicted_state_count(omega, t)
-    if predicted > cap:
-        raise GuardExceeded(
-            f"predicted state count {predicted} exceeds cap {cap} for t={t}"
-        )
-    _check_paths(omega, t, MAX_PATH_COUNT, "the int64 path counts")
-    return predicted, cap
 
 
 def enumerate_paths(omega: IntervalUnion, b, x: float, t: float) -> list[Path]:
     """The complete set of admissible paths for (x, t), in depth-first order.
 
-    Raises GuardExceeded when the predicted or actual path count passes the
-    cap (see ``check_path_guard``).
+    The walk visits the n successors of every word it extends, n words per
+    extension; it raises GuardExceeded before those words pass the cap
+    (``path_cap``), so one interval, whose single path is |t| / l long, is
+    guarded too.  A non-finite t raises ValidationError.
     """
     b = np.asarray(b, dtype=complex)
     i = omega.index_of(x)
     if i is None:
         raise XNotInOmega(f"x={x} is not in an open interval of the set")
-    cap = check_path_guard(omega, t)
+    cap = _cap(t)
 
     forward = t >= 0
     direction = "forward" if forward else "backward"
@@ -200,12 +131,14 @@ def enumerate_paths(omega: IntervalUnion, b, x: float, t: float) -> list[Path]:
     paths: list[Path] = []
     # depth first, one iterator over the successors of each interval of the
     # word, so that a long path takes no recursion; elapsed[d] and weight[d]
-    # are the time spent and the weight gathered by word[:d + 1]
+    # are the time spent and the weight gathered by word[:d + 1]; every
+    # frame visits n words
     word, elapsed, weight = [i], [exit_time], [1.0 + 0j]
     frames = [iter(range(n))]
+    words = n
     while frames:
-        if len(paths) > cap:
-            raise GuardExceeded(f"path count exceeded cap {cap}")
+        if words > cap:
+            raise GuardExceeded(f"path walk visits more than cap {cap} words for t={t}")
         for j in frames[-1]:
             w = weight[-1] * weights[word[-1], j]
             remaining = big_t - elapsed[-1]
@@ -217,6 +150,7 @@ def enumerate_paths(omega: IntervalUnion, b, x: float, t: float) -> list[Path]:
                 elapsed.append(elapsed[-1] + lengths[j])
                 weight.append(w)
                 frames.append(iter(range(n)))
+                words += n
                 break
         else:
             frames.pop()
@@ -233,8 +167,8 @@ class EndStates:
     Per state, in order of pair: the index of its pair, final interval, end
     point, summed weight and path count.  ``tables`` path tables were
     built for the batch and ``states`` states propagated in them;
-    ``state_bound`` is the largest predicted state count of a table, which
-    the guard checked against ``cap``.
+    ``state_bound`` is the most states one table held, which the guard
+    compared with ``cap``.
     """
 
     pair: np.ndarray
@@ -249,8 +183,9 @@ class EndStates:
 
     def sums(self, tol: float | None = None) -> EndSums:
         """Weights per distinct end, clustered with ``cluster_ends``: for
-        the states of one pair, its end sums."""
-        return _cluster(self.end, self.weight, self.count, tol, int(self.count.sum()))
+        the states of one pair, its end sums.  Each count fits int64, their
+        sum need not: it is taken in Python integers."""
+        return _cluster(self.end, self.weight, self.count, tol, sum(self.count.tolist()))
 
 
 @dataclass(frozen=True)
@@ -320,19 +255,25 @@ def _build_table(
     A state stops the path for the x where 0 <= |t| - exit(x) - cum < l_j,
     with exit(x) the time to leave interval i; one (nodes x n) mask picks
     those rows at the end, in order of node, then of j.  The state where
-    x + t stays in interval i is included.  The caller runs the
-    predicted-state guard (``check_state_guard``) first.
+    x + t stays in interval i is included.
+
+    The guard counts as it pops: the node that would take the table past
+    ``path_cap()`` states (n per node), or one whose path count passes
+    ``MAX_PATH_COUNT`` (a row keeps its count in int64), raises
+    GuardExceeded; a non-finite t raises ValidationError before any work.
 
     With ``t_min`` the table serves every time of the sign of t whose
     magnitude lies between |t_min| and |t|: it keeps each row admissible
     from some start point at one of those times, and ``PathTable.read``
     reads the rows of any of them.  By default it serves t alone.
     """
+    cap = _cap(t)
     b = np.asarray(b, dtype=complex)
     forward = t >= 0
     big_t = abs(t)
     small_t = big_t if t_min is None else abs(t_min)
     n = omega.n
+    most = cap // n
     a, c = omega.endpoints[i]
     lengths = omega.lengths
     weights = (b if forward else b.conj().T).tolist()
@@ -361,6 +302,14 @@ def _build_table(
     while heap:
         cum, key = heapq.heappop(heap)
         w, count = pending.pop(key)
+        if len(cums) == most:
+            raise GuardExceeded(
+                f"path table of interval {i} holds more than cap {cap} states for t={t}"
+            )
+        if count > MAX_PATH_COUNT:
+            raise GuardExceeded(
+                f"a state of {count} paths exceeds the int64 path counts for t={t}"
+            )
         cums.append(cum)
         node_weights.append(w)
         counts.append(count)
@@ -422,10 +371,9 @@ def end_states(omega: IntervalUnion, b, xs, ts) -> EndStates:
     The pairs that start in the same interval with t of the same sign share
     one path table, built for the largest |t| among them and serving down
     to the smallest (``_build_table``'s ``t_min``), and read with one mask
-    (``PathTable.read``).  The predicted state count grows with |t| alone,
-    so the state guard checks the largest |t| of the batch, once, before
-    any table is built.  Raises XNotInOmega when a start point is not in an
-    open interval of the set.
+    (``PathTable.read``); each table guards itself as it is built.  Raises
+    XNotInOmega when a start point is not in an open interval of the set,
+    and ValidationError, before any table, when a t is not finite.
     """
     xs, ts = np.array(xs, dtype=float, ndmin=1), np.array(ts, dtype=float, ndmin=1)
     lefts, rights = np.array(omega.lefts), np.array(omega.rights)
@@ -435,17 +383,18 @@ def end_states(omega: IntervalUnion, b, xs, ts) -> EndStates:
     outside = np.flatnonzero(~((lefts[start] < xs) & (xs < rights[start])))
     if outside.size:
         raise XNotInOmega(f"x={float(xs[outside[0]])} is not in an open interval of the set")
-    bound, cap = check_state_guard(omega, float(ts[np.argmax(np.abs(ts))]))
+    cap = _cap(float(ts[np.argmax(np.abs(ts))]))
     # one table per (start interval, sign of t), read for all its pairs
     keys = 2 * start + (ts >= 0)
     reads = []
-    states = 0
+    states = bound = 0
     for key in np.flatnonzero(np.bincount(keys)).tolist():
         members = np.flatnonzero(keys == key)
         times = ts[members]
         big = np.abs(times)
         table = _build_table(omega, b, key // 2, float(times[np.argmax(big)]), float(big.min()))
         states += table.states
+        bound = max(bound, table.states)
         k, idx, end = table.read(xs[members], times)
         reads.append((members[k], table.final[idx], end, table.weight[idx], table.count[idx]))
     pair, *columns = (np.concatenate(column) for column in zip(*reads))
@@ -490,11 +439,13 @@ def _cluster(ends, weights, counts, tol, path_count) -> EndSums:
     """``cluster_ends`` on arrays: a cluster ends where the next end, in
     sorted order, lies more than tol beyond the last.  A merged end is the
     mean of its ends weighted by ``counts``, the number of paths behind
-    each, so it does not depend on how paths were grouped into states."""
+    each, so it does not depend on how paths were grouped into states.  The
+    counts are summed in float: their int64 sum could wrap."""
     if not len(ends):
         return EndSums([], [], path_count)
     order = np.argsort(ends)
-    ends, weights, counts = ends[order], weights[order], counts[order]
+    ends, weights = ends[order], weights[order]
+    counts = np.asarray(counts, dtype=float)[order]
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(ends))))
     starts = np.flatnonzero(np.r_[True, np.diff(ends) > tol])

@@ -15,7 +15,7 @@ from spectral_intervals.evolution import (
     _merge_atoms,
     shift_poly,
 )
-from spectral_intervals.paths import PathTable, _build_table, check_state_guard
+from spectral_intervals.paths import PathTable, _build_table
 from spectral_intervals.spectrum import CHUNK, TOL_EIG, _real_det, transfer_matrix
 
 
@@ -72,28 +72,20 @@ def nullspace_at(omega, b, lam: float) -> list:
 # -- path tables -------------------------------------------------------------
 
 
-def path_table(omega, b, i: int, t: float, t_min: float | None = None) -> PathTable:
-    """The path table of interval i for time t (serving down to |t_min|),
-    built after the state guard has passed t."""
-    check_state_guard(omega, t)
-    return _build_table(omega, b, i, t, t_min)
-
-
-def build_table_per_state(
-    omega, b, i: int, t: float, t_min: float | None = None
-) -> PathTable:
-    """``_build_table`` as it was before it propagated nodes: one heap entry
-    (cum, j, m) and one dictionary entry per state (j, m), one lookup per
-    (state, successor).  A state is complete before it is extended because
-    states pop in order of cum, that of the first path to reach them."""
+def per_state_walk(
+    omega, b, i: int, t: float, t_min: float | None = None, limit: float = math.inf
+):
+    """The loop of ``build_table_per_state``, unguarded: its rows (final
+    interval, covered length, weight, path count), the states it propagated
+    and the largest path count of a state, a Python int.  It stops after
+    ``limit`` + 1 states, so more than ``limit`` states means the table has
+    more."""
     b = np.asarray(b, dtype=complex)
-    forward = t >= 0
     big_t = abs(t)
     small_t = big_t if t_min is None else abs(t_min)
     n = omega.n
-    a, c = omega.endpoints[i]
-    lefts, rights, lengths = omega.lefts, omega.rights, omega.lengths
-    weights = (b if forward else b.conj().T).tolist()
+    lengths = omega.lengths
+    weights = (b if t >= 0 else b.conj().T).tolist()
     classes = omega.length_classes
     # The start range of a state, [lo, hi) at |t| = big_t stretched to cover
     # |t| = small_t, meets interval i iff cum < big_t and cum + l_j > reach.
@@ -108,11 +100,12 @@ def build_table_per_state(
     none = (0,) * len(classes.units)
     pending = {(j, none): [weights[i][j], 1] for j in range(n)}
     heap = [(0.0, j, none) for j in range(n)]
-    states = 0
-    while heap:
+    states = largest = 0
+    while heap and states <= limit:
         cum, j, m = heapq.heappop(heap)
         w, count = pending.pop((j, m))
         states += 1
+        largest = max(largest, count)
         cum_next = cum + lengths[j]
         if cum < big_t and cum_next > reach:
             rows.append((j, cum, w, count))
@@ -129,23 +122,35 @@ def build_table_per_state(
             else:
                 state[0] += w * row[jj]
                 state[1] += count
+    return rows, states, largest
 
+
+def build_table_per_state(
+    omega, b, i: int, t: float, t_min: float | None = None
+) -> PathTable:
+    """``_build_table`` as it was before it propagated nodes: one heap entry
+    (cum, j, m) and one dictionary entry per state (j, m), one lookup per
+    (state, successor).  A state is complete before it is extended because
+    states pop in order of cum, that of the first path to reach them."""
+    forward = t >= 0
+    a, c = omega.endpoints[i]
+    rows, states, _ = per_state_walk(omega, b, i, t, t_min)
     cols = list(zip(*rows))
     final, cum = np.array(cols[0], dtype=int), np.array(cols[1], dtype=float)
     weight, count = np.array(cols[2], dtype=complex), np.array(cols[3], dtype=np.int64)
     if forward:
-        entry = np.array(lefts)[final]
+        entry = np.array(omega.lefts)[final]
         shift = entry - c + t - cum
     else:
-        entry = np.array(rights)[final]
+        entry = np.array(omega.rights)[final]
         shift = entry - a + t + cum
     return PathTable(
         forward,
-        big_t,
+        abs(t),
         c if forward else a,
         final,
         entry,
-        np.array(lengths)[final],
+        np.array(omega.lengths)[final],
         cum,
         shift,
         weight,
@@ -171,7 +176,6 @@ def apply_U_per_subpiece(omega, b, t: float, f: PiecewiseExpPoly) -> EvolutionRe
     (``piece_containing``), each shifted on its own (``Atom.shifted``), and
     ``_merge_atoms`` sums the atoms of one frequency.  Its ``stats`` hold
     ``ends`` alone."""
-    check_state_guard(omega, t)
     bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
     inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()

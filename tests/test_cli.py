@@ -7,6 +7,7 @@ import pytest
 from spectral_intervals.cli import main
 from spectral_intervals.evolution import PiecewiseExpPoly, apply_U_paths
 from spectral_intervals.intervals import new_interval_union
+from spectral_intervals.paths import end_states
 
 PAIR = {
     "intervals": [[0, 1], [2, 3]],
@@ -391,6 +392,29 @@ def test_path_counts_past_int64_exit_3(problem, capsys, argv):
     assert err.startswith("guard exceeded:")
     assert "int64" in err
     assert "Traceback" not in err
+
+
+#: lengths 1, sqrt 2, sqrt 3, sqrt 5 with B the 4x4 Sylvester Hadamard
+#: matrix over 2
+FOUR_LENGTHS = {
+    "intervals": [
+        [0, 1], [1.5, 2.914213562373095], [3.5, 5.232050807568877], [6, 8.23606797749979]
+    ],
+    "matrix": (np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2).tolist(),
+}
+
+
+def test_path_count_sums_past_int64(tmp_path, capsys):
+    # at t = 50 the table holds 243,112 states, each of fewer than 2^63
+    # paths, and the paths from x = 0.5 add up to about 1.5e20
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(FOUR_LENGTHS))
+    code, rep = run_json(capsys, ["paths", str(path), "--x", "0.5", "--t", "50"])
+    assert code == 0
+    assert rep["stats"]["state_bound"] == rep["stats"]["states"] == 243_112
+    om = new_interval_union(FOUR_LENGTHS["intervals"])
+    counts = end_states(om, np.array(FOUR_LENGTHS["matrix"]), 0.5, 50.0).count
+    assert rep["path_count"] == sum(counts.tolist()) > 2**63
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])

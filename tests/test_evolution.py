@@ -446,16 +446,22 @@ def test_local_translation_zero_trials():
     assert rep.tables == 0 and rep.states == 0
 
 
-def test_local_translation_guard_before_any_table(monkeypatch):
-    def no_table(*args, **kwargs):
-        raise AssertionError("a table built before the guard")
+def test_local_translation_guard_stops_at_the_first_large_table(monkeypatch):
+    # the trials' tables hold at most 78 states; with a cap of 10 the first
+    # table (3 states) is built, the second (72 states, t near 8) trips
+    built, build_table = [], paths._build_table
 
-    monkeypatch.setattr(paths, "_build_table", no_table)
+    def build(*args):
+        built.append(args[2:])
+        return build_table(*args)
+
+    monkeypatch.setattr(paths, "_build_table", build)
+    assert local_translation_test(TILING, CYCLE, trials=40, seed=5).state_bound == 78
+    built.clear()
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
-    # lengths 1.2 : 0.9 : 0.9 are multiples of 0.3, so a table for |t| near
-    # 9 predicts up to 3 * 31 states
-    with pytest.raises(GuardExceeded, match="predicted state count"):
+    with pytest.raises(GuardExceeded, match="cap 10 states for t=7.96"):
         local_translation_test(TILING, CYCLE, trials=40, seed=5)
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("t", [0.6, -1.4])
@@ -520,13 +526,6 @@ def test_apply_U_paths_matches_per_subpiece_enumeration(endpoints, t):
     assert res.path_count == count
 
 
-def _bump(omega):
-    """(x - a)(c - x) on every interval (a, c): the CLI's 'bump'."""
-    return PiecewiseExpPoly.from_atoms(
-        omega, [[(0.0, (-a * c, a + c, -1.0))] for a, c in omega.endpoints]
-    )
-
-
 @pytest.mark.parametrize("t,cuts", [(0.6, {0: [0.4], 1: [2.7]}), (-0.6, {0: [0.6], 1: [2.6]})])
 def test_apply_U_paths_cuts_by_hand(t, cuts):
     # t = 0.6: below 0.4 (2.7) the flow stays in its interval, above it the
@@ -534,7 +533,7 @@ def test_apply_U_paths_cuts_by_hand(t, cuts):
     # mirrors it through the left ends.  The bump's breakpoints are the
     # interval ends, so they add no cut.
     om = new_interval_union([(0, 1), (2, 3.3)])
-    f = _bump(om)
+    f = PiecewiseExpPoly.bump(om)
     res = apply_U_paths(om, SQRT_SWAP, t, f)
     assert res.refinement == {i: pytest.approx(c, abs=1e-12) for i, c in cuts.items()}
     xs = probe_points(res.function, 4)
@@ -543,27 +542,32 @@ def test_apply_U_paths_cuts_by_hand(t, cuts):
 
 
 def test_apply_U_paths_checks_the_guard_once(monkeypatch):
-    calls = []
+    # one table per interval, each guarded once as it is built; the stats
+    # report the most states one table held, and the cap
+    built = []
 
-    def counted(omega, t):
-        calls.append(t)
-        return paths.check_state_guard(omega, t)
+    def build(*args):
+        built.append(paths._build_table(*args))
+        return built[-1]
 
-    monkeypatch.setattr(evolution, "check_state_guard", counted)
+    monkeypatch.setattr(evolution, "_build_table", build)
     om = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9)])
-    res = apply_U_paths(om, unitary_group.rvs(3, random_state=3), 2.1, _bump(om))
-    assert calls == [2.1]
-    assert res.stats["tables"] == 3
-    assert (res.stats["state_bound"], res.stats["cap"]) == paths.check_state_guard(om, 2.1)
+    res = apply_U_paths(om, unitary_group.rvs(3, random_state=3), 2.1, PiecewiseExpPoly.bump(om))
+    assert res.stats["tables"] == len(built) == 3
+    assert res.stats["states"] == sum(table.states for table in built)
+    assert res.stats["state_bound"] == max(table.states for table in built)
+    assert res.stats["cap"] == paths.path_cap()
 
 
 def test_apply_U_paths_guard(monkeypatch):
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
     om = new_interval_union([(0, 1), (2, 3.3)])
-    # lengths 1 : 1.3 are multiples of 0.1, so 2 * 41 states at most, and
-    # fewer than 4 crossings: 2 * C(5, 2) = 20 states at most (2^5 paths)
-    with pytest.raises(GuardExceeded, match="state count 20 "):
-        apply_U_paths(om, SQRT_SWAP, 4.0, _bump(om))
+    # at t = 4 each table holds 2 * 10 states: covered lengths 0, 1, 1.3,
+    # 2, 2.3, 2.6, 3, 3.3, 3.6 and 3.9
+    with pytest.raises(GuardExceeded, match="cap 10 states for t=4.0"):
+        apply_U_paths(om, SQRT_SWAP, 4.0, PiecewiseExpPoly.bump(om))
+    monkeypatch.setenv(MAX_PATHS_ENV, "20")
+    assert apply_U_paths(om, SQRT_SWAP, 4.0, PiecewiseExpPoly.bump(om)).stats["state_bound"] == 20
 
 
 # -- batched assembly against the per-sub-piece oracle -----------------------
@@ -578,7 +582,7 @@ ASSEMBLY_SETS = {
 
 def _assembly_function(kind, om, b):
     if kind == "bump":
-        return _bump(om)
+        return PiecewiseExpPoly.bump(om)
     if kind == "eigenfunction":
         return eigenfunction(om, compute_spectrum(om, b, window=(-1.1, 1.1)), 1)
     if kind == "mixed":

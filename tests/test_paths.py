@@ -1,10 +1,12 @@
 """Path enumeration and the weight-sum identities."""
 import dataclasses
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import unitary_group
 
 import spectral_intervals.paths as paths_module
@@ -17,12 +19,12 @@ from spectral_intervals.errors import (
 )
 from spectral_intervals.intervals import MAX_DENOMINATOR, Commensurability, new_interval_union
 from spectral_intervals.paths import (
+    MAX_PATH_COUNT,
     MAX_PATHS_ENV,
     PathTable,
+    _build_table,
     _cluster,
     aggregate_equal_length,
-    check_path_guard,
-    check_state_guard,
     cluster_ends,
     end_states,
     end_sums,
@@ -30,11 +32,9 @@ from spectral_intervals.paths import (
     local_translation_identities,
     path_sum_by_end,
     path_cap,
-    predicted_path_count,
-    predicted_state_count,
 )
 
-from oracles import build_table_per_state, path_table, select
+from oracles import build_table_per_state, per_state_walk, select
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 OM = new_interval_union([(0, 1), (2, 3)])
@@ -93,25 +93,40 @@ def test_x_not_in_set():
 
 
 def test_predicted_count_and_guard(monkeypatch):
-    assert predicted_path_count(OM, 2.5) == 2 ** 4
     # two unit lengths, one class: states (j, m) with m < 2.5
-    assert predicted_state_count(OM, 2.5) == 2 * 3
+    assert _build_table(OM, SQRT_SWAP, 0, 2.5).states == 2 * 3
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
-    # enumerate_paths keeps the path guard: 2^4 paths at t = 3
-    with pytest.raises(GuardExceeded):
+    # at t = 3 the walk of enumerate_paths visits 2 words per word it
+    # extends, 14 in all, for 8 paths: past the cap
+    with pytest.raises(GuardExceeded, match="cap 10 words"):
         enumerate_paths(OM, SQRT_SWAP, 0.5, 3.0)
-    # the table at t = 3 has at most 2 * 4 states, under the cap
-    assert predicted_state_count(OM, 3.0) == 8
-    assert path_table(OM, SQRT_SWAP, 0, 3.0).states <= 8
+    monkeypatch.setenv(MAX_PATHS_ENV, "14")
+    assert len(enumerate_paths(OM, SQRT_SWAP, 0.5, 3.0)) == 8
+    # the table at t = 3 has 2 * 3 states, under the cap
+    monkeypatch.setenv(MAX_PATHS_ENV, "6")
+    assert _build_table(OM, SQRT_SWAP, 0, 3.0).states == 6
 
 
-#: draws of the state-guard properties: 2-6 lengths, free, small integer
-#: multiples of the first or linked to it, a time, and the denominators of
-#: linked lengths
+def test_one_interval_walk_counts_its_words(monkeypatch):
+    # one interval, one path, but one word per crossing: from x = 0.5 the
+    # walk extends floor(t - 0.5) words of (0, 1), and visits one more
+    one = new_interval_union([(0, 1)])
+    with pytest.raises(GuardExceeded, match="words"):
+        enumerate_paths(one, np.eye(1), 0.5, 1e7)
+    monkeypatch.setenv(MAX_PATHS_ENV, "1000")
+    (path,) = enumerate_paths(one, np.eye(1), 0.5, 1000.4)
+    assert path.length == 1001 and path.end == pytest.approx(0.9)
+    with pytest.raises(GuardExceeded, match="cap 1000 words"):
+        enumerate_paths(one, np.eye(1), 0.5, -1000.6)
+
+
+#: draws of the guard property: 2-6 lengths, free, equal to the first
+#: (whose path counts grow fastest), small integer multiples of it or
+#: linked to it, a time, and the denominators of linked lengths
 GUARD_DRAWS = (
     st.lists(st.floats(0.05, 3.0), min_size=2, max_size=6),
     st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=6, max_size=6),
-    st.sampled_from(["free", "multiples", "linked"]),
+    st.sampled_from(["free", "equal", "multiples", "linked"]),
     st.floats(-40.0, 40.0),
     st.lists(st.integers(2, 64), min_size=3, max_size=3),
 )
@@ -136,7 +151,9 @@ def _linked_lengths(lengths, ratios, qs):
 
 
 def _guard_set(lengths, ratios, kind, qs):
-    if kind == "multiples":
+    if kind == "equal":
+        lengths = [lengths[0]] * len(lengths)
+    elif kind == "multiples":
         lengths = [lengths[0] * r for r in ratios[: len(lengths)]]
     elif kind == "linked":
         lengths = _linked_lengths(lengths, ratios, qs)
@@ -147,14 +164,32 @@ def _guard_set(lengths, ratios, kind, qs):
     return new_interval_union(eps)
 
 
+#: states the unguarded per-state walk may propagate in one example
+WALK_LIMIT = 5_000
+
+
 @settings(deadline=None, max_examples=200)
-@given(*GUARD_DRAWS)
-def test_predicted_states_never_exceed_predicted_paths(lengths, ratios, kind, t, qs):
-    # so no table that passes the path guard trips the state guard
+@given(*GUARD_DRAWS, st.integers(0, 5), st.floats(0.0, 2.0))
+# two lengths 0.5 at |t| = 40: 2 * 80 states, the last of 2^79 paths each
+@example([0.5, 0.5], [1] * 6, "equal", -40.0, [2, 3, 5], 0, 1.5)
+def test_the_guard_trips_iff_the_real_work_passes_it(lengths, ratios, kind, t, qs, start, share):
+    # the cap is drawn around the real state count of the table, as far as
+    # the per-state walk counts it: a table trips iff its states pass the
+    # cap or the path count of one state passes int64
     om = _guard_set(lengths, ratios, kind, qs)
-    assert predicted_state_count(om, t) <= predicted_path_count(om, t)
-    if predicted_path_count(om, t) <= path_cap():
-        check_state_guard(om, t)
+    i = start % om.n
+    _, states, largest = per_state_walk(om, np.eye(om.n), i, t, limit=WALK_LIMIT)
+    cap = max(1, round(share * min(states, WALK_LIMIT / 2)))
+    past_cap, past_int64 = states > cap, largest > MAX_PATH_COUNT
+    with mock.patch.dict(os.environ, {MAX_PATHS_ENV: str(cap)}):
+        try:
+            table = _build_table(om, np.eye(om.n), i, t)
+        except GuardExceeded as exc:
+            assert past_int64 if "int64" in str(exc) else past_cap
+        else:
+            assert not (past_cap or past_int64)
+            assert table.states == states <= cap
+            assert table.count.max() == largest
 
 
 def _first_value_classes(values, tol):
@@ -182,24 +217,7 @@ def _first_value_classes(values, tol):
         units.append(v0 * common / den)
         for (j, _, _), m in zip(group, mults):
             classes[j], multiples[j] = c, m // common
-    return Commensurability(
-        tuple(classes), tuple(multiples), tuple(units), tuple(() for _ in units)
-    )
-
-
-@settings(deadline=None, max_examples=200)
-@given(*GUARD_DRAWS)
-def test_unit_keyed_classes_trip_no_guard_the_first_value_rule_passed(
-    lengths, ratios, kind, t, qs
-):
-    om = _guard_set(lengths, ratios, kind, qs)
-    oracle = _guard_set(lengths, ratios, kind, qs)
-    oracle.__dict__["length_classes"] = _first_value_classes(oracle.lengths, oracle.tol() / 1000)
-    try:
-        check_state_guard(oracle, t)
-    except GuardExceeded:
-        return
-    check_state_guard(om, t)
+    return Commensurability(tuple(classes), tuple(multiples), tuple(units))
 
 
 def test_first_value_oracle_splits_the_tiling_lengths():
@@ -221,32 +239,20 @@ LINKED = new_interval_union(
 def test_linked_classes_are_bounded_by_the_classes_they_joined(monkeypatch):
     classes = LINKED.length_classes
     assert classes.classes == (0,) * 6
-    # each join pairs the classes of the coarsest common unit first: 1 and
-    # 2 (unit 1), then 4/3 (unit 1/3), then 65/64 (unit 1/192), and then
-    # the second round joins 1 + 1/12096
-    ((unit, (((third, ((whole, _), four_thirds)), _))), linked) = classes.joined[0]
-    assert (unit, third, whole) == pytest.approx((1 / 192, 1 / 3, 1.0))
-    assert four_thirds == (pytest.approx(4 / 3), ())
-    assert linked == (pytest.approx(1 + 1 / 12096), ())
-    # at |t| = 20: 21 * 16 -> 61 for unit 1/3, times 20 (65/64) and 20
-    # (1 + 1/12096), over n = 6 intervals; the first-value rule predicted
-    # 6 * 3841 * 20, and the one merged class alone 6 * C(25, 6) = 1,062,600
+    # at |t| = 20 the one merged class keeps 24,066 states a table, and the
+    # default cap passes them in both directions
     monkeypatch.delenv(MAX_PATHS_ENV, raising=False)
-    assert check_state_guard(LINKED, 20.0) == (6 * 61 * 20 * 20, 10**6)
-    assert check_state_guard(LINKED, -20.0) == (6 * 61 * 20 * 20, 10**6)
-    oracle = new_interval_union(LINKED.endpoints)
-    oracle.__dict__["length_classes"] = _first_value_classes(oracle.lengths, oracle.tol() / 1000)
-    assert predicted_state_count(oracle, 20.0) == 460_920
-    assert path_table(LINKED, np.eye(6), 0, 20.0).states == 24_066
+    states = end_states(LINKED, np.eye(6), [0.5, 0.5], [20.0, -20.0])
+    assert (states.tables, states.state_bound, states.cap) == (2, 24_066, 10**6)
+    assert _build_table(LINKED, np.eye(6), 0, 20.0).states == 24_066
 
 
 def test_lattice8_table_has_120_states():
     # eight unit intervals 2*{0..7} + [0, 1): one length class, so at
-    # |t| = 15 a table has 8 * 15 states against 8 * 16 predicted
+    # |t| = 15 a table has 8 * 15 states, covered lengths 0 to 14
     lattice8 = new_interval_union([(2 * k, 2 * k + 1) for k in range(8)])
     b = unitary_group.rvs(8, random_state=3)
-    assert path_table(lattice8, b, 0, 15.0).states == 120
-    assert predicted_state_count(lattice8, 15.0) == 128
+    assert _build_table(lattice8, b, 0, 15.0).states == 120
 
 
 #: fixed sets of the node-table property: one merged class (1 : 1.01 :
@@ -286,38 +292,36 @@ def test_node_table_equals_the_per_state_loop(name, lengths, start, t, t_min, se
 
 
 def test_state_guard_keeps_path_counts_in_int64(monkeypatch):
-    # two unit intervals: at |t| = 70 a table has at most 2 * 71 states, but
-    # a state holds up to 2^70 paths
+    # two unit intervals: the states of covered length m hold 2^m paths, and
+    # m < |t|, so |t| = 63 still fits int64 and |t| = 63.5 does not, with
+    # 2 * 64 states a table, far below the cap
     monkeypatch.setenv(MAX_PATHS_ENV, str(10**30))
-    with pytest.raises(GuardExceeded, match="int64"):
-        check_state_guard(OM, 70.0)
-    with pytest.raises(GuardExceeded, match="int64"):
-        path_table(OM, SQRT_SWAP, 0, -70.0)
-    # 2^62 paths still fit
-    assert check_state_guard(OM, 61.0) == (2 * 62, path_cap())
-    table = path_table(OM, SQRT_SWAP, 0, 61.0)
-    assert int(table.count.max()) <= 2 ** 62
-    # eight unit intervals at |t| = 15: 8^16 = 2^48 paths
+    for t in (63.5, -70.0):
+        with pytest.raises(GuardExceeded, match="int64"):
+            _build_table(OM, SQRT_SWAP, 0, t)
+    table = _build_table(OM, SQRT_SWAP, 0, -63.0)
+    assert table.states == 2 * 63
+    assert int(table.count.max()) == 2 ** 62 == per_state_walk(OM, SQRT_SWAP, 0, -63.0)[2]
+    # eight unit intervals at |t| = 15: 8^14 = 2^42 paths end in one state
     lattice8 = new_interval_union([(2 * k, 2 * k + 1) for k in range(8)])
-    assert check_state_guard(lattice8, 15.0)[0] == 8 * 16
+    assert int(_build_table(lattice8, np.eye(8), 0, 15.0).count.max()) == 8 ** 14
 
 
 def test_single_interval_states_are_counted(monkeypatch):
     # one path per start point, but one state per number of crossings
     om = new_interval_union([(0, 1)])
-    assert predicted_path_count(om, 7.5) == 1
-    assert predicted_state_count(om, 7.5) == 8
-    assert path_table(om, np.eye(1), 0, 7.5).states == 8
+    monkeypatch.setenv(MAX_PATHS_ENV, "8")
+    assert _build_table(om, np.eye(1), 0, 7.5).states == 8
     monkeypatch.setenv(MAX_PATHS_ENV, "7")
-    with pytest.raises(GuardExceeded):
-        path_table(om, np.eye(1), 0, 7.5)
+    with pytest.raises(GuardExceeded, match="cap 7 states"):
+        _build_table(om, np.eye(1), 0, 7.5)
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
 def test_bad_path_cap_is_a_validation_error(monkeypatch, cap):
     monkeypatch.setenv(MAX_PATHS_ENV, cap)
     with pytest.raises(ValidationError, match=MAX_PATHS_ENV):
-        check_path_guard(OM, 0.5)
+        end_states(OM, SQRT_SWAP, 0.5, 0.5)
 
 
 def test_path_sum_identities_spectral():
@@ -528,7 +532,7 @@ def test_end_sums_barely_crossing():
 
 
 def test_path_table_states():
-    table = path_table(OM, SQRT_SWAP, 0, 2.0)
+    table = _build_table(OM, SQRT_SWAP, 0, 2.0)
     # the state counts add up to the number of paths at every start point
     for x in (0.1, 0.5, 0.9):
         states = end_states(OM, SQRT_SWAP, x, 2.0)
@@ -552,10 +556,10 @@ def test_path_table_serves_a_range_of_times(sign):
     om = new_interval_union([(0, 0.7), (1.5, 2.8), (3.1, 3.9)])
     b = unitary_group.rvs(3, random_state=9)
     for i in range(om.n):
-        shared = path_table(om, b, i, sign * 3.1, t_min=0.2)
+        shared = _build_table(om, b, i, sign * 3.1, t_min=0.2)
         a, c = om.endpoints[i]
         for big_t in np.append(rng.uniform(0.2, 3.1, size=20), [0.2, 3.1]):
-            own = path_table(om, b, i, sign * big_t)
+            own = _build_table(om, b, i, sign * big_t)
             for x in rng.uniform(a, c, size=5):
                 idx, ends = select(shared, x, sign * big_t)
                 want_idx, want_ends = select(own, x, sign * big_t)
@@ -587,32 +591,51 @@ def test_end_states_start_on_a_shared_endpoint():
 
 
 def test_end_states_checks_the_guard_once(monkeypatch):
-    # four tables (two start intervals, both signs), one guard check at the
-    # largest |t| of the batch, whose bound and cap the states report
-    calls = []
+    # four tables (two start intervals, both signs), each built once, for
+    # the largest |t| of its pairs; the states report the most states one
+    # table held, and the cap
+    built = []
 
-    def check(omega, t):
-        calls.append(t)
-        return check_state_guard(omega, t)
+    def build(*args):
+        built.append(_build_table(*args))
+        return built[-1]
 
-    monkeypatch.setattr(paths_module, "check_state_guard", check)
+    monkeypatch.setattr(paths_module, "_build_table", build)
     xs, ts = [0.5, 2.5, 0.2, 2.8, 0.9], [1.5, -0.4, -2.7, 0.3, 2.0]
     states = end_states(OM, SQRT_SWAP, xs, ts)
-    assert calls == [-2.7]
+    assert sorted(table.big_t for table in built) == [0.3, 0.4, 2.0, 2.7]
     assert states.tables == 4
-    assert (states.state_bound, states.cap) == check_state_guard(OM, -2.7)
-    monkeypatch.setenv(MAX_PATHS_ENV, str(predicted_state_count(OM, 2.7) - 1))
+    assert states.states == sum(table.states for table in built)
+    assert (states.state_bound, states.cap) == (6, path_cap())
+    monkeypatch.setenv(MAX_PATHS_ENV, "5")
     with pytest.raises(GuardExceeded, match="t=-2.7"):
         end_states(OM, SQRT_SWAP, xs, ts)
+    monkeypatch.setenv(MAX_PATHS_ENV, "6")
+    assert end_states(OM, SQRT_SWAP, xs, ts).state_bound == 6
 
 
 def test_path_table_guard_before_states(monkeypatch):
-    # the state guard: 2 * (5 + 1) = 12 predicted states at t = 5
-    monkeypatch.setenv(MAX_PATHS_ENV, "10")
-    with pytest.raises(GuardExceeded, match="state count 12"):
-        path_table(OM, SQRT_SWAP, 0, 5.0)
+    # at t = 5 a table holds 2 * 5 states (covered lengths 0 to 4); the
+    # guard stops it before it takes the node that passes the cap
+    monkeypatch.setenv(MAX_PATHS_ENV, "9")
+    with pytest.raises(GuardExceeded, match="cap 9 states"):
+        _build_table(OM, SQRT_SWAP, 0, 5.0)
     with pytest.raises(GuardExceeded):
         end_sums(OM, SQRT_SWAP, 0.5, 5.0)
+    monkeypatch.setenv(MAX_PATHS_ENV, "10")
+    assert _build_table(OM, SQRT_SWAP, 0, 5.0).states == 10
+
+
+def test_cluster_means_and_counts_do_not_wrap():
+    # two states of 2^62 paths each: their int64 sum would wrap to -2^63
+    counts = np.array([2**62, 2**62], dtype=np.int64)
+    sums = _cluster(np.array([1.0, 1.0 + 1e-11]), np.ones(2, dtype=complex), counts, None, 0)
+    assert sums.sums[0][0] == pytest.approx(1.0 + 0.5e-11, abs=1e-15)
+    # from x = 0.5 the paths cross 61 or 62 intervals: 2^62 and 2^63 paths
+    states = end_states(OM, SQRT_SWAP, [0.5, 0.5], [62.25, 62.75])
+    assert states.count.tolist() == [2**61, 2**61, 2**62, 2**62]
+    assert states.count.sum() < 0
+    assert states.sums().path_count == 2**62 + 2**63
 
 
 def test_cluster_ends_flags_near_ends():
