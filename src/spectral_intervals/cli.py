@@ -108,6 +108,22 @@ def _window(args, data):
     return None
 
 
+def _dumps(report: dict) -> str:
+    """The report as JSON.  A report is a tree the command built: no
+    container can recur.  Path counts are exact ints of any size, so the
+    interpreter's limit on writing long ints in decimal (4300 digits, a
+    guard for parsing untrusted text) is lifted while the report is
+    written; a count within the path cap takes milliseconds to write."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(report, check_circular=False)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, report: dict, csv_rows=None, csv_header=None):
     if args.format == "csv":
         if csv_rows is None:
@@ -118,8 +134,7 @@ def _emit(args, report: dict, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
-        # a report is a tree the command built: no container can recur
-        text = json.dumps(report, check_circular=False) + "\n"
+        text = _dumps(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -250,6 +265,8 @@ def cmd_verify(args) -> int:
             "witnesses": lt.witnesses,
             "tables": lt.tables,
             "states": lt.states,
+            "table_states": lt.table_states,
+            "zero_states": lt.zero_states,
             "state_bound": lt.state_bound,
             "cap": lt.cap,
             "length_units": list(omega.length_classes.units),
@@ -357,6 +374,7 @@ def cmd_paths(args) -> int:
     out["stats"] = {
         "tables": states.tables,
         "states": states.states,
+        "zero_states": states.zero_states,
         "ends": len(states.end),
         "state_bound": states.state_bound,
         "cap": states.cap,

@@ -456,9 +456,12 @@ def norm(omega: IntervalUnion, f: PiecewiseExpPoly) -> float:
 class EvolutionResult:
     """U(t)f as a piecewise exp-poly with the sub-breakpoints used.
 
-    ``stats`` says how it was produced: ``tables`` built, ``states``
-    propagated in them, ``ends`` (end states summed over all sub-pieces),
-    ``pieces`` (sub-pieces assembled), ``atoms`` (atoms of the result, after
+    ``path_count`` sums, over the sub-pieces, the paths of the rows read
+    there: the paths that pass only through states of nonzero weight
+    (``_build_table``).  ``stats`` says how it was produced: ``tables``
+    built, ``states`` propagated in them, ``zero_states`` among those
+    dropped for a summed weight of exactly 0, ``ends`` (end states summed
+    over all sub-pieces), ``pieces`` (sub-pieces assembled), ``atoms`` (atoms of the result, after
     the merge by frequency), ``state_bound``, the most states one table
     held, the ``cap`` the guard compared it with, and ``seconds`` for the
     ``tables``, ``cuts`` and ``pieces`` stages.
@@ -476,10 +479,11 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     Interval i is cut where a row of its path table becomes or stops being
     admissible (the edges of the row's start range) and where the end
     x + shift of a row crosses a breakpoint of f strictly inside the row's
-    final interval; nothing else changes the sum.  Each table is read at
-    the midpoints of all the sub-pieces of its interval with one mask
-    (``PathTable.read``), and ``_assemble`` builds every sub-piece in one
-    batched pass.  Each table guards itself as it is built
+    final interval; nothing else changes the sum.  A table has no row of
+    weight 0, so no cut comes from a state that adds nothing.  Each table
+    is read at the midpoints of all the sub-pieces of its interval with one
+    mask (``PathTable.read``), and ``_assemble`` builds every sub-piece in
+    one batched pass.  Each table guards itself as it is built
     (``_build_table``); a non-finite t raises ValidationError first.
     """
     cap = _cap(t)
@@ -489,12 +493,13 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     tol = omega.tol()
     refinement: dict[int, list[float]] = {}
     parts = []
-    total_paths = states = state_bound = ends_read = pieces = 0
+    total_paths = states = zero_states = state_bound = ends_read = pieces = 0
     seconds = dict.fromkeys(("tables", "cuts", "pieces"), 0.0)
     for i, (alo, ahi) in enumerate(omega.endpoints):
         t0 = time.perf_counter()
         table = _build_table(omega, b, i, t)
         states += table.states
+        zero_states += table.zero_states
         state_bound = max(state_bound, table.states)
         t1 = time.perf_counter()
         sign = 1.0 if table.forward else -1.0
@@ -511,7 +516,8 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
         lo, hi = edges[keep], edges[keep + 1]
         t2 = time.perf_counter()
         k, idx, ends = table.read((lo + hi) / 2, np.full(len(lo), t))
-        # a row's path count fits int64, its sum over the sub-pieces need not
+        # path counts are Python ints: a row read on many sub-pieces adds its
+        # count once per sub-piece
         uses = np.bincount(idx, minlength=len(table.count))
         total_paths += sum(map(operator.mul, table.count.tolist(), uses.tolist()))
         parts.append((lo, hi, pieces + k, table.shift[idx], table.weight[idx], ends))
@@ -526,6 +532,7 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     stats = {
         "tables": omega.n,
         "states": states,
+        "zero_states": zero_states,
         "ends": ends_read,
         "pieces": pieces,
         "atoms": int(result._arrays.atoms.sum()),
@@ -728,9 +735,12 @@ def sample_local_pair(omega: IntervalUnion, rng: np.random.Generator):
 @dataclass
 class LocalTranslationReport:
     """Outcome of the trials; ``tables`` path tables were built and
-    ``states`` end states read over all trials.  ``state_bound`` is the
-    most states one table held, which the guard compared with ``cap``;
-    ``seconds`` times the ``draw``, ``states`` and ``evaluate`` stages."""
+    ``states`` end states read over all trials.  ``table_states`` states
+    were propagated in the tables, and ``zero_states`` of those dropped for
+    a summed weight of exactly 0.  ``state_bound`` is the most states one
+    table held; the guard compared them, with the words of their path
+    counts, with ``cap``.  ``seconds`` times the ``draw``, ``states`` and
+    ``evaluate`` stages."""
 
     passed: bool
     trials: int
@@ -738,6 +748,8 @@ class LocalTranslationReport:
     witnesses: list[tuple[float, float, float]]  # (x, t, error)
     tables: int
     states: int
+    table_states: int = 0
+    zero_states: int = 0
     state_bound: int = 0
     cap: int = 0
     seconds: dict = field(default_factory=dict)
@@ -791,7 +803,7 @@ def local_translation_test(
     seconds = {"draw": t1 - t0, "states": t2 - t1, "evaluate": time.perf_counter() - t2}
     return LocalTranslationReport(
         not witnesses, trials, float(errors.max()), witnesses, states.tables, ends,
-        states.state_bound, states.cap, seconds,
+        states.states, states.zero_states, states.state_bound, states.cap, seconds,
     )
 
 

@@ -15,15 +15,20 @@ one unit) that length is one integer.  ``_build_table`` therefore propagates
 weights forward over the end states (j, covered length per class) once per
 interval, one node of n states per covered length, so callers that need
 only end sums never build the paths themselves; ``enumerate_paths`` lists
-single paths for reports and per-path checks.  The rows also give every
+single paths for reports and per-path checks.  A state whose summed weight
+is exactly 0 adds exactly 0 to every end and every state after it, so the
+table neither extends it nor gives it a row, and the walk likewise neither
+lists nor extends a word of weight 0: on a permutation B one chain of
+states carries the whole sum.  The rows also give every
 point where the sum over paths changes with x: the edges of their start
 ranges, and the start points whose end x + shift meets a breakpoint of the
 function summed.
 
 Both are guarded by the work they do, counted while they do it: a table
-stops once its states pass the cap (``path_cap``) or the path count of one
-state passes int64, and the walk of ``enumerate_paths`` once the words it
-visits pass the cap.
+stops once its states, and the 64-bit words its path counts take beyond one
+a node, pass the cap (``path_cap``), and the walk of ``enumerate_paths``
+once the words it visits pass the cap.  Path counts are Python integers,
+so they never wrap.
 """
 from __future__ import annotations
 
@@ -92,17 +97,15 @@ def _cap(t: float) -> int:
     return path_cap()
 
 
-#: largest path count a table row holds
-MAX_PATH_COUNT = int(np.iinfo(np.int64).max)
-
-
 def enumerate_paths(omega: IntervalUnion, b, x: float, t: float) -> list[Path]:
-    """The complete set of admissible paths for (x, t), in depth-first order.
+    """The admissible paths for (x, t) of nonzero weight, in depth-first order.
 
-    The walk visits the n successors of every word it extends, n words per
-    extension; it raises GuardExceeded before those words pass the cap
-    (``path_cap``), so one interval, whose single path is |t| / l long, is
-    guarded too.  A non-finite t raises ValidationError.
+    A word of weight 0 (a zero entry of B on it) is neither listed nor
+    extended: every path through it has weight 0.  The walk visits the n
+    successors of every word it extends, n words per extension; it raises
+    GuardExceeded before those words pass the cap (``path_cap``), so one
+    interval, whose single path is |t| / l long, is guarded too.  A
+    non-finite t raises ValidationError.
     """
     b = np.asarray(b, dtype=complex)
     i = omega.index_of(x)
@@ -141,6 +144,8 @@ def enumerate_paths(omega: IntervalUnion, b, x: float, t: float) -> list[Path]:
             raise GuardExceeded(f"path walk visits more than cap {cap} words for t={t}")
         for j in frames[-1]:
             w = weight[-1] * weights[word[-1], j]
+            if w == 0:
+                continue
             remaining = big_t - elapsed[-1]
             if remaining < lengths[j]:
                 end = lefts[j] + remaining if forward else rights[j] - remaining
@@ -165,10 +170,13 @@ class EndStates:
     """The end states admissible from a batch of start pairs (x, t).
 
     Per state, in order of pair: the index of its pair, final interval, end
-    point, summed weight and path count.  ``tables`` path tables were
-    built for the batch and ``states`` states propagated in them;
-    ``state_bound`` is the most states one table held, which the guard
-    compared with ``cap``.
+    point, summed weight (never 0, see ``_build_table``) and path count, a
+    Python int in an object array.  ``tables`` path tables were built for
+    the batch and ``states`` states propagated in them, of which
+    ``zero_states`` were dropped for a summed weight of exactly 0;
+    ``state_bound`` is the most states one table held; the guard compared
+    them, with the words of their path counts (see ``_build_table``), with
+    ``cap``.
     """
 
     pair: np.ndarray
@@ -178,13 +186,14 @@ class EndStates:
     count: np.ndarray
     tables: int
     states: int
+    zero_states: int
     state_bound: int
     cap: int
 
     def sums(self, tol: float | None = None) -> EndSums:
         """Weights per distinct end, clustered with ``cluster_ends``: for
-        the states of one pair, its end sums.  Each count fits int64, their
-        sum need not: it is taken in Python integers."""
+        the states of one pair, its end sums, and the path count of its
+        states."""
         return _cluster(self.end, self.weight, self.count, tol, sum(self.count.tolist()))
 
 
@@ -194,17 +203,19 @@ class PathTable:
 
     Row s sums the paths that leave the start interval through
     ``exit_edge``, fully cross intervals of total length ``cum[s]`` and stop
-    in interval ``final[s]``; ``weight[s]`` is their summed weight and
-    ``count[s]`` their number.  From the start point x they spend
-    r = |t| - (exit(x) + cum[s]) in the final interval, entered at
-    ``entry[s]``; they are admissible when 0 <= r < ``length[s]`` and end at
-    x + ``shift[s]``.  That is the start range [lo, hi) forward and
-    (lo, hi] backward; rows whose range misses the start interval for
+    in interval ``final[s]``; ``weight[s]`` is their summed weight, never
+    0, and ``count[s]`` their number, a Python int (object dtype), over the
+    paths that pass only through states of nonzero weight.  From the start
+    point x they spend r = |t| - (exit(x) + cum[s]) in the final interval,
+    entered at ``entry[s]``; they are admissible when 0 <= r < ``length[s]``
+    and end at x + ``shift[s]``.  That is the start range [lo, hi) forward
+    and (lo, hi] backward; rows whose range misses the start interval for
     every time the table serves are dropped.  ``big_t`` is the largest
     |t| it serves, and ``shift`` is taken at that time.  The row of the path
     that stays in the start interval i has cum = -l_i: its remainder, like
     every other, is measured from the entry edge of its final interval.
-    ``states`` counts the states propagated, dropped rows included.
+    ``states`` counts the states propagated, dropped rows included, and
+    ``zero_states`` those of them whose summed weight is exactly 0.
     """
 
     forward: bool
@@ -218,6 +229,7 @@ class PathTable:
     weight: np.ndarray
     count: np.ndarray
     states: int
+    zero_states: int
 
     def read(self, xs: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The states admissible from a batch of start pairs (xs[k], ts[k]),
@@ -257,10 +269,21 @@ def _build_table(
     those rows at the end, in order of node, then of j.  The state where
     x + t stays in interval i is included.
 
+    A state whose summed weight is exactly 0 adds exactly 0 to every end
+    and every state after it: it is not extended, and the mask gives it no
+    row.  A node is then reached only through states of nonzero weight, and
+    its path count, a Python int, counts the words that pass only through
+    such states.  On a permutation or weighted permutation B the table is
+    one chain of nodes, one per crossing, where all words would reach one
+    node per covered length.
+
     The guard counts as it pops: the node that would take the table past
-    ``path_cap()`` states (n per node), or one whose path count passes
-    ``MAX_PATH_COUNT`` (a row keeps its count in int64), raises
-    GuardExceeded; a non-finite t raises ValidationError before any work.
+    ``path_cap()`` raises GuardExceeded, where a node counts its n states
+    and one more for every 64-bit word its path count takes beyond the
+    first.  A count can grow by a bit a crossing, so without that charge
+    the counts of a table within the cap could take memory and time
+    quadratic in |t|.  A non-finite t raises ValidationError before any
+    work.
 
     With ``t_min`` the table serves every time of the sign of t whose
     magnitude lies between |t_min| and |t|: it keeps each row admissible
@@ -273,7 +296,6 @@ def _build_table(
     big_t = abs(t)
     small_t = big_t if t_min is None else abs(t_min)
     n = omega.n
-    most = cap // n
     a, c = omega.endpoints[i]
     lengths = omega.lengths
     weights = (b if forward else b.conj().T).tolist()
@@ -299,24 +321,27 @@ def _build_table(
     pending = {0: [list(weights[i]), 1]}
     heap = [(0.0, 0)]
     cums, node_weights, counts = [], [], []
+    # the nodes the cap leaves room for, once it is charged the 64-bit words
+    # the path counts kept take beyond one a node
+    words, most = 0, cap // n
     while heap:
         cum, key = heapq.heappop(heap)
         w, count = pending.pop(key)
-        if len(cums) == most:
+        if count >> 64:
+            words += (count.bit_length() - 1) >> 6
+            most = (cap - words) // n
+        if len(cums) >= most:
             raise GuardExceeded(
                 f"path table of interval {i} holds more than cap {cap} states for t={t}"
-            )
-        if count > MAX_PATH_COUNT:
-            raise GuardExceeded(
-                f"a state of {count} paths exceeds the int64 path counts for t={t}"
+                + (f", counting {words} extra 64-bit words of path counts" if words else "")
             )
         cums.append(cum)
         node_weights.append(w)
         counts.append(count)
         for wj, (length, offset, row) in zip(w, crossings):
             cum_next = cum + length
-            if cum_next >= big_t:
-                continue  # no start point has time left to cross j
+            if not wj or cum_next >= big_t:
+                continue  # weight 0, or no start point has time left to cross j
             key_next = key + offset
             target = pending.get(key_next)
             if target is None:
@@ -327,22 +352,26 @@ def _build_table(
                 target[1] += count
 
     # The start range of a state, [lo, hi) at |t| = big_t stretched to cover
-    # |t| = small_t, meets interval i iff cum < big_t and cum + l_j > reach.
-    # First the row of the path that stays in interval i, with cum = -l_i so
-    # that its remainder too is measured from the entry edge of its final
-    # interval.
+    # |t| = small_t, meets interval i iff cum < big_t and cum + l_j > reach;
+    # a state of weight 0 gives no row.  First the row of the path that
+    # stays in interval i, with cum = -l_i so that its remainder too is
+    # measured from the entry edge of its final interval.
     reach = small_t - lengths[i]
     node_cum = np.array(cums)
     length = np.array(lengths)
-    node, final = np.nonzero((node_cum[:, None] < big_t) & (node_cum[:, None] + length > reach))
+    node_weight = np.array(node_weights, dtype=complex)
+    nonzero = node_weight != 0
+    node, final = np.nonzero(
+        (node_cum[:, None] < big_t) & (node_cum[:, None] + length > reach) & nonzero
+    )
     cum = node_cum[node]
-    weight = np.array(node_weights, dtype=complex)[node, final]
-    count = np.array(counts, dtype=np.int64)[node]
+    weight = node_weight[node, final]
+    count = np.array(counts, dtype=object)[node]
     if reach < 0:
         final = np.concatenate(([i], final))
         cum = np.concatenate(([-lengths[i]], cum))
         weight = np.concatenate(([1.0 + 0j], weight))
-        count = np.concatenate((np.ones(1, dtype=np.int64), count))
+        count = np.concatenate((np.ones(1, dtype=object), count))
     if forward:
         entry = np.array(omega.lefts)[final]
         shift = entry - c + t - cum
@@ -361,6 +390,7 @@ def _build_table(
         weight,
         count,
         n * len(cums),
+        nonzero.size - int(np.count_nonzero(nonzero)),
     )
 
 
@@ -387,20 +417,27 @@ def end_states(omega: IntervalUnion, b, xs, ts) -> EndStates:
     # one table per (start interval, sign of t), read for all its pairs
     keys = 2 * start + (ts >= 0)
     reads = []
-    states = bound = 0
+    states = zero_states = bound = 0
     for key in np.flatnonzero(np.bincount(keys)).tolist():
         members = np.flatnonzero(keys == key)
         times = ts[members]
         big = np.abs(times)
         table = _build_table(omega, b, key // 2, float(times[np.argmax(big)]), float(big.min()))
         states += table.states
+        zero_states += table.zero_states
         bound = max(bound, table.states)
         k, idx, end = table.read(xs[members], times)
         reads.append((members[k], table.final[idx], end, table.weight[idx], table.count[idx]))
     pair, *columns = (np.concatenate(column) for column in zip(*reads))
     order = np.argsort(pair, kind="stable")
     return EndStates(
-        pair[order], *(column[order] for column in columns), len(reads), states, bound, cap
+        pair[order],
+        *(column[order] for column in columns),
+        len(reads),
+        states,
+        zero_states,
+        bound,
+        cap,
     )
 
 
@@ -439,17 +476,19 @@ def _cluster(ends, weights, counts, tol, path_count) -> EndSums:
     """``cluster_ends`` on arrays: a cluster ends where the next end, in
     sorted order, lies more than tol beyond the last.  A merged end is the
     mean of its ends weighted by ``counts``, the number of paths behind
-    each, so it does not depend on how paths were grouped into states.  The
-    counts are summed in float: their int64 sum could wrap."""
+    each (Python ints, object dtype), so it does not depend on how paths
+    were grouped into states.  Each count is divided, exactly rounded, by
+    the largest of its cluster, so counts past the range of a float weigh
+    in too."""
     if not len(ends):
         return EndSums([], [], path_count)
     order = np.argsort(ends)
-    ends, weights = ends[order], weights[order]
-    counts = np.asarray(counts, dtype=float)[order]
+    ends, weights, counts = ends[order], weights[order], np.asarray(counts)[order]
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(ends))))
     starts = np.flatnonzero(np.r_[True, np.diff(ends) > tol])
     sizes = np.diff(np.r_[starts, len(ends)])
+    counts = (counts / np.repeat(np.maximum.reduceat(counts, starts), sizes)).astype(float)
     first, last = ends[starts], ends[starts + sizes - 1]
     spread = np.add.reduceat((ends - np.repeat(first, sizes)) * counts, starts)
     mean = first + spread / np.add.reduceat(counts, starts)

@@ -73,13 +73,22 @@ def nullspace_at(omega, b, lam: float) -> list:
 
 
 def per_state_walk(
-    omega, b, i: int, t: float, t_min: float | None = None, limit: float = math.inf
+    omega,
+    b,
+    i: int,
+    t: float,
+    t_min: float | None = None,
+    limit: float = math.inf,
+    drop_zero: bool = True,
 ):
     """The loop of ``build_table_per_state``, unguarded: its rows (final
-    interval, covered length, weight, path count), the states it propagated
-    and the largest path count of a state, a Python int.  It stops after
-    ``limit`` + 1 states, so more than ``limit`` states means the table has
-    more."""
+    interval, covered length, weight, path count), the states it propagated,
+    those of weight exactly 0, the largest path count of a state, a Python
+    int, and the 64-bit words the path counts take beyond one a node (the n
+    states of a node share its count).  It stops after ``limit`` + 1
+    states, so more than ``limit`` states means the table has more.  A state of weight 0 is neither
+    extended nor given a row; with ``drop_zero`` false it is both, as every
+    word was before, so the rows sum all words."""
     b = np.asarray(b, dtype=complex)
     big_t = abs(t)
     small_t = big_t if t_min is None else abs(t_min)
@@ -100,12 +109,18 @@ def per_state_walk(
     none = (0,) * len(classes.units)
     pending = {(j, none): [weights[i][j], 1] for j in range(n)}
     heap = [(0.0, j, none) for j in range(n)]
-    states = largest = 0
+    states = zeros = largest = 0
+    words = {}
     while heap and states <= limit:
         cum, j, m = heapq.heappop(heap)
         w, count = pending.pop((j, m))
         states += 1
         largest = max(largest, count)
+        words[m] = (count.bit_length() - 1) >> 6
+        if w == 0:
+            zeros += 1
+            if drop_zero:
+                continue
         cum_next = cum + lengths[j]
         if cum < big_t and cum_next > reach:
             rows.append((j, cum, w, count))
@@ -122,22 +137,24 @@ def per_state_walk(
             else:
                 state[0] += w * row[jj]
                 state[1] += count
-    return rows, states, largest
+    return rows, states, zeros, largest, sum(words.values())
 
 
 def build_table_per_state(
-    omega, b, i: int, t: float, t_min: float | None = None
+    omega, b, i: int, t: float, t_min: float | None = None, drop_zero: bool = True
 ) -> PathTable:
     """``_build_table`` as it was before it propagated nodes: one heap entry
     (cum, j, m) and one dictionary entry per state (j, m), one lookup per
     (state, successor).  A state is complete before it is extended because
-    states pop in order of cum, that of the first path to reach them."""
+    states pop in order of cum, that of the first path to reach them.  With
+    ``drop_zero`` false it keeps the states of weight 0, the all-words table
+    of before they were dropped."""
     forward = t >= 0
     a, c = omega.endpoints[i]
-    rows, states, _ = per_state_walk(omega, b, i, t, t_min)
+    rows, states, zeros, _, _ = per_state_walk(omega, b, i, t, t_min, drop_zero=drop_zero)
     cols = list(zip(*rows))
     final, cum = np.array(cols[0], dtype=int), np.array(cols[1], dtype=float)
-    weight, count = np.array(cols[2], dtype=complex), np.array(cols[3], dtype=np.int64)
+    weight, count = np.array(cols[2], dtype=complex), np.array(cols[3], dtype=object)
     if forward:
         entry = np.array(omega.lefts)[final]
         shift = entry - c + t - cum
@@ -156,6 +173,7 @@ def build_table_per_state(
         weight,
         count,
         states,
+        zeros,
     )
 
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +69,11 @@ def test_verify(problem, capsys):
     # one path table per start interval and sign of t at most
     assert 1 <= rep["local_translation"]["tables"] <= 4
     assert rep["local_translation"]["states"] >= 5
+    # the README pair's tables drop states of weight 0; both fields count
+    # table states
+    lt = rep["local_translation"]
+    assert 0 < lt["zero_states"] < lt["table_states"]
+    assert lt["state_bound"] <= lt["table_states"]
     assert {c["name"] for c in rep["structure"]} >= {"gap_lengths", "diagonal"}
     assert rep["evidence"]["max_offdiagonal"] < 1e-8
     assert rep["root_count"] == sum(rep["dims"])
@@ -156,7 +163,10 @@ def test_evolve_and_paths_stats(problem, capsys):
     assert code == 0
     _assert_stats(rep["stats"], {"table", "sums", "identities", "list_paths"})
     assert rep["stats"]["tables"] == 1
-    assert rep["stats"]["ends"] == 2  # ends 0.5 and 2.5, two paths each
+    # the two paths that end at 0.5 cancel exactly: their state, one of the
+    # 2 * 2 states, is dropped, and 2.5 is the one end
+    assert (rep["stats"]["states"], rep["stats"]["zero_states"]) == (4, 1)
+    assert rep["stats"]["ends"] == 1
     code, rep = run_json(capsys, ["verify", problem, "--trials", "5"])
     assert rep["local_translation"]["cap"] == 10 ** 6
     assert 1 <= rep["local_translation"]["state_bound"] <= 6
@@ -221,7 +231,9 @@ def test_paths(problem, capsys):
         capsys, ["paths", problem, "--x", "0.5", "--t", "2.0", "--list-paths"]
     )
     assert code == 0
-    assert rep["path_count"] == 4
+    # four words, two of which end at 0.5 and cancel exactly: path_count
+    # counts the two that pass only through states of nonzero weight
+    assert rep["path_count"] == 2
     assert rep["identities"]["passed"]
     assert rep["identities"]["target_sum"] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert len(rep["paths"]) == 4
@@ -382,16 +394,47 @@ def test_oversized_scan_exits_3_at_once(problem, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["evolve", "--t", "70"], ["paths", "--x", "0.5", "--t", "70"], ["paths", "--x", "0.5", "--t", "-70"]],
+    [
+        ["evolve", "--t", "70"],
+        ["paths", "--x", "0.5", "--t", "70"],
+        ["paths", "--x", "0.5", "--t", "-70"],
+        ["paths", "--x", "0.5", "--t", "1000.25"],
+    ],
 )
-def test_path_counts_past_int64_exit_3(problem, capsys, argv):
-    # 2^71 paths predicted: far fewer states than the cap, but the path
-    # counts of a table would not fit in int64
-    assert main([argv[0], problem, *argv[1:]]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("guard exceeded:")
-    assert "int64" in err
-    assert "Traceback" not in err
+def test_path_counts_past_int64_exit_0(problem, capsys, argv):
+    # the README pair has 2^(|t| + 1) words, but its states cancel exactly
+    # every second crossing: a table holds 2 states per covered length, and
+    # U(t) moves the point with weight 1.  At t = 1000.25 the words through
+    # states of nonzero weight number 2^500, past int64, reported whole
+    code, rep = run_json(capsys, [argv[0], problem, *argv[1:]])
+    assert code == 0
+    t = float(argv[-1])
+    assert rep["stats"]["state_bound"] <= 2 * math.ceil(abs(t) + 1)
+    assert rep["stats"]["zero_states"] > 0
+    if argv[0] == "paths":
+        (end,) = rep["end_sums"]
+        assert end["weight"] == pytest.approx([1.0, 0.0], abs=1e-9)
+    if t > 1000:
+        assert rep["path_count"] > 2**63
+
+
+def test_path_counts_past_4300_digits_are_written_whole(problem, capsys, monkeypatch):
+    # at t = 30000.25 the README pair's one end is reached by 2^15000
+    # paths, 4516 decimal digits: past the interpreter's default limit on
+    # writing an int, which the report lifts while it is written alone
+    monkeypatch.setenv("SPECTRAL_INTERVALS_MAX_PATHS", str(5 * 10**6))
+    limit = sys.get_int_max_str_digits()
+    assert main(["paths", problem, "--x", "0.5", "--t", "30000.25"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        rep = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rep["path_count"] == 2**15000
+    (end,) = rep["end_sums"]
+    assert end["weight"] == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 #: lengths 1, sqrt 2, sqrt 3, sqrt 5 with B the 4x4 Sylvester Hadamard

@@ -447,21 +447,29 @@ def test_local_translation_zero_trials():
 
 
 def test_local_translation_guard_stops_at_the_first_large_table(monkeypatch):
-    # the trials' tables hold at most 78 states; with a cap of 10 the first
-    # table (3 states) is built, the second (72 states, t near 8) trips
+    # under a Haar B, which drops no state, the trials' tables hold at most
+    # 78 states; with a cap of 10 the first table (3 states) is built, the
+    # second (72 states, t near 8) trips
     built, build_table = [], paths._build_table
+    haar = unitary_group.rvs(3, random_state=3)
 
     def build(*args):
         built.append(args[2:])
         return build_table(*args)
 
     monkeypatch.setattr(paths, "_build_table", build)
-    assert local_translation_test(TILING, CYCLE, trials=40, seed=5).state_bound == 78
+    report = local_translation_test(TILING, haar, trials=40, seed=5)
+    assert (report.state_bound, report.zero_states) == (78, 0)
     built.clear()
     monkeypatch.setenv(MAX_PATHS_ENV, "10")
     with pytest.raises(GuardExceeded, match="cap 10 states for t=7.96"):
-        local_translation_test(TILING, CYCLE, trials=40, seed=5)
+        local_translation_test(TILING, haar, trials=40, seed=5)
     assert len(built) == 2
+    # the cycle keeps one state of weight 1 per node: at most 27 states
+    monkeypatch.delenv(MAX_PATHS_ENV)
+    report = local_translation_test(TILING, CYCLE, trials=40, seed=5)
+    assert report.passed and report.state_bound == 27
+    assert 0 < report.zero_states < report.table_states
 
 
 @pytest.mark.parametrize("t", [0.6, -1.4])

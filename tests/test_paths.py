@@ -19,7 +19,6 @@ from spectral_intervals.errors import (
 )
 from spectral_intervals.intervals import MAX_DENOMINATOR, Commensurability, new_interval_union
 from spectral_intervals.paths import (
-    MAX_PATH_COUNT,
     MAX_PATHS_ENV,
     PathTable,
     _build_table,
@@ -120,6 +119,17 @@ def test_one_interval_walk_counts_its_words(monkeypatch):
         enumerate_paths(one, np.eye(1), 0.5, -1000.6)
 
 
+def test_walk_drops_words_of_weight_zero():
+    # a 3-cycle: the walk lists the one word of weight 1, as many paths as
+    # the table counts, and extends no word that a zero entry ends
+    om = new_interval_union([(0, 1), (4.03, 5.04), (8.07, 9.09)])
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    for t in (7.3, -7.3):
+        (path,) = enumerate_paths(om, cycle, 0.5, t)
+        assert path.weight == 1 and len(path.word) == 8
+        assert sum(end_states(om, cycle, 0.5, t).count) == 1
+
+
 #: draws of the guard property: 2-6 lengths, free, equal to the first
 #: (whose path counts grow fastest), small integer multiples of it or
 #: linked to it, a time, and the denominators of linked lengths
@@ -172,23 +182,29 @@ WALK_LIMIT = 5_000
 @given(*GUARD_DRAWS, st.integers(0, 5), st.floats(0.0, 2.0))
 # two lengths 0.5 at |t| = 40: 2 * 80 states, the last of 2^79 paths each
 @example([0.5, 0.5], [1] * 6, "equal", -40.0, [2, 3, 5], 0, 1.5)
+# two lengths 0.5 at |t| = 70: 280 states, whose counts past 2^64 take 88
+# more words, so the cap 331 passes the states and trips on the words
+@example([0.5, 0.5], [1] * 6, "equal", 70.0, [2, 3, 5], 0, 0.9)
 def test_the_guard_trips_iff_the_real_work_passes_it(lengths, ratios, kind, t, qs, start, share):
-    # the cap is drawn around the real state count of the table, as far as
-    # the per-state walk counts it: a table trips iff its states pass the
-    # cap or the path count of one state passes int64
+    # the cap is drawn around the real work of the table, as far as the
+    # per-state walk counts it: its states and the 64-bit words its path
+    # counts take beyond one a node.  A table trips iff that work passes
+    # the cap.  A Haar B has no state of weight 0, so every state is
+    # propagated
     om = _guard_set(lengths, ratios, kind, qs)
     i = start % om.n
-    _, states, largest = per_state_walk(om, np.eye(om.n), i, t, limit=WALK_LIMIT)
-    cap = max(1, round(share * min(states, WALK_LIMIT / 2)))
-    past_cap, past_int64 = states > cap, largest > MAX_PATH_COUNT
+    b = unitary_group.rvs(om.n, random_state=start)
+    _, states, zeros, largest, words = per_state_walk(om, b, i, t, limit=WALK_LIMIT)
+    assert zeros == 0
+    work = states + words
+    cap = max(1, round(share * min(work, WALK_LIMIT / 2)))
     with mock.patch.dict(os.environ, {MAX_PATHS_ENV: str(cap)}):
         try:
-            table = _build_table(om, np.eye(om.n), i, t)
-        except GuardExceeded as exc:
-            assert past_int64 if "int64" in str(exc) else past_cap
+            table = _build_table(om, b, i, t)
+        except GuardExceeded:
+            assert work > cap
         else:
-            assert not (past_cap or past_int64)
-            assert table.states == states <= cap
+            assert table.states == states <= work <= cap
             assert table.count.max() == largest
 
 
@@ -239,12 +255,25 @@ LINKED = new_interval_union(
 def test_linked_classes_are_bounded_by_the_classes_they_joined(monkeypatch):
     classes = LINKED.length_classes
     assert classes.classes == (0,) * 6
-    # at |t| = 20 the one merged class keeps 24,066 states a table, and the
-    # default cap passes them in both directions
+    # at |t| = 20 the one merged class keeps 24,066 states a table under a
+    # Haar B, which drops none, and the default cap passes them in both
+    # directions
     monkeypatch.delenv(MAX_PATHS_ENV, raising=False)
-    states = end_states(LINKED, np.eye(6), [0.5, 0.5], [20.0, -20.0])
+    b = unitary_group.rvs(6, random_state=6)
+    states = end_states(LINKED, b, [0.5, 0.5], [20.0, -20.0])
     assert (states.tables, states.state_bound, states.cap) == (2, 24_066, 10**6)
-    assert _build_table(LINKED, np.eye(6), 0, 20.0).states == 24_066
+    assert states.zero_states == 0
+    assert _build_table(LINKED, b, 0, 20.0).states == 24_066
+
+
+def test_linked_cycle_propagates_one_chain():
+    # the 6-cycle on the linked lengths: one state of each node has weight
+    # 1, the other five weigh 0, so the 15 crossings that start before
+    # |t| = 20 take 15 nodes of 6 states (all words: 24,066 states)
+    cycle = np.roll(np.eye(6), 1, axis=1)
+    table = _build_table(LINKED, cycle, 0, 20.0)
+    assert (table.states, table.zero_states) == (90, 75)
+    assert table.count.tolist() == [1] * len(table.count)
 
 
 def test_lattice8_table_has_120_states():
@@ -264,6 +293,61 @@ NODE_SETS = {
 }
 
 
+#: kinds of B for the tables' properties: Haar B has no state of weight 0;
+#: a permutation and a weighted permutation keep one state of each node;
+#: a block-diagonal B of Haar blocks has zero entries; the Sylvester
+#: Hadamard matrix over 2 (order 4, or order 2 over sqrt 2, next to phases)
+#: has states that cancel exactly
+B_KINDS = ["haar", "permutation", "weighted", "block", "hadamard"]
+
+
+def _haar(n, rng):
+    if n == 1:
+        return np.array([[np.exp(2j * np.pi * rng.uniform())]])
+    return unitary_group.rvs(n, random_state=int(rng.integers(2**31)))
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(block) for block in blocks)
+    b, at = np.zeros((n, n), dtype=complex), 0
+    for block in blocks:
+        b[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    return b
+
+
+def _draw_b(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        return _haar(n, rng)
+    if kind in ("permutation", "weighted"):
+        b = np.eye(n, dtype=complex)[rng.permutation(n)]
+        if kind == "weighted":
+            b *= np.exp(2j * np.pi * rng.uniform(size=n))[:, None]
+        return b
+    if kind == "block":
+        k = int(rng.integers(1, n))
+        return _block_diagonal(_haar(k, rng), _haar(n - k, rng))
+    h2 = np.array([[1, 1], [1, -1]])
+    h = np.kron(h2, h2) / 2 if n >= 4 else h2 / np.sqrt(2)
+    return _block_diagonal(h, *([[[1.0]]] * (n - len(h))))
+
+
+def _assert_same_table(got: PathTable, want: PathTable):
+    # bit for bit, row order and dtypes included; path counts are Python
+    # ints in object arrays, compared by value
+    for field in dataclasses.fields(PathTable):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
+            if w.dtype == object:
+                assert g.tolist() == w.tolist(), field.name
+            else:
+                assert g.tobytes() == w.tobytes(), field.name
+        else:
+            assert g == w, field.name
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     st.sampled_from(["independent", *NODE_SETS]),
@@ -271,40 +355,115 @@ NODE_SETS = {
     st.integers(0, 7),
     st.floats(-8.0, 8.0),
     st.one_of(st.none(), st.floats(0.0, 1.0)),
+    st.sampled_from(B_KINDS),
     st.integers(0, 2**32 - 1),
 )
-def test_node_table_equals_the_per_state_loop(name, lengths, start, t, t_min, seed):
-    # bit for bit, row order and dtypes included: "independent" lays out
-    # the drawn lengths, which are rationally independent but by chance
+def test_node_table_equals_the_per_state_loop(name, lengths, start, t, t_min, kind, seed):
+    # "independent" lays out the drawn lengths, which are rationally
+    # independent but by chance; both loops drop the states of weight 0
     om = _guard_set(lengths, None, "free", None) if name == "independent" else NODE_SETS[name]
-    b = unitary_group.rvs(om.n, random_state=seed)
+    b = _draw_b(kind, om.n, seed)
     i = start % om.n
     t_min = None if t_min is None else t_min * t
-    got = paths_module._build_table(om, b, i, t, t_min)
-    want = build_table_per_state(om, b, i, t, t_min)
-    for field in dataclasses.fields(PathTable):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(w, np.ndarray):
-            assert (g.dtype, g.shape) == (w.dtype, w.shape), field.name
-            assert g.tobytes() == w.tobytes(), field.name
-        else:
-            assert g == w, field.name
+    _assert_same_table(
+        paths_module._build_table(om, b, i, t, t_min), build_table_per_state(om, b, i, t, t_min)
+    )
 
 
-def test_state_guard_keeps_path_counts_in_int64(monkeypatch):
-    # two unit intervals: the states of covered length m hold 2^m paths, and
-    # m < |t|, so |t| = 63 still fits int64 and |t| = 63.5 does not, with
-    # 2 * 64 states a table, far below the cap
-    monkeypatch.setenv(MAX_PATHS_ENV, str(10**30))
-    for t in (63.5, -70.0):
-        with pytest.raises(GuardExceeded, match="int64"):
+def _table_sums(table: PathTable, x: float, t: float):
+    idx, ends = select(table, x, t)
+    return _cluster(ends, table.weight[idx], table.count[idx], None, 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.floats(0.5, 2.0), min_size=2, max_size=4),
+    st.lists(st.sampled_from([1, 2, 3]), min_size=6, max_size=6),
+    st.sampled_from(["free", "multiples", "linked"]),
+    st.lists(st.integers(2, 64), min_size=3, max_size=3),
+    st.sampled_from(B_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.floats(0.01, 0.99),
+    st.floats(0.0, 5.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_dropping_zero_states_keeps_every_nonzero_end_sum(
+    lengths, ratios, length_kind, qs, kind, seed, start, where, big_t, sign
+):
+    # against the all-words loop, which keeps the states of weight 0: the
+    # same sum at every end (an end missing on one side weighs 0 there), and
+    # the same table, bit for bit, when no state weighs 0
+    om = _guard_set(lengths, ratios, length_kind, qs)
+    b = _draw_b(kind, om.n, seed)
+    i = start % om.n
+    a, c = om.endpoints[i]
+    x, t = a + where * (c - a), sign * big_t
+    got = _build_table(om, b, i, t)
+    words = build_table_per_state(om, b, i, t, drop_zero=False)
+    assert (got.states, got.zero_states) <= (words.states, words.zero_states)
+    if words.zero_states == 0:
+        _assert_same_table(got, words)
+    assert np.all(got.weight != 0)
+    pruned, full = _table_sums(got, x, t), _table_sums(words, x, t)
+    tol = 1e-9 * max(1.0, abs(om.endpoints[-1][1]))
+    for end, w in full.sums:
+        assert abs(pruned.sum_at(end, tol) - w) <= 1e-12
+    for end, w in pruned.sums:
+        assert abs(full.sum_at(end, tol) - w) <= 1e-12
+        assert any(abs(end - e) <= tol for e in full.ends)
+    if kind in ("permutation", "weighted"):
+        # one path, of weight 1 in modulus
+        assert len(pruned.sums) == 1 and abs(abs(pruned.sums[0][1]) - 1) < 1e-12
+
+
+def test_the_guard_charges_the_words_of_long_path_counts(monkeypatch):
+    # the README pair: one chain of 2 states per crossing, whose path count
+    # doubles every second crossing.  At |t| = 1e5 the states alone (about
+    # 2e5) would pass a cap of 3e5, but the counts would keep about 1e10
+    # bits; the words they take beyond one a node trip the guard long
+    # before, after some 7,000 crossings
+    monkeypatch.setenv(MAX_PATHS_ENV, str(300_000))
+    for t in (100_000.25, -100_000.25):
+        with pytest.raises(GuardExceeded, match="cap 300000 states .* words of path counts"):
             _build_table(OM, SQRT_SWAP, 0, t)
-    table = _build_table(OM, SQRT_SWAP, 0, -63.0)
-    assert table.states == 2 * 63
-    assert int(table.count.max()) == 2 ** 62 == per_state_walk(OM, SQRT_SWAP, 0, -63.0)[2]
+    table = _build_table(OM, SQRT_SWAP, 0, 1000.25)
+    assert table.states == 2002 and set(table.count) == {2**500}
+    # counts below 2^64 are charged nothing: the message names no words
+    monkeypatch.setenv(MAX_PATHS_ENV, "100")
+    with pytest.raises(GuardExceeded, match=r"cap 100 states for t=200.25$"):
+        _build_table(OM, SQRT_SWAP, 0, 200.25)
+
+
+def test_path_counts_stay_exact_past_int64():
+    # two unit intervals under a Haar B: the states of covered length m hold
+    # 2^m paths, m < |t|, so at |t| = 70 a state holds 2^69 paths, past
+    # int64, with 2 * 70 states a table, far below the cap
+    b = unitary_group.rvs(2, random_state=2)
+    for t in (63.0, 63.5, -70.0):
+        table = _build_table(OM, b, 0, t)
+        largest = 2 ** math.ceil(abs(t) - 1)
+        assert table.states == 2 * math.ceil(abs(t))
+        assert table.count.dtype == object
+        assert table.count.max() == largest == per_state_walk(OM, b, 0, t)[3]
     # eight unit intervals at |t| = 15: 8^14 = 2^42 paths end in one state
     lattice8 = new_interval_union([(2 * k, 2 * k + 1) for k in range(8)])
-    assert int(_build_table(lattice8, np.eye(8), 0, 15.0).count.max()) == 8 ** 14
+    b8 = unitary_group.rvs(8, random_state=8)
+    assert _build_table(lattice8, b8, 0, 15.0).count.max() == 8 ** 14
+
+
+@pytest.mark.parametrize("name", ["readme", "tiling"])
+def test_spectral_pairs_give_one_end_at_a_large_time(name):
+    # U(t)f(x) = f(x + t) on a spectral pair: after pruning one end carries
+    # weight 1, whatever the number of words, and the tables stay small
+    om, b = {
+        "readme": (OM, SQRT_SWAP),
+        "tiling": (NODE_SETS["merged"], np.roll(np.eye(3), 1, axis=1)),
+    }[name]
+    states = end_states(om, b, 0.5, 1000.25)
+    (end, weight), = states.sums().sums
+    assert weight == pytest.approx(1.0, abs=1e-9)
+    assert states.state_bound < 10**4
 
 
 def test_single_interval_states_are_counted(monkeypatch):
@@ -524,19 +683,51 @@ def test_end_sums_exact_exit():
     assert sums.sum_at(2.0) == pytest.approx(SQRT_SWAP[0, 1])
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cancelling_end_sums_match_enumeration(sign):
+    # SQRT_SWAP cancels: the walk lists every word of nonzero weight, the
+    # table drops the states where words cancel.  The ends the walk sums to
+    # a nonzero weight are the table's ends, with the same weights, and the
+    # table counts no word the walk does not list
+    rng = np.random.default_rng(11)
+    draws = [(0.5, 2.0), (0.5, 0.5), (2.5, 1.75)]
+    draws += [(float(rng.choice([0.0, 2.0]) + rng.uniform()), rng.uniform(0, 7)) for _ in range(40)]
+    cancelled = 0
+    for x, t in draws:
+        listed = enumerate_paths(OM, SQRT_SWAP, x, sign * t)
+        want = path_sum_by_end(listed)
+        nonzero = [(e, w) for e, w in want.sums if abs(w) > 1e-12]
+        cancelled += len(want.sums) - len(nonzero)
+        got = end_sums(OM, SQRT_SWAP, x, sign * t)
+        assert got.path_count <= len(listed)
+        assert len(got.sums) == len(nonzero)
+        for (e1, w1), (e2, w2) in zip(got.sums, nonzero):
+            assert abs(e1 - e2) < 1e-12
+            assert abs(w1 - w2) < 1e-12
+    # the draws meet ends where words cancel (18 of them forward)
+    assert cancelled >= 10
+
+
+#: a Haar B of order 2, with no state of weight 0: every word is counted
+HAAR2 = unitary_group.rvs(2, random_state=4)
+
+
 def test_end_sums_barely_crossing():
     # the paths cross a whole interval with 1e-6 to spare
     for x, t in ((1 - 1e-6, 1 + 2e-6), (2 + 1e-6, -(1 + 2e-6))):
-        _assert_same_end_sums(OM, SQRT_SWAP, x, t)
-        assert end_sums(OM, SQRT_SWAP, x, t).path_count == 4
+        _assert_same_end_sums(OM, HAAR2, x, t)
+        assert end_sums(OM, HAAR2, x, t).path_count == 4
+    # under SQRT_SWAP the two paths that cross interval 0 again cancel
+    # exactly: their state is dropped, with its two paths
+    assert end_sums(OM, SQRT_SWAP, 1 - 1e-6, 1 + 2e-6).path_count == 2
 
 
 def test_path_table_states():
-    table = _build_table(OM, SQRT_SWAP, 0, 2.0)
+    table = _build_table(OM, HAAR2, 0, 2.0)
     # the state counts add up to the number of paths at every start point
     for x in (0.1, 0.5, 0.9):
-        states = end_states(OM, SQRT_SWAP, x, 2.0)
-        assert int(states.count.sum()) == len(enumerate_paths(OM, SQRT_SWAP, x, 2.0))
+        states = end_states(OM, HAAR2, x, 2.0)
+        assert sum(states.count) == len(enumerate_paths(OM, HAAR2, x, 2.0))
         idx, ends = select(table, x, 2.0)
         assert ends == pytest.approx(x + table.shift[idx])
     # every row is admissible from some start point of interval 0
@@ -627,14 +818,17 @@ def test_path_table_guard_before_states(monkeypatch):
 
 
 def test_cluster_means_and_counts_do_not_wrap():
-    # two states of 2^62 paths each: their int64 sum would wrap to -2^63
-    counts = np.array([2**62, 2**62], dtype=np.int64)
-    sums = _cluster(np.array([1.0, 1.0 + 1e-11]), np.ones(2, dtype=complex), counts, None, 0)
-    assert sums.sums[0][0] == pytest.approx(1.0 + 0.5e-11, abs=1e-15)
+    # two states of 2^62 paths each: their int64 sum would wrap to -2^63;
+    # counts past the range of a float weigh in, relative to their cluster
+    ends, ones = np.array([1.0, 1.0 + 1e-11, 3.0]), np.ones(3, dtype=complex)
+    for counts in ([2**62, 2**62, 1], [2**1100, 2**1100, 1], [1, 1, 2**1100]):
+        sums = _cluster(ends, ones, np.array(counts, dtype=object), None, 0)
+        assert sums.sums[0][0] == pytest.approx(1.0 + 0.5e-11, abs=1e-15)
+        assert sums.sums[1][0] == 3.0
     # from x = 0.5 the paths cross 61 or 62 intervals: 2^62 and 2^63 paths
-    states = end_states(OM, SQRT_SWAP, [0.5, 0.5], [62.25, 62.75])
+    states = end_states(OM, HAAR2, [0.5, 0.5], [62.25, 62.75])
     assert states.count.tolist() == [2**61, 2**61, 2**62, 2**62]
-    assert states.count.sum() < 0
+    assert states.count.dtype == object
     assert states.sums().path_count == 2**62 + 2**63
 
 
