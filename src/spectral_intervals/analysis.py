@@ -19,6 +19,7 @@ from .boundary import classify_structure, matrix_from_spectrum, phase_law
 from .errors import (
     Inconsistent,
     InconsistentTheta,
+    NotEqualLength,
     NotSpectral,
     NotUnitary,
     SpectralIntervalsError,
@@ -32,6 +33,7 @@ from .intervals import (
     tiles_by_lattice,
     translates_disjoint,
 )
+from .paths import aggregate_equal_length
 from .spectrum import SpectralCheck, SpectrumReport, spectral_matrix_check
 
 
@@ -93,19 +95,18 @@ def spectral_pair_evidence(
     t1 = time.perf_counter()
     if probe is None:
         probe = PiecewiseExpPoly.bump(omega)
-    arr = probe._arrays
-    piece, atom = (arr.size > 0).nonzero()
+    piece, atom = (probe.size > 0).nonzero()
     coeffs = _poly_exp_integral(
-        arr.coeffs[piece, atom, None, :],
-        arr.freq[piece, atom, None] - np.array(lambdas),
-        arr.lo[piece, None],
-        arr.hi[piece, None],
+        probe.coeffs[piece, atom, None, :],
+        probe.freq[piece, atom, None] - np.array(lambdas),
+        probe.lo[piece, None],
+        probe.hi[piece, None],
     )
     coeff2 = float(np.sum(np.abs(coeffs.sum(axis=0)) ** 2)) / omega.measure
     t2 = time.perf_counter()
     norm2 = inner_product(omega, probe, probe).real
     seconds = {"gram": t1 - t0, "parseval": t2 - t1, "norm": time.perf_counter() - t2}
-    atoms = np.bincount(piece, minlength=len(arr.lo))
+    atoms = np.bincount(piece, minlength=len(probe.lo))
     kf, kg, _, _ = _overlaps(probe, probe)
     rows = coeffs.size + int(atoms[kf] @ atoms[kg])
     return SpectralVerdict(max_off < tol, max_off, density, norm2 - coeff2, rows, seconds)
@@ -446,9 +447,6 @@ def equal_length_power_suite(
     "forelli" a weighted permutation matrix.  Cross-checks the power against
     raw path-weight aggregation.
     """
-    from .errors import NotEqualLength
-    from .paths import aggregate_equal_length
-
     if condition not in ("multiplicative", "forelli"):
         raise ValueError("condition must be 'multiplicative' or 'forelli'")
     if not omega.equal_lengths():

@@ -30,6 +30,7 @@ from .errors import GuardExceeded, NumericalError, ValidationError
 from .evolution import (
     PiecewiseExpPoly,
     apply_U_paths,
+    eigenfunction,
     local_translation_test,
     probe_points,
 )
@@ -190,8 +191,7 @@ def _build_function(spec: str, omega, b, window, grid_step):
             raise ValidationError(
                 f"eigenfunction index {k} out of range (found {len(report.eigenvalues)})"
             )
-        lam = report.eigenvalues[k]
-        return PiecewiseExpPoly.exponential(omega, lam, list(report.eigenspaces[k][0]))
+        return eigenfunction(omega, report, k)
     raise ValidationError(f"unknown function spec {spec!r}")
 
 

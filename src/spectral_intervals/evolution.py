@@ -3,16 +3,18 @@
 U(t) moves every admissible-path contribution by a pure shift, so on the
 class of functions that are finite sums of p(x)*e^{2*pi*i*lambda*x} per
 interval the evolution is closed algebra: the result is again such a
-function, on a refinement of the intervals.  ``apply_U_paths`` computes it
-on arrays: one path table per interval, read at the midpoints of all its
-sub-pieces at once, then one batched shift, scaling and merge of the atoms
-of f for every sub-piece.  A function keeps an array view of its pieces
-(``_PieceArrays``), so ``evaluate`` is one search over the piece starts and
-one vectorised sum over the atoms (``_atom_values``, the evaluator of the
-local-translation trials too).  ``inner_product`` runs on the same views:
-one row per piece of the common refinement and pair of atoms, all
-integrated by one call of the kernel ``_poly_exp_integral``.  The spectral
-(eigenbasis) evolution serves as an independent functional-calculus oracle.
+function, on a refinement of the intervals.  A ``PiecewiseExpPoly`` is
+stored as arrays only: piece ends, and per piece its atoms' frequencies and
+zero-padded coefficients; ``pieces`` reads them as ``Piece``/``Atom``
+records.  ``apply_U_paths`` computes U(t)f on those arrays: one path table
+per interval, read at the midpoints of all its sub-pieces at once, then one
+batched shift, scaling and merge of the atoms of f for every sub-piece.
+``evaluate`` is one search over the piece starts and one vectorised sum
+over the atoms (``_atom_values``, the evaluator of the local-translation
+trials too).  ``inner_product`` makes one row per piece of the common
+refinement and pair of atoms, all integrated by one call of the kernel
+``_poly_exp_integral``.  The spectral (eigenbasis) evolution serves as an
+independent functional-calculus oracle.
 """
 from __future__ import annotations
 
@@ -20,9 +22,7 @@ import bisect
 import math
 import operator
 import time
-from collections import defaultdict
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,29 +36,11 @@ MAX_DEGREE = 8
 PROBE_POINTS_PER_PIECE = 64
 
 
-def shift_poly(coeffs, delta: float):
-    """Coefficients of p(x + delta) from those of p(x) (ascending order)."""
-    if delta == 0.0:
-        return tuple(coeffs)
-    deg = len(coeffs) - 1
-    out = [0j] * len(coeffs)
-    for m, cm in enumerate(coeffs):
-        if cm == 0:
-            continue
-        binom = 1.0
-        power = 1.0
-        for k in range(m, -1, -1):
-            out[k] += cm * binom * power
-            binom = binom * k / (m - k + 1)
-            power *= delta
-    return tuple(out)
-
-
 def shift_polys(coeffs: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """``shift_poly`` for a batch: row r of the result holds the coefficients
-    of p_r(x + deltas[r]), p_r given by row r of ``coeffs`` (ascending,
-    zero-padded to a common length).  Repeated synthetic division by
-    x - delta, one vector step per pair of degrees."""
+    """Row r of the result holds the coefficients of p_r(x + deltas[r]), p_r
+    given by row r of ``coeffs`` (ascending, zero-padded to a common
+    length).  Repeated synthetic division by x - delta, one vector step per
+    pair of degrees."""
     out = np.array(coeffs, dtype=complex).T
     size = len(out)
     for k in range(size - 1):
@@ -74,34 +56,14 @@ class Atom:
     freq: float
     coeffs: tuple[complex, ...]
 
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        acc = np.zeros_like(xs, dtype=complex)
-        for c in reversed(self.coeffs):
-            acc = acc * xs + c
-        return acc * cis(self.freq * xs)
-
-    def shifted(self, delta: float, scale: complex = 1.0) -> "Atom":
-        factor = scale * complex(cis(self.freq * delta))
-        return Atom(self.freq, tuple(factor * c for c in shift_poly(self.coeffs, delta)))
-
-    def reflected(self) -> "Atom":
-        coeffs = tuple(c * (-1) ** k for k, c in enumerate(self.coeffs))
-        return Atom(-self.freq, coeffs)
-
 
 @dataclass(frozen=True)
 class Piece:
+    """The atoms of a function on the piece (lo, hi)."""
+
     lo: float
     hi: float
     atoms: tuple[Atom, ...]
-
-    def evaluate(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        acc = np.zeros_like(xs, dtype=complex)
-        for atom in self.atoms:
-            acc = acc + atom(xs)
-        return acc
 
 
 def _atom_values(freq: np.ndarray, coeffs: np.ndarray, xs) -> np.ndarray:
@@ -117,13 +79,39 @@ def _atom_values(freq: np.ndarray, coeffs: np.ndarray, xs) -> np.ndarray:
     return np.sum(acc * cis(freq * xs), axis=-1)
 
 
-@dataclass(frozen=True)
-class _PieceArrays:
-    """A piecewise exp-poly as arrays: the ends ``lo`` and ``hi`` of its P
-    pieces and their numbers of ``atoms``; per piece, the frequencies (P, A),
-    ascending coefficients (P, A, D) and coefficient counts ``size`` (P, A)
-    of its atoms, zero-padded to A atoms of D coefficients."""
+def _merge(piece, freq, coeffs, size):
+    """Flat atoms (piece, frequency, coefficients, coefficient count per
+    row) sorted by piece and frequency, with the atoms of one frequency on
+    one piece summed into one.  Frequencies merge only when exactly equal;
+    the sum keeps the coefficient count of its longest term, trailing zeros
+    included, because ``_poly_exp_integral`` picks its method by degree.
+    Equal keys sum in the order of their rows."""
+    order = np.lexsort((freq, piece))
+    piece, freq = piece[order], freq[order]
+    starts = np.ones(len(piece), dtype=bool)
+    starts[1:] = (piece[1:] != piece[:-1]) | (freq[1:] != freq[:-1])
+    first = np.flatnonzero(starts)
+    if not len(first):
+        return piece, freq, coeffs, size
+    coeffs = np.add.reduceat(coeffs[order], first)
+    return piece[first], freq[first], coeffs, np.maximum.reduceat(size[order], first)
 
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseExpPoly:
+    """Function on an interval union, exp-poly on each (refined) piece.
+
+    It is stored as arrays: the ends ``lo`` and ``hi`` of its P pieces, in
+    ascending order, and their numbers of ``atoms``; per piece, the
+    frequencies ``freq`` (P, A), ascending coefficients ``coeffs``
+    (P, A, D) and coefficient counts ``size`` (P, A) of its atoms,
+    zero-padded to A atoms of D coefficients.  The atoms of a piece have
+    distinct frequencies, in ascending order, and D is the largest
+    coefficient count (at least 1).  ``pieces`` reads them as ``Piece``
+    records.
+    """
+
+    omega: IntervalUnion
     lo: np.ndarray
     hi: np.ndarray
     atoms: np.ndarray
@@ -132,80 +120,66 @@ class _PieceArrays:
     size: np.ndarray
 
     @classmethod
-    def scatter(cls, lo, hi, piece, freq, coeffs, size) -> "_PieceArrays":
-        """From flat atoms: atom r lies on piece ``piece[r]``, non-decreasing
-        in r, with frequency ``freq[r]``, coefficients ``coeffs[r]``
-        (zero-padded) and coefficient count ``size[r]``."""
+    def scatter(cls, omega: IntervalUnion, lo, hi, piece, freq, coeffs, size) -> "PiecewiseExpPoly":
+        """From flat atoms, in any order: atom r lies on piece ``piece[r]``
+        with frequency ``freq[r]``, coefficients ``coeffs[r]`` (zero-padded)
+        and coefficient count ``size[r]``.  The atoms of one frequency on
+        one piece merge into one (``_merge``)."""
+        piece, freq, coeffs, size = _merge(piece, freq, coeffs, size)
         atoms = np.bincount(piece, minlength=len(lo))
         slot = np.arange(len(piece)) - (np.cumsum(atoms) - atoms)[piece]
         shape = (len(lo), int(atoms.max(initial=0)))
+        width = int(size.max(initial=1))
         padded = (
             np.zeros(shape),
-            np.zeros((*shape, coeffs.shape[-1]), dtype=complex),
+            np.zeros((*shape, width), dtype=complex),
             np.zeros(shape, dtype=int),
         )
-        for out, flat in zip(padded, (freq, coeffs, size)):
+        for out, flat in zip(padded, (freq, coeffs[:, :width], size)):
             out[piece, slot] = flat
-        return cls(lo, hi, atoms, *padded)
+        return cls(omega, lo, hi, atoms, *padded)
 
-    def values(self, xs) -> np.ndarray:
-        """The function at xs, each point taken on the last piece that starts
-        at or before it (the first piece for a point left of all)."""
-        k = np.clip(np.searchsorted(self.lo, xs, side="right") - 1, 0, len(self.lo) - 1)
-        return _atom_values(self.freq[k], self.coeffs[k], xs)
-
-    def containing(self, xs: np.ndarray) -> np.ndarray:
-        """The piece of each point: the last one with lo <= x <= hi, the rule
-        of ``PiecewiseExpPoly.piece_containing``.  Raises XNotInOmega for a
-        point outside every piece."""
-        k = np.searchsorted(self.lo, xs, side="right") - 1
-        outside = (k < 0) | (xs > self.hi[np.maximum(k, 0)])
-        if outside.any():
-            raise XNotInOmega(f"point {float(xs[np.argmax(outside)])} is outside every piece")
-        return k
-
-
-def _merge_atoms(atoms) -> tuple[Atom, ...]:
-    by_freq: dict[float, list] = defaultdict(list)
-    order: list[float] = []
-    for atom in atoms:
-        if atom.freq not in by_freq:
-            order.append(atom.freq)
-        by_freq[atom.freq].append(atom.coeffs)
-    merged = []
-    for freq in order:
-        groups = by_freq[freq]
-        size = max(len(g) for g in groups)
-        coeffs = [0j] * size
-        for g in groups:
-            for k, c in enumerate(g):
-                coeffs[k] += c
-        merged.append(Atom(freq, tuple(coeffs)))
-    return tuple(merged)
-
-
-@dataclass(frozen=True)
-class PiecewiseExpPoly:
-    """Function on an interval union, exp-poly on each (refined) piece."""
-
-    omega: IntervalUnion
-    pieces: tuple[Piece, ...]
+    @classmethod
+    def from_pieces(cls, omega: IntervalUnion, pieces) -> "PiecewiseExpPoly":
+        """From ``Piece`` records: one or more, ascending and pairwise
+        disjoint, of degree at most MAX_DEGREE, else ValidationError.
+        Neighbours may overlap by ``omega.tol()``, as neighbouring
+        intervals of omega may."""
+        pieces = tuple(pieces)
+        lo = np.array([p.lo for p in pieces], dtype=float)
+        hi = np.array([p.hi for p in pieces], dtype=float)
+        if not len(lo) or (hi < lo).any() or (lo[1:] < hi[:-1] - omega.tol()).any():
+            raise ValidationError("need one or more pieces, ascending and disjoint")
+        flat = [(k, atom) for k, p in enumerate(pieces) for atom in p.atoms]
+        size = np.array([len(atom.coeffs) for _, atom in flat], dtype=int)
+        width = int(size.max(initial=1))
+        if width - 1 > MAX_DEGREE:
+            raise ValidationError(f"polynomial degree above {MAX_DEGREE}")
+        coeffs = np.zeros((len(flat), width), dtype=complex)
+        for row, (_, atom) in zip(coeffs, flat):
+            row[: len(atom.coeffs)] = atom.coeffs
+        return cls.scatter(
+            omega,
+            lo,
+            hi,
+            np.array([k for k, _ in flat], dtype=int),
+            np.array([atom.freq for _, atom in flat], dtype=float),
+            coeffs,
+            size,
+        )
 
     @classmethod
     def from_atoms(cls, omega: IntervalUnion, atoms_by_interval) -> "PiecewiseExpPoly":
         """One piece per interval of omega; atoms as (freq, coeffs) pairs."""
         if len(atoms_by_interval) != omega.n:
-            raise ValueError("need one atom list per interval")
-        pieces = []
-        for (lo, hi), atoms in zip(omega.endpoints, atoms_by_interval):
-            built = []
-            for freq, coeffs in atoms:
-                coeffs = tuple(complex(c) for c in coeffs)
-                if len(coeffs) - 1 > MAX_DEGREE:
-                    raise ValueError(f"polynomial degree above {MAX_DEGREE}")
-                built.append(Atom(float(freq), coeffs))
-            pieces.append(Piece(lo, hi, _merge_atoms(built)))
-        return cls(omega, tuple(pieces))
+            raise ValidationError("need one atom list per interval")
+        return cls.from_pieces(
+            omega,
+            (
+                Piece(lo, hi, tuple(Atom(freq, coeffs) for freq, coeffs in atoms))
+                for (lo, hi), atoms in zip(omega.endpoints, atoms_by_interval)
+            ),
+        )
 
     @classmethod
     def exponential(cls, omega: IntervalUnion, lam: float, amplitudes=None):
@@ -226,96 +200,94 @@ class PiecewiseExpPoly:
     def zero(cls, omega: IntervalUnion):
         return cls.from_atoms(omega, [[] for _ in range(omega.n)])
 
-    @cached_property
-    def _arrays(self) -> _PieceArrays:
-        """The pieces as arrays (``_PieceArrays``), built once."""
-        flat = [(k, atom) for k, p in enumerate(self.pieces) for atom in p.atoms]
-        size = np.array([len(atom.coeffs) for _, atom in flat], dtype=int)
-        coeffs = np.zeros((len(flat), size.max(initial=1)), dtype=complex)
-        for row, (_, atom) in zip(coeffs, flat):
-            row[: len(atom.coeffs)] = atom.coeffs
-        return _PieceArrays.scatter(
-            np.array([p.lo for p in self.pieces]),
-            np.array([p.hi for p in self.pieces]),
-            np.array([k for k, _ in flat], dtype=int),
-            np.array([atom.freq for _, atom in flat]),
-            coeffs,
-            size,
+    @property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The pieces as ``Piece`` records of ``Atom`` records, built on each
+        call."""
+        columns = (self.lo, self.hi, self.atoms, self.freq, self.coeffs, self.size)
+        return tuple(
+            Piece(lo, hi, tuple(Atom(f, tuple(c[:m])) for f, c, m in zip(fr[:k], co, sz)))
+            for lo, hi, k, fr, co, sz in zip(*(column.tolist() for column in columns))
         )
+
+    def _atoms_of(self, k: np.ndarray):
+        """The atoms of the pieces k[0], k[1], ...: for each, the position r
+        in k of its piece, its frequency, coefficients and coefficient
+        count, in order of r."""
+        r, a = np.nonzero(np.arange(self.freq.shape[1]) < self.atoms[k, None])
+        return r, self.freq[k[r], a], self.coeffs[k[r], a], self.size[k[r], a]
 
     def evaluate(self, xs):
         """f at a point or an array of points, in one pass: each point on the
-        last piece that starts at or before it."""
-        return self._arrays.values(np.asarray(xs, dtype=float))
+        last piece that starts at or before it (the first piece for a point
+        left of all)."""
+        xs = np.asarray(xs, dtype=float)
+        k = np.clip(np.searchsorted(self.lo, xs, side="right") - 1, 0, len(self.lo) - 1)
+        return _atom_values(self.freq[k], self.coeffs[k], xs)
 
     def __call__(self, xs):
         return self.evaluate(xs)
 
-    def piece_containing(self, x: float) -> Piece:
-        best = None
-        for p in self.pieces:
-            if p.lo <= x <= p.hi:
-                if p.lo < x < p.hi:
-                    return p
-                best = p
-        if best is not None:
-            return best
-        raise XNotInOmega(f"point {x} is outside every piece")
+    def containing(self, xs: np.ndarray) -> np.ndarray:
+        """The piece of each point: the last one with lo <= x <= hi.  Raises
+        XNotInOmega for a point outside every piece."""
+        k = np.searchsorted(self.lo, xs, side="right") - 1
+        outside = (k < 0) | (xs > self.hi[np.maximum(k, 0)])
+        if outside.any():
+            raise XNotInOmega(f"point {float(xs[np.argmax(outside)])} is outside every piece")
+        return k
 
     def boundary_values(self):
-        """One-sided limits (f(a_vec), f(b_vec)) at the interval endpoints."""
+        """One-sided limits (f(a_vec), f(b_vec)) at the interval endpoints:
+        f(a_i) on the piece of least lo among those that start within tol of
+        a_i or hold it, f(b_i) on the piece of largest hi among those that end
+        within tol of b_i or hold it.  Raises XNotInOmega for an endpoint that
+        no piece reaches."""
         tol = self.omega.tol()
-        f_alpha = np.zeros(self.omega.n, dtype=complex)
-        f_beta = np.zeros(self.omega.n, dtype=complex)
-        for i, (a, b) in enumerate(self.omega.endpoints):
-            first = min(
-                (p for p in self.pieces if abs(p.lo - a) <= tol or p.lo <= a <= p.hi),
-                key=lambda p: p.lo,
-            )
-            last = max(
-                (p for p in self.pieces if abs(p.hi - b) <= tol or p.lo <= b <= p.hi),
-                key=lambda p: p.hi,
-            )
-            f_alpha[i] = first.evaluate(np.array([a]))[0]
-            f_beta[i] = last.evaluate(np.array([b]))[0]
-        return f_alpha, f_beta
+        a, b = np.array(self.omega.lefts), np.array(self.omega.rights)
+        values = []
+        for x, edge, sign in ((a, self.lo, 1.0), (b, self.hi, -1.0)):
+            col = x[:, None]
+            reach = (np.abs(edge - col) <= tol) | ((self.lo <= col) & (col <= self.hi))
+            key = np.where(reach, sign * edge, np.inf)  # the least lo or the largest hi
+            missed = ~reach.any(axis=1)
+            if missed.any():
+                raise XNotInOmega(f"point {float(x[np.argmax(missed)])} is outside every piece")
+            k = key.argmin(axis=1)
+            values.append(_atom_values(self.freq[k], self.coeffs[k], x))
+        return tuple(values)
 
     def reflect(self) -> "PiecewiseExpPoly":
-        """The function J f on -omega, (Jf)(x) = f(-x)."""
-        new_omega = reflect_set(self.omega)
-        pieces = tuple(
-            Piece(-p.hi, -p.lo, tuple(a.reflected() for a in p.atoms))
-            for p in reversed(self.pieces)
-        )
-        return PiecewiseExpPoly(new_omega, pieces)
+        """The function J f on -omega, (Jf)(x) = f(-x): piece k of the P
+        pieces becomes piece P - 1 - k, every atom p(x)e^{2*pi*i*freq*x}
+        becomes p(-x)e^{-2*pi*i*freq*x}."""
+        piece, freq, coeffs, size = self._atoms_of(np.arange(len(self.lo))[::-1])
+        sign = (-1.0) ** np.arange(coeffs.shape[1])
+        lo, hi = -self.hi[::-1], -self.lo[::-1]
+        return PiecewiseExpPoly.scatter(reflect_set(self.omega), lo, hi, piece, -freq, coeffs * sign, size)
 
     def scaled(self, factor: complex) -> "PiecewiseExpPoly":
-        pieces = tuple(
-            Piece(
-                p.lo,
-                p.hi,
-                tuple(Atom(a.freq, tuple(factor * c for c in a.coeffs)) for a in p.atoms),
-            )
-            for p in self.pieces
-        )
-        return PiecewiseExpPoly(self.omega, pieces)
+        return replace(self, coeffs=self.coeffs * factor)
 
     def __add__(self, other: "PiecewiseExpPoly") -> "PiecewiseExpPoly":
+        """f + g on the common refinement (``_overlaps``); on each of its
+        pieces the atoms of f, then those of g, merge by frequency."""
         if self.omega.endpoints != other.omega.endpoints:
-            raise ValueError("functions live on different sets")
+            raise ValidationError("functions live on different sets")
         kf, kg, lo, hi = _overlaps(self, other)
-        pieces = tuple(
-            Piece(l, h, _merge_atoms(self.pieces[i].atoms + other.pieces[j].atoms))
-            for i, j, l, h in zip(kf.tolist(), kg.tolist(), lo.tolist(), hi.tolist())
-        )
-        return PiecewiseExpPoly(self.omega, pieces)
+        # (overlap, frequency, coefficients, count) of the atoms of f and of g,
+        # the coefficients padded to one width
+        columns = list(zip(self._atoms_of(kf), other._atoms_of(kg)))
+        width = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+        columns[2] = [np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in columns[2]]
+        return PiecewiseExpPoly.scatter(self.omega, lo, hi, *map(np.concatenate, columns))
 
 
 def probe_points(f: PiecewiseExpPoly, per_piece: int = PROBE_POINTS_PER_PIECE):
     """Equispaced interior points per piece, half-step off the breakpoints."""
     if per_piece < 1:
         raise ValidationError(f"need at least one probe point per piece, got {per_piece}")
-    lo, hi = f._arrays.lo[:, None], f._arrays.hi[:, None]
+    lo, hi = f.lo[:, None], f.hi[:, None]
     return (lo + (hi - lo) / per_piece * (np.arange(per_piece) + 0.5)).ravel()
 
 
@@ -418,8 +390,7 @@ def _overlaps(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
     """The pieces of the common refinement of f and g: the overlaps, longer
     than 1e-13, of a piece of f with a piece of g, as the indices (kf, kg)
     of the two pieces and the overlap's ends (lo, hi)."""
-    fa, ga = f._arrays, g._arrays
-    lo, hi = np.maximum.outer(fa.lo, ga.lo), np.minimum.outer(fa.hi, ga.hi)
+    lo, hi = np.maximum.outer(f.lo, g.lo), np.minimum.outer(f.hi, g.hi)
     kf, kg = (hi - lo > 1e-13).nonzero()
     return kf, kg, lo[kf, kg], hi[kf, kg]
 
@@ -428,15 +399,14 @@ def _pairing(f: PiecewiseExpPoly, g: PiecewiseExpPoly):
     """The kernel rows of <f, g>: one per piece of the common refinement
     (``_overlaps``) and pair of an atom of f with an atom of g there, as
     (coefficients of p_f * conj(p_g), frequency difference, lo, hi)."""
-    fa, ga = f._arrays, g._arrays
     kf, kg, lo, hi = _overlaps(f, g)
-    m, a, b = ((fa.size[kf] > 0)[:, :, None] & (ga.size[kg] > 0)[:, None, :]).nonzero()
+    m, a, b = ((f.size[kf] > 0)[:, :, None] & (g.size[kg] > 0)[:, None, :]).nonzero()
     pf, pg = kf[m], kg[m]
-    cf, cg = fa.coeffs[pf, a], ga.coeffs[pg, b].conj()
+    cf, cg = f.coeffs[pf, a], g.coeffs[pg, b].conj()
     prod = np.zeros((len(m), cf.shape[1] + cg.shape[1] - 1), dtype=complex)
     for k in range(cf.shape[1]):
         prod[:, k : k + cg.shape[1]] += cf[:, k, None] * cg
-    return prod, fa.freq[pf, a] - ga.freq[pg, b], lo[m], hi[m]
+    return prod, f.freq[pf, a] - g.freq[pg, b], lo[m], hi[m]
 
 
 def inner_product(omega: IntervalUnion, f: PiecewiseExpPoly, g: PiecewiseExpPoly) -> complex:
@@ -487,7 +457,7 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     (``_build_table``); a non-finite t raises ValidationError first.
     """
     cap = _cap(t)
-    bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
+    bps = np.array(sorted({*f.lo.tolist(), *f.hi.tolist()}))
     # inside[j, m]: breakpoint m lies strictly inside interval j
     inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()
@@ -527,7 +497,7 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
         seconds["cuts"] += t2 - t1
         seconds["pieces"] += time.perf_counter() - t2
     t0 = time.perf_counter()
-    result = _assemble(omega, f._arrays, *(np.concatenate(column) for column in zip(*parts)))
+    result = _assemble(omega, f, *(np.concatenate(column) for column in zip(*parts)))
     seconds["pieces"] += time.perf_counter() - t0
     stats = {
         "tables": omega.n,
@@ -535,7 +505,7 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
         "zero_states": zero_states,
         "ends": ends_read,
         "pieces": pieces,
-        "atoms": int(result._arrays.atoms.sum()),
+        "atoms": int(result.atoms.sum()),
         "state_bound": state_bound,
         "cap": cap,
         "seconds": seconds,
@@ -543,41 +513,16 @@ def apply_U_paths(omega: IntervalUnion, b, t: float, f: PiecewiseExpPoly) -> Evo
     return EvolutionResult(result, refinement, total_paths, stats)
 
 
-def _assemble(omega, source: _PieceArrays, lo, hi, sub, shift, weight, ends) -> PiecewiseExpPoly:
+def _assemble(omega, f: PiecewiseExpPoly, lo, hi, sub, shift, weight, ends) -> PiecewiseExpPoly:
     """The pieces (lo[s], hi[s]) of U(t)f, from the rows read on them: row r
-    adds, on sub-piece sub[r] (non-decreasing in r), the atoms of the piece
-    of f that holds ends[r] (``source``, the arrays of f), shifted by
-    shift[r] and scaled by weight[r].  The atoms of one sub-piece with one
-    frequency merge into one, which keeps the coefficient count of its
-    longest term (``_poly_exp_integral`` picks its method by degree).  The
-    result's arrays are kept, so its ``evaluate`` needs no rebuild.
+    adds, on sub-piece sub[r], the atoms of the piece of f that holds
+    ends[r], shifted by shift[r] and scaled by weight[r].  The atoms of one
+    sub-piece with one frequency merge into one (``PiecewiseExpPoly.scatter``).
     """
-    src = source.containing(ends)
-    # one term per row and atom of its source piece, in order of row
-    r, a = np.nonzero(np.arange(source.freq.shape[1]) < source.atoms[src, None])
-    src, sub, shift = src[r], sub[r], shift[r]
-    freq, size = source.freq[src, a], source.size[src, a]
-    coeffs = shift_polys(source.coeffs[src, a], shift) * (weight[r] * cis(freq * shift))[:, None]
-    order = np.lexsort((freq, sub))
-    sub, freq = sub[order], freq[order]
-    first = np.flatnonzero((np.diff(sub, prepend=-1) != 0) | (np.diff(freq, prepend=np.nan) != 0))
-    if len(first):
-        coeffs = np.add.reduceat(coeffs[order], first)
-        size = np.maximum.reduceat(size[order], first)
-    sub, freq = sub[first], freq[first]
-    atoms = [
-        Atom(fq, tuple(row[:m])) for fq, row, m in zip(freq.tolist(), coeffs.tolist(), size.tolist())
-    ]
-    bounds = np.searchsorted(sub, np.arange(len(lo) + 1)).tolist()
-    result = PiecewiseExpPoly(
-        omega,
-        tuple(
-            Piece(lo_s, hi_s, tuple(atoms[start:stop]))
-            for lo_s, hi_s, start, stop in zip(lo.tolist(), hi.tolist(), bounds, bounds[1:])
-        ),
-    )
-    result.__dict__["_arrays"] = _PieceArrays.scatter(lo, hi, sub, freq, coeffs, size)
-    return result
+    r, freq, coeffs, size = f._atoms_of(f.containing(ends))
+    shift = shift[r]
+    coeffs = shift_polys(coeffs, shift) * (weight[r] * cis(freq * shift))[:, None]
+    return PiecewiseExpPoly.scatter(omega, lo, hi, sub[r], freq, coeffs, size)
 
 
 def evolve_point(omega: IntervalUnion, b, x: float, t: float, f: PiecewiseExpPoly) -> complex:

@@ -1,19 +1,21 @@
 """Checks the tests share that the package itself has no use for."""
 import heapq
 import math
+from collections import defaultdict
 
 import numpy as np
 
+from spectral_intervals.boundary import cis
+from spectral_intervals.errors import XNotInOmega
 from spectral_intervals.evolution import (
     _CHUNK_PHASE,
     _INV_FACTORIAL,
     _MONOMIAL,
     _TAYLOR_TERMS,
+    Atom,
     EvolutionResult,
     Piece,
     PiecewiseExpPoly,
-    _merge_atoms,
-    shift_poly,
 )
 from spectral_intervals.paths import PathTable, _build_table
 from spectral_intervals.spectrum import CHUNK, TOL_EIG, _real_det, transfer_matrix
@@ -33,6 +35,142 @@ def rational_order_check(b, d: int, n: int) -> bool:
     b = np.asarray(b, dtype=complex)
     bp = np.linalg.matrix_power(b, d * n)
     return np.max(np.abs(bp - np.eye(b.shape[0]))) < 1e-7
+
+
+# -- functions, one atom at a time --------------------------------------------
+
+
+def shift_poly(coeffs, delta: float):
+    """Coefficients of p(x + delta) from those of p(x) (ascending order)."""
+    if delta == 0.0:
+        return tuple(coeffs)
+    out = [0j] * len(coeffs)
+    for m, cm in enumerate(coeffs):
+        if cm == 0:
+            continue
+        binom = 1.0
+        power = 1.0
+        for k in range(m, -1, -1):
+            out[k] += cm * binom * power
+            binom = binom * k / (m - k + 1)
+            power *= delta
+    return tuple(out)
+
+
+def atom_value(atom: Atom, xs):
+    """The atom p(x) * e^{2*pi*i*freq*x} at xs."""
+    xs = np.asarray(xs, dtype=float)
+    acc = np.zeros_like(xs, dtype=complex)
+    for c in reversed(atom.coeffs):
+        acc = acc * xs + c
+    return acc * cis(atom.freq * xs)
+
+
+def shifted(atom: Atom, delta: float, scale: complex = 1.0) -> Atom:
+    """The atom x -> scale * atom(x + delta)."""
+    factor = scale * complex(cis(atom.freq * delta))
+    return Atom(atom.freq, tuple(factor * c for c in shift_poly(atom.coeffs, delta)))
+
+
+def reflected(atom: Atom) -> Atom:
+    """The atom x -> atom(-x)."""
+    return Atom(-atom.freq, tuple(c * (-1) ** k for k, c in enumerate(atom.coeffs)))
+
+
+def merge_atoms(atoms) -> tuple[Atom, ...]:
+    """One atom per frequency, in order of first appearance: the sum of the
+    atoms of exactly that frequency, with the coefficient count of the
+    longest."""
+    by_freq: dict[float, list] = defaultdict(list)
+    for atom in atoms:
+        by_freq[atom.freq].append(atom.coeffs)
+    merged = []
+    for freq, groups in by_freq.items():
+        coeffs = [0j] * max(len(g) for g in groups)
+        for g in groups:
+            for k, c in enumerate(g):
+                coeffs[k] += c
+        merged.append(Atom(freq, tuple(coeffs)))
+    return tuple(merged)
+
+
+def piece_value(piece: Piece, xs):
+    """The sum of the atoms of a piece at xs."""
+    xs = np.asarray(xs, dtype=float)
+    acc = np.zeros_like(xs, dtype=complex)
+    for atom in piece.atoms:
+        acc = acc + atom_value(atom, xs)
+    return acc
+
+
+def piece_containing(pieces, x: float) -> Piece:
+    """The piece that holds x strictly inside, else the last one with
+    lo <= x <= hi; XNotInOmega if there is none."""
+    best = None
+    for p in pieces:
+        if p.lo <= x <= p.hi:
+            if p.lo < x < p.hi:
+                return p
+            best = p
+    if best is not None:
+        return best
+    raise XNotInOmega(f"point {x} is outside every piece")
+
+
+def values_per_piece(pieces, xs) -> np.ndarray:
+    """``PiecewiseExpPoly.evaluate`` one point at a time: each point on the
+    last piece that starts at or before it, the first piece for a point left
+    of all."""
+    out = []
+    for x in np.ravel(xs).tolist():
+        piece = max((p for p in pieces if p.lo <= x), key=lambda p: p.lo, default=pieces[0])
+        out.append(complex(piece_value(piece, x)))
+    return np.array(out).reshape(np.shape(xs))
+
+
+def boundary_values_per_piece(omega, pieces):
+    """``PiecewiseExpPoly.boundary_values`` one interval at a time: f(a_i)
+    on the first piece that starts within tol of a_i or holds it, f(b_i) on
+    the last that ends within tol of b_i or holds it."""
+    tol = omega.tol()
+    f_alpha = np.zeros(omega.n, dtype=complex)
+    f_beta = np.zeros(omega.n, dtype=complex)
+    for i, (a, b) in enumerate(omega.endpoints):
+        first = min(
+            (p for p in pieces if abs(p.lo - a) <= tol or p.lo <= a <= p.hi),
+            key=lambda p: p.lo,
+        )
+        last = max(
+            (p for p in pieces if abs(p.hi - b) <= tol or p.lo <= b <= p.hi),
+            key=lambda p: p.hi,
+        )
+        f_alpha[i] = piece_value(first, a)
+        f_beta[i] = piece_value(last, b)
+    return f_alpha, f_beta
+
+
+def reflect_per_piece(pieces) -> tuple[Piece, ...]:
+    """The pieces of x -> f(-x), one atom at a time."""
+    return tuple(Piece(-p.hi, -p.lo, tuple(map(reflected, p.atoms))) for p in reversed(pieces))
+
+
+def scaled_per_piece(pieces, factor: complex) -> tuple[Piece, ...]:
+    """The pieces of factor * f, one coefficient at a time."""
+    return tuple(
+        Piece(p.lo, p.hi, tuple(Atom(a.freq, tuple(factor * c for c in a.coeffs)) for a in p.atoms))
+        for p in pieces
+    )
+
+
+def add_per_piece(f_pieces, g_pieces) -> tuple[Piece, ...]:
+    """The pieces of f + g: every overlap longer than 1e-13 of a piece of f
+    with a piece of g, with the atoms of both merged by frequency."""
+    return tuple(
+        Piece(max(p.lo, q.lo), min(p.hi, q.hi), merge_atoms(p.atoms + q.atoms))
+        for p in f_pieces
+        for q in g_pieces
+        if min(p.hi, q.hi) - max(p.lo, q.lo) > 1e-13
+    )
 
 
 # -- spectra -----------------------------------------------------------------
@@ -191,10 +329,11 @@ def apply_U_per_subpiece(omega, b, t: float, f: PiecewiseExpPoly) -> EvolutionRe
     """U(t)f built one sub-piece, one row and one atom at a time: the cuts
     of ``apply_U_paths``, then on each sub-piece every row admissible at its
     midpoint adds the atoms of the piece of f at its end
-    (``piece_containing``), each shifted on its own (``Atom.shifted``), and
-    ``_merge_atoms`` sums the atoms of one frequency.  Its ``stats`` hold
+    (``piece_containing``), each shifted on its own (``shifted``), and
+    ``merge_atoms`` sums the atoms of one frequency.  Its ``stats`` hold
     ``ends`` alone."""
-    bps = np.array(sorted({p.lo for p in f.pieces} | {p.hi for p in f.pieces}))
+    f_pieces = f.pieces
+    bps = np.array(sorted({p.lo for p in f_pieces} | {p.hi for p in f_pieces}))
     inside = (bps > np.array(omega.lefts)[:, None]) & (bps < np.array(omega.rights)[:, None])
     tol = omega.tol()
     pieces = []
@@ -220,11 +359,11 @@ def apply_U_per_subpiece(omega, b, t: float, f: PiecewiseExpPoly) -> EvolutionRe
             ends_read += len(idx)
             for s, end in zip(idx.tolist(), ends.tolist()):
                 total_paths += int(table.count[s])
-                src = f.piece_containing(end)
+                src = piece_containing(f_pieces, end)
                 weight, shift = complex(table.weight[s]), float(table.shift[s])
-                atoms.extend(atom.shifted(shift, weight) for atom in src.atoms)
-            pieces.append(Piece(lo, hi, _merge_atoms(atoms)))
-    function = PiecewiseExpPoly(omega, tuple(pieces))
+                atoms.extend(shifted(atom, shift, weight) for atom in src.atoms)
+            pieces.append(Piece(lo, hi, merge_atoms(atoms)))
+    function = PiecewiseExpPoly.from_pieces(omega, pieces)
     return EvolutionResult(function, refinement, total_paths, {"ends": ends_read})
 
 
@@ -308,10 +447,11 @@ def inner_product_per_pair(omega, f: PiecewiseExpPoly, g: PiecewiseExpPoly) -> c
     """<f, g> with one ``poly_exp_integral`` per atom pair on each piece of
     the common refinement."""
     total = 0j
+    f_pieces, g_pieces = f.pieces, g.pieces
     for lo, hi in common_refinement(f, g):
         mid = (lo + hi) / 2
-        pf = f.piece_containing(mid)
-        pg = g.piece_containing(mid)
+        pf = piece_containing(f_pieces, mid)
+        pg = piece_containing(g_pieces, mid)
         for af in pf.atoms:
             for ag in pg.atoms:
                 prod = np.convolve(af.coeffs, np.conj(ag.coeffs))

@@ -5,7 +5,12 @@ from scipy.integrate import quad
 from scipy.stats import unitary_group
 
 from spectral_intervals import evolution, paths
-from spectral_intervals.errors import GuardExceeded, NotEigenCombination, XNotInOmega
+from spectral_intervals.errors import (
+    GuardExceeded,
+    NotEigenCombination,
+    SpectralIntervalsError,
+    XNotInOmega,
+)
 from spectral_intervals.evolution import (
     MAX_DEGREE,
     Atom,
@@ -23,14 +28,27 @@ from spectral_intervals.evolution import (
     random_domain_function,
     reflection_consistency,
     sample_local_pair,
-    shift_poly,
     shift_polys,
 )
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import MAX_PATHS_ENV, enumerate_paths
 from spectral_intervals.spectrum import compute_spectrum
 
-from oracles import apply_U_per_subpiece, boundary_condition_check
+from oracles import (
+    add_per_piece,
+    apply_U_per_subpiece,
+    atom_value,
+    boundary_condition_check,
+    boundary_values_per_piece,
+    piece_containing,
+    piece_value,
+    reflect_per_piece,
+    reflected,
+    scaled_per_piece,
+    shift_poly,
+    shifted,
+    values_per_piece,
+)
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 OM = new_interval_union([(0, 1), (2, 3)])
@@ -94,16 +112,10 @@ def test_evaluate_matches_piece_evaluate():
         ),
         Piece(2.5, 3.0, (Atom(0.7, (1.0, 1.0)),)),
     )
-    f = PiecewiseExpPoly(OM, pieces)
+    f = PiecewiseExpPoly.from_pieces(OM, pieces)
     edges = [0.0, 0.4, 1.0, 2.0, 2.5, 3.0]
     xs = np.concatenate([edges, probe_points(f, 5), [-0.3, 1.5, 3.4]])
-
-    def expected(x):
-        """On the last piece that starts at or before x, the first one left of all."""
-        piece = max((p for p in pieces if p.lo <= x), key=lambda p: p.lo, default=pieces[0])
-        return complex(piece.evaluate(np.array(x)))
-
-    want = np.array([expected(x) for x in xs])
+    want = values_per_piece(pieces, xs)
     got = f.evaluate(xs)
     assert got.shape == xs.shape
     assert np.max(np.abs(got - want)) < 1e-13
@@ -118,14 +130,14 @@ def test_atom_evaluate_and_shift():
     a = Atom(0.5, (1.0, 2.0))  # (1 + 2x) e^{pi i x}
     x = 0.7
     expected = (1 + 2 * x) * np.exp(1j * np.pi * x)
-    assert a(x) == pytest.approx(expected)
-    b = a.shifted(0.3, scale=2.0)
-    assert b(x) == pytest.approx(2 * a(x + 0.3))
+    assert atom_value(a, x) == pytest.approx(expected)
+    b = shifted(a, 0.3, scale=2.0)
+    assert atom_value(b, x) == pytest.approx(2 * atom_value(a, x + 0.3))
 
 
 def test_atom_reflected():
     a = Atom(0.5, (1.0, 2.0, -1.0))
-    assert a.reflected()(-0.7) == pytest.approx(a(0.7))
+    assert atom_value(reflected(a), -0.7) == pytest.approx(atom_value(a, 0.7))
 
 
 def test_from_atoms_and_evaluate():
@@ -141,11 +153,51 @@ def test_degree_cap():
         PiecewiseExpPoly.from_atoms(OM, [[(0.0, tuple(range(10)))], []])
 
 
+def test_malformed_functions_raise_package_errors():
+    with pytest.raises(SpectralIntervalsError, match="degree above"):
+        PiecewiseExpPoly.from_atoms(OM, [[(0.0, tuple(range(10)))], []])
+    with pytest.raises(SpectralIntervalsError, match="one atom list per interval"):
+        PiecewiseExpPoly.from_atoms(OM, [[(0.0, (1.0,))]])
+    other = PiecewiseExpPoly.bump(new_interval_union([(0, 1), (2, 3.5)]))
+    with pytest.raises(SpectralIntervalsError, match="different sets"):
+        PiecewiseExpPoly.bump(OM) + other
+    # pieces out of order, overlapping, reversed or none would be read wrongly
+    for bounds in [((2.0, 3.0), (0.0, 1.0)), ((0.0, 1.5), (1.0, 3.0)), ((1.0, 0.0),), ()]:
+        with pytest.raises(SpectralIntervalsError, match="ascending and disjoint"):
+            PiecewiseExpPoly.from_pieces(OM, [Piece(lo, hi, ()) for lo, hi in bounds])
+
+
 def test_boundary_values():
     f = PiecewiseExpPoly.from_atoms(OM, [[(0.0, (0.0, 1.0))], [(0.0, (5.0,))]])
     fa, fb = f.boundary_values()
     assert fa == pytest.approx([0.0, 5.0])
     assert fb == pytest.approx([1.0, 5.0])
+
+
+def test_boundary_values_end_outside_every_piece():
+    # no piece reaches the right end 1 of the first interval
+    f = PiecewiseExpPoly.from_pieces(OM, (Piece(0.0, 0.5, (Atom(0.0, (1.0,)),)), Piece(2.0, 3.0, ())))
+    with pytest.raises(XNotInOmega, match="point 1.0 is outside every piece"):
+        f.boundary_values()
+
+
+def test_constructors_take_intervals_that_touch_within_tolerance():
+    # 0.1 + 0.2 = 0.30000000000000004 overlaps 0.3 by 5.5e-17, which
+    # new_interval_union allows; every constructor must take the set too
+    om = new_interval_union([(0, 0.1 + 0.2), (0.3, 1)])
+    bump = PiecewiseExpPoly.bump(om)
+    fa, fb = bump.boundary_values()
+    assert np.abs(fa).max() < 1e-15 and np.abs(fb).max() < 1e-15
+    e = PiecewiseExpPoly.exponential(om, 0.5, [1.0, 2.0])
+    assert e.evaluate(np.array([0.1, 0.6])) == pytest.approx(
+        [np.exp(1j * np.pi * 0.1), 2 * np.exp(1j * np.pi * 0.6)], rel=1e-14
+    )
+    f = PiecewiseExpPoly.from_atoms(om, [[(0.0, (1.0,))], [(1.0, (0.0, 1.0))]])
+    assert PiecewiseExpPoly.from_pieces(om, f.pieces).lo.tolist() == [0.0, 0.3]
+    g = random_domain_function(om, np.eye(2), np.random.default_rng(3))
+    assert len(g.pieces) == 2
+    with pytest.raises(SpectralIntervalsError, match="ascending and disjoint"):
+        PiecewiseExpPoly.from_pieces(om, [Piece(0.0, 0.3 + 2e-9, ()), Piece(0.3, 1.0, ())])
 
 
 def test_addition_merges():
@@ -482,7 +534,7 @@ def test_reflection_consistency(t):
 def test_piece_containing_outside():
     f = PiecewiseExpPoly.exponential(OM, 0.0)
     with pytest.raises(XNotInOmega):
-        f.piece_containing(1.5)
+        piece_containing(f.pieces, 1.5)
 
 
 # -- path table against per-point enumeration -----------------------------------
@@ -491,7 +543,7 @@ def test_piece_containing_outside():
 def _paths_with_sources(omega, b, x, t, f):
     """The admissible paths from x, each with the piece of f at its end."""
     paths = enumerate_paths(omega, b, x, t)
-    return paths, sorted((p.word, id(f.piece_containing(p.end))) for p in paths)
+    return paths, sorted((p.word, piece_containing(f.pieces, p.end)) for p in paths)
 
 
 @pytest.mark.parametrize(
@@ -530,7 +582,7 @@ def test_apply_U_paths_matches_per_subpiece_enumeration(endpoints, t):
             paths, here = _paths_with_sources(om, b, x, t, f)
             assert here == sources
             expected = sum(p.weight * f(p.end) for p in paths)
-            assert abs(piece.evaluate(x) - expected) < 1e-12
+            assert abs(piece_value(piece, x) - expected) < 1e-12
     assert res.path_count == count
 
 
@@ -630,16 +682,58 @@ def test_apply_U_paths_matches_the_per_subpiece_oracle(name, kind, t):
             (a.freq, len(a.coeffs)) for a in q.atoms
         )
         xs = np.linspace(p.lo, p.hi, 7)
-        expected = q.evaluate(xs)
+        expected = piece_value(q, xs)
         scale = np.maximum(1.0, np.abs(expected))
-        assert np.max(np.abs(p.evaluate(xs) - expected) / scale) < 1e-12
+        assert np.max(np.abs(piece_value(p, xs) - expected) / scale) < 1e-12
         assert np.max(np.abs(got.function.evaluate(xs[1:-1]) - expected[1:-1]) / scale[1:-1]) < 1e-12
 
 
 def test_apply_U_paths_end_outside_every_piece():
     # f covers only part of the set: an end in the uncovered part has no piece
-    f = PiecewiseExpPoly(OM, (Piece(0.0, 0.5, (Atom(0.0, (1.0,)),)), Piece(2.0, 3.0, ())))
+    f = PiecewiseExpPoly.from_pieces(OM, (Piece(0.0, 0.5, (Atom(0.0, (1.0,)),)), Piece(2.0, 3.0, ())))
     with pytest.raises(XNotInOmega, match="outside every piece"):
         apply_U_per_subpiece(OM, SQRT_SWAP, 0.3, f)
     with pytest.raises(XNotInOmega, match="outside every piece"):
         apply_U_paths(OM, SQRT_SWAP, 0.3, f)
+
+
+def _property_function(kind, om, b, seed):
+    if kind == "mixed":
+        return _assembly_function("mixed", om, b)
+    f = random_domain_function(om, b, np.random.default_rng(seed))
+    return apply_U_paths(om, b, 0.45, f).function if kind == "evolved" else f
+
+
+def _close(got, want):
+    """Agreement to 1e-13 of the largest modulus of ``want``."""
+    return np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+
+
+_KINDS = st.sampled_from(["random", "evolved", "mixed"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(sorted(ASSEMBLY_SETS)),
+    _KINDS,
+    _KINDS,
+    st.integers(0, 2**16),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+def test_arrays_and_records_agree_with_the_per_atom_oracle(name, kind_f, kind_g, seed, factor):
+    intervals, b = ASSEMBLY_SETS[name]
+    om = new_interval_union(intervals)
+    f = _property_function(kind_f, om, b, seed)
+    g = _property_function(kind_g, om, b, seed + 1)
+    pieces = f.pieces
+    again = PiecewiseExpPoly.from_pieces(f.omega, pieces)
+    for column in ("lo", "hi", "atoms", "freq", "coeffs", "size"):
+        got, want = getattr(again, column), getattr(f, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want), column
+    xs = np.concatenate([probe_points(f, 5), probe_points(g, 5), om.lefts, om.rights])
+    assert _close(f.evaluate(xs), values_per_piece(pieces, xs))
+    assert _close(f.reflect().evaluate(-xs), values_per_piece(reflect_per_piece(pieces), -xs))
+    assert _close(f.scaled(factor).evaluate(xs), values_per_piece(scaled_per_piece(pieces, factor), xs))
+    assert _close((f + g).evaluate(xs), values_per_piece(add_per_piece(pieces, g.pieces), xs))
+    for got, want in zip(f.boundary_values(), boundary_values_per_piece(om, pieces)):
+        assert _close(got, want)
