@@ -36,24 +36,24 @@ class IntervalUnion:
     def n(self) -> int:
         return len(self.endpoints)
 
-    @property
+    @cached_property
     def lefts(self) -> tuple[float, ...]:
         return tuple(a for a, _ in self.endpoints)
 
-    @property
+    @cached_property
     def rights(self) -> tuple[float, ...]:
         return tuple(b for _, b in self.endpoints)
 
-    @property
+    @cached_property
     def lengths(self) -> tuple[float, ...]:
         return tuple(b - a for a, b in self.endpoints)
 
-    @property
+    @cached_property
     def gaps(self) -> tuple[float, ...]:
         eps = self.endpoints
         return tuple(eps[i + 1][0] - eps[i][1] for i in range(self.n - 1))
 
-    @property
+    @cached_property
     def measure(self) -> float:
         return sum(self.lengths)
 

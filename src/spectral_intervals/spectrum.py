@@ -2,14 +2,18 @@
 
 A real lambda belongs to the spectrum iff 1 is an eigenvalue of the unitary
 transfer matrix M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec); the
-eigenspace is spanned by the null vectors of I - M(lambda).  The general
-solver counts the roots of every grid cell from the eigenphases of M at its
-ends (det M(lambda) = det B e^{-2 pi i lambda L}), halves the cells until
-each root has a bracket, and solves the brackets of simple roots on the real
+eigenspace is spanned by the null vectors of I - M(lambda).  The scan works
+on the gauge form W(lambda) = diag(e^{-2 pi i lambda l}) B (``_gauge``),
+unitarily similar to M: same eigenphases, same determinants, and null
+vectors v of I - W map back to c = E(-lambda a_vec) v.  The general solver
+counts the roots of every grid cell from the eigenphases of W at its ends
+(det W(lambda) = det B e^{-2 pi i lambda L}), halves the cells until each
+root has a bracket, and solves the brackets of simple roots on the real
 determinant g(lambda) (``_real_det``), one stacked LU per step, all open
-cells at once.  Eigenphases come from the Hermitian Cayley transform of M,
-one stacked solve and eigvalsh (``_eigenphases``).  The equal-length
-shortcut reads the spectrum off the eigenphases of B.
+cells at once, by Anderson-Bjorck false position.  Eigenphases come from
+the Hermitian Cayley transform of W, one stacked solve and eigvalsh
+(``_eigenphases``).  The equal-length shortcut reads the spectrum off the
+eigenphases of B.
 """
 from __future__ import annotations
 
@@ -49,12 +53,21 @@ MAX_GRID = 10**7
 
 def transfer_matrix(omega: IntervalUnion, b, lam) -> np.ndarray:
     """M(lambda) = E(lambda*b_vec)* B E(lambda*a_vec), unitary for real lambda;
-    stacked along the first axes for an array of lambdas."""
+    stacked along the first axes for an array of lambdas.  The scan itself
+    builds the similar W(lambda) (``_gauge``)."""
     b = np.asarray(b, dtype=complex)
     lam = np.asarray(lam, dtype=float)[..., None]
     left = np.conj(cis(lam * np.array(omega.rights)))
     right = cis(lam * np.array(omega.lefts))
     return left[..., :, None] * b * right[..., None, :]
+
+
+def _gauge(omega: IntervalUnion, b, lam) -> np.ndarray:
+    """W(lambda) = diag(e^{-2 pi i lambda l}) B = E(lambda a) M(lambda) E(lambda a)*,
+    one phase per length; stacked along the first axes for an array of
+    lambdas.  ``b`` is a complex array."""
+    lam = np.asarray(lam, dtype=float)[..., None]
+    return cis(-lam * np.array(omega.lengths))[..., :, None] * b
 
 
 def _eigenphases(mats: np.ndarray) -> tuple[np.ndarray, int]:
@@ -92,13 +105,13 @@ def _eigenphases(mats: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _phase_data(omega: IntervalUnion, b, lams: np.ndarray, arg_det: float, stats: dict):
-    """For each lambda, the sum of the eigenphases of M(lambda) in [0, 2pi),
+    """For each lambda, the sum of the eigenphases of W(lambda) in [0, 2pi),
     the signed angle of its eigenvalue closest to 1, and g(lambda) (see
-    ``_real_det``) from the same eigenphases, det(I - M) = prod(1 - e^{i theta}).
+    ``_real_det``) from the same eigenphases, det(I - W) = prod(1 - e^{i theta}).
     Matrices decomposed by eigvals (see ``_eigenphases``) are counted in
     ``stats["pole_rows"]``.
 
-    Every eigenphase of M is strictly decreasing in lambda (each interval
+    Every eigenphase of W is strictly decreasing in lambda (each interval
     has positive length), so the nearest angle falls through zero at
     spectrum points and jumps only upwards, where two eigenvalues are
     equally close to 1.
@@ -107,7 +120,7 @@ def _phase_data(omega: IntervalUnion, b, lams: np.ndarray, arg_det: float, stats
     nearest = np.empty(len(lams))
     dets = np.empty(len(lams), dtype=complex)
     for s in range(0, len(lams), CHUNK):
-        theta, poles = _eigenphases(transfer_matrix(omega, b, lams[s:s + CHUNK]))
+        theta, poles = _eigenphases(_gauge(omega, b, lams[s:s + CHUNK]))
         stats["pole_rows"] += poles
         sums[s:s + CHUNK] = np.mod(theta, 2 * np.pi).sum(axis=1)
         pick = np.argmin(np.abs(theta), axis=1)[:, None]
@@ -117,13 +130,13 @@ def _phase_data(omega: IntervalUnion, b, lams: np.ndarray, arg_det: float, stats
 
 
 def _real_det(omega: IntervalUnion, b, lams: np.ndarray, arg_det: float, dets=None) -> np.ndarray:
-    """g(lambda) = Re[i^n det(I - M(lambda)) e^{-i(arg det B - 2 pi lambda L)/2}],
+    """g(lambda) = Re[i^n det(I - W(lambda)) e^{-i(arg det B - 2 pi lambda L)/2}],
     with arg det B given as ``arg_det``, from the determinants ``dets`` if
-    given, else by one stacked LU per CHUNK lambdas.
+    given, else by one stacked LU per CHUNK lambdas.  det(I - W) = det(I - M).
 
-    With eigenphases theta_k of M, det(I - M) = (-2i)^n e^{i sum theta_k/2}
+    With eigenphases theta_k of W, det(I - W) = (-2i)^n e^{i sum theta_k/2}
     prod sin(theta_k/2), and e^{i sum theta_k/2} is the twist's inverse up to
-    one sign for all lambda (det M = det B e^{-2 pi i lambda L}), so
+    one sign for all lambda (det W = det B e^{-2 pi i lambda L}), so
     g = +-2^n prod sin(theta_k/2): real and analytic, zero exactly on the
     spectrum, with a sign change at every root of odd multiplicity.
     """
@@ -131,7 +144,7 @@ def _real_det(omega: IntervalUnion, b, lams: np.ndarray, arg_det: float, dets=No
         dets = np.empty(len(lams), dtype=complex)
         eye = np.eye(omega.n)
         for s in range(0, len(lams), CHUNK):
-            dets[s:s + CHUNK] = np.linalg.det(eye - transfer_matrix(omega, b, lams[s:s + CHUNK]))
+            dets[s:s + CHUNK] = np.linalg.det(eye - _gauge(omega, b, lams[s:s + CHUNK]))
     # the twist, in turns for cis
     turns = omega.n / 4 + lams * omega.measure / 2 - arg_det / (4 * np.pi)
     return (dets * cis(turns)).real
@@ -214,28 +227,31 @@ def _locate(omega: IntervalUnion, b, arg_det, grid, sums, nearest, g, counts, st
                  (ga, gmid), (gmid, gc), halves.T)
         cells = [np.concatenate(pair) for pair in pairs]
         cells = [x[cells[-1] > 0] for x in cells]
-    roots.append(_solve_brackets(
-        lambda x: _real_det(omega, b, x, arg_det), "lu_rows", *np.concatenate(simple, axis=1), stats
-    ))
-    roots.append(_solve_brackets(
-        lambda x: _phase_data(omega, b, x, arg_det, stats)[1], "eig_rows",
-        *np.concatenate(angles, axis=1), stats,
-    ))
-    return np.sort(np.concatenate(roots))
+    simple, angles, roots = (np.concatenate(x, axis=-1) for x in (simple, angles, roots))
+    stats["g_roots"], stats["angle_roots"], stats["floor_roots"] = (
+        simple.shape[1], angles.shape[1], len(roots)
+    )
+    return np.sort(np.concatenate([
+        roots,
+        _solve_brackets(lambda x: _real_det(omega, b, x, arg_det), "lu_rows", *simple, stats),
+        _solve_brackets(
+            lambda x: _phase_data(omega, b, x, arg_det, stats)[1], "eig_rows", *angles, stats
+        ),
+    ]))
 
 
 def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
     """A root of ``fn`` in each bracket [a, c], where fa and fc have strictly
     opposite signs or fa == 0, from the first trial points ``x``.
 
-    Illinois false position over all brackets at once, one ``fn`` call on
-    the stacked trial points per iteration (counted in ``stats[rows]``); a
-    bracket that has not halved in STALL steps is bisected.  Every step
-    keeps a sign change of ``fn``: for g, which is continuous, a root;
-    for the nearest angle, which jumps only upwards, the sign change
-    >= 0 -> < 0 kept is a root too.  A bracket with fa == 0 has its root at
-    a; one at most 2*TOL_ROOT wide, or with no float inside, has it at its
-    midpoint.
+    Anderson-Bjorck false position (BIT 13, 1973) over all brackets at once,
+    one ``fn`` call on the stacked trial points per iteration (counted in
+    ``stats[rows]``); a bracket that has not halved in STALL steps is
+    bisected.  Every step keeps a sign change of ``fn``: for g, which is
+    continuous, a root; for the nearest angle, which jumps only upwards, the
+    sign change >= 0 -> < 0 kept is a root too.  A bracket with fa == 0 has
+    its root at a; one at most 2*TOL_ROOT wide, or with no float inside, has
+    it at its midpoint.
     """
     roots = np.empty(len(a))
     idx = np.arange(len(a))
@@ -247,12 +263,15 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
     while True:
         mid = 0.5 * (a + c)
         done = (fa == 0) | (c - a <= 2 * TOL_ROOT) | (mid <= a) | (mid >= c)
-        roots[idx[done]] = np.where(fa == 0, a, mid)[done]
-        if done.all():
+        # the state is filtered only on a step that closes a bracket: the
+        # first steps of a scan close none
+        if done.any():
+            roots[idx[done]] = np.where(fa == 0, a, mid)[done]
+            a, c, fa, fc, x, mid, moved, ref, stall, idx = (
+                v[~done] for v in (a, c, fa, fc, x, mid, moved, ref, stall, idx)
+            )
+        if not len(idx):
             return roots
-        a, c, fa, fc, x, mid, moved, ref, stall, idx = (
-            v[~done] for v in (a, c, fa, fc, x, mid, moved, ref, stall, idx)
-        )
         # a step lands at least TOL_ROOT inside the bracket: once one end
         # is at the root, the next step crosses it and closes the bracket
         x = np.clip(x, a + TOL_ROOT, c - TOL_ROOT)
@@ -261,9 +280,13 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
         stats["bracket_iterations"] += 1
         stats[rows] += len(x)
         left = (fx == 0) | ((fx > 0) == (fa > 0))
-        # Illinois: the value at an end kept twice in a row is halved
-        fa = np.where(~left & (moved == -1), 0.5 * fa, fa)
-        fc = np.where(left & (moved == 1), 0.5 * fc, fc)
+        # Anderson-Bjorck: the value at an end kept twice in a row is scaled
+        # by m = 1 - f(x)/f(replaced end), by 1/2 where m <= 0.  The replaced
+        # end was set by the last step, so its value is unscaled and nonzero
+        m = 1.0 - fx / np.where(left, fa, fc)
+        m = np.where(m > 0, m, 0.5)
+        fa = np.where(~left & (moved == -1), m * fa, fa)
+        fc = np.where(left & (moved == 1), m * fc, fc)
         a, fa = np.where(left, x, a), np.where(left, fx, fa)
         c, fc = np.where(left, c, x), np.where(left, fc, fx)
         moved = np.where(left, 1, -1)
@@ -275,15 +298,17 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
 
 def _eigenspaces(omega: IntervalUnion, b, lams):
     """Orthonormal bases of {c : B E(lambda a)c = E(lambda b)c}, from stacked
-    SVDs of I - M(lambda), and the largest boundary residual of each basis
-    (0 for an empty one)."""
+    SVDs of I - W(lambda), and the largest boundary residual of each basis
+    (0 for an empty one).  A null vector v of I - W maps to c = E(-lambda a) v,
+    of the same norm."""
     lams = np.asarray(lams, dtype=float)
     bases: list[list[np.ndarray]] = []
     residuals = np.zeros(len(lams))
     for s in range(0, len(lams), CHUNK):
         lam = lams[s:s + CHUNK]
-        _, sv, vh = np.linalg.svd(np.eye(omega.n) - transfer_matrix(omega, b, lam))
-        vecs = vh.conj()  # rows: the right singular vectors
+        _, sv, vh = np.linalg.svd(np.eye(omega.n) - _gauge(omega, b, lam))
+        # rows: the right singular vectors v, mapped to c
+        vecs = np.conj(vh * cis(lam[:, None, None] * np.array(omega.lefts)))
         null = sv < TOL_EIG
         res = np.where(null, _boundary_residuals(omega, b, lam[:, None], vecs), 0.0)
         residuals[s:s + CHUNK] = res.max(axis=1)
@@ -343,8 +368,11 @@ class SpectrumReport:
     bisected_cells, bracket_iterations, eig_rows (matrices decomposed, by
     their Cayley transform, eigvals or SVD), lu_rows (matrices passed to
     stacked determinants), pole_rows (those of the eig_rows with an
-    eigenvalue near -1, decomposed by eigvals; see ``_eigenphases``) and
-    seconds per stage (grid, locate, eigenspaces).
+    eigenvalue near -1, decomposed by eigvals; see ``_eigenphases``), how
+    the roots were refined: g_roots (on sign-change brackets of g),
+    angle_roots (on brackets of the nearest angle) and floor_roots (the
+    midpoints of floor-width cells), counted before roots closer than the
+    floor are merged, and seconds per stage (grid, locate, eigenspaces).
     """
 
     eigenvalues: list[float]
@@ -373,6 +401,9 @@ def _stats(grid_points: int, eig_rows: int) -> dict:
         "eig_rows": eig_rows,
         "lu_rows": 0,
         "pole_rows": 0,
+        "g_roots": 0,
+        "angle_roots": 0,
+        "floor_roots": 0,
     }
 
 

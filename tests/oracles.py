@@ -18,7 +18,15 @@ from spectral_intervals.evolution import (
     PiecewiseExpPoly,
 )
 from spectral_intervals.paths import PathTable, _build_table
-from spectral_intervals.spectrum import CHUNK, TOL_EIG, _real_det, transfer_matrix
+from spectral_intervals.spectrum import (
+    CHUNK,
+    STALL,
+    TOL_EIG,
+    TOL_ROOT,
+    _gauge,
+    _real_det,
+    transfer_matrix,
+)
 
 
 def boundary_condition_check(b, f, tol: float = 1e-8) -> bool:
@@ -182,15 +190,17 @@ def eigenvalue_distance(omega, b, lam: float) -> float:
     return float(np.min(np.abs(1.0 - mu)))
 
 
-def phase_data_eigvals(omega, b, lams: np.ndarray):
+def phase_data_eigvals(omega, b, lams: np.ndarray, matrices=_gauge):
     """The phase sums in [0, 2pi), nearest angles and g(lambda) of
-    ``spectrum._phase_data``, from stacked eigvals of M(lambda), CHUNK at a
-    time, with det(I - M) = prod(1 - mu)."""
+    ``spectrum._phase_data``, from stacked eigvals of W(lambda) (or of the
+    ``matrices`` given, such as ``transfer_matrix``), CHUNK at a time, with
+    det(I - W) = prod(1 - mu)."""
+    b = np.asarray(b, dtype=complex)
     sums = np.empty(len(lams))
     nearest = np.empty(len(lams))
     dets = np.empty(len(lams), dtype=complex)
     for s in range(0, len(lams), CHUNK):
-        mu = np.linalg.eigvals(transfer_matrix(omega, b, lams[s:s + CHUNK]))
+        mu = np.linalg.eigvals(matrices(omega, b, lams[s:s + CHUNK]))
         ang = np.angle(mu)
         sums[s:s + CHUNK] = np.mod(ang, 2 * np.pi).sum(axis=1)
         pick = np.argmin(np.abs(ang), axis=1)[:, None]
@@ -202,9 +212,45 @@ def phase_data_eigvals(omega, b, lams: np.ndarray):
 
 def nullspace_at(omega, b, lam: float) -> list:
     """Orthonormal basis of {c : B E(lambda a)c = E(lambda b)c}, from one SVD
-    of I - M(lambda); [] off the spectrum."""
-    _, sv, vh = np.linalg.svd(np.eye(omega.n) - transfer_matrix(omega, b, lam))
-    return list(vh.conj()[sv < TOL_EIG])
+    of I - W(lambda), each null vector v mapped to c = E(-lambda a) v; []
+    off the spectrum."""
+    _, sv, vh = np.linalg.svd(np.eye(omega.n) - _gauge(omega, np.asarray(b, dtype=complex), lam))
+    return [np.conj(cis(lam * np.array(omega.lefts))) * v for v in vh.conj()[sv < TOL_EIG]]
+
+
+def solve_brackets_illinois(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
+    """``spectrum._solve_brackets`` by Illinois false position, as it was
+    before Anderson-Bjorck: the value at an end kept twice in a row is
+    halved, and the state is filtered on every step."""
+    roots = np.empty(len(a))
+    idx = np.arange(len(a))
+    moved = np.zeros(len(a), dtype=int)
+    ref = c - a
+    stall = np.zeros(len(a), dtype=int)
+    while True:
+        mid = 0.5 * (a + c)
+        done = (fa == 0) | (c - a <= 2 * TOL_ROOT) | (mid <= a) | (mid >= c)
+        roots[idx[done]] = np.where(fa == 0, a, mid)[done]
+        if done.all():
+            return roots
+        a, c, fa, fc, x, mid, moved, ref, stall, idx = (
+            v[~done] for v in (a, c, fa, fc, x, mid, moved, ref, stall, idx)
+        )
+        x = np.clip(x, a + TOL_ROOT, c - TOL_ROOT)
+        x = np.where((stall >= STALL) | (x <= a) | (x >= c), mid, x)
+        fx = fn(x)
+        stats["bracket_iterations"] += 1
+        stats[rows] += len(x)
+        left = (fx == 0) | ((fx > 0) == (fa > 0))
+        fa = np.where(~left & (moved == -1), 0.5 * fa, fa)
+        fc = np.where(left & (moved == 1), 0.5 * fc, fc)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        c, fc = np.where(left, c, x), np.where(left, fc, fx)
+        moved = np.where(left, 1, -1)
+        halved = c - a <= 0.5 * ref
+        ref = np.where(halved, c - a, ref)
+        stall = np.where(halved, 0, stall + 1)
+        x = a + (c - a) * (fa / (fa - fc))
 
 
 # -- path tables -------------------------------------------------------------

@@ -474,6 +474,10 @@ def test_spectrum_stats(tmp_path, capsys, command):
     assert stats["lu_rows"] >= 1
     # matrices with an eigenvalue near -1 are among the decomposed ones
     assert 0 <= stats["pole_rows"] <= stats["eig_rows"]
+    # how each root was refined: on g, on the nearest angle or at the floor
+    refined = stats["g_roots"] + stats["angle_roots"] + stats["floor_roots"]
+    assert stats["g_roots"] >= 1
+    assert len(rep["eigenvalues"]) <= refined <= rep["root_count"]
     assert set(stats["seconds"]) == {"grid", "locate", "eigenspaces"}
 
 
@@ -486,6 +490,7 @@ def test_equal_length_spectrum_stats(problem, capsys):
     assert (stats["grid_points"], stats["levels"], stats["bracket_iterations"]) == (0, 0, 0)
     assert stats["eig_rows"] == 1
     assert stats["lu_rows"] == stats["pole_rows"] == 0
+    assert stats["g_roots"] == stats["angle_roots"] == stats["floor_roots"] == 0
 
 
 def test_verify_trial_stage_seconds(problem, capsys):

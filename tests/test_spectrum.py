@@ -24,7 +24,7 @@ from spectral_intervals.spectrum import (
     transfer_matrix,
 )
 
-from oracles import eigenvalue_distance, nullspace_at, phase_data_eigvals
+from oracles import eigenvalue_distance, nullspace_at, phase_data_eigvals, solve_brackets_illinois
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -273,6 +273,24 @@ def test_roots_on_grid_points(intervals, b, window):
     assert min(rep.dims) >= 1
     # the window is closed: count over a slightly wider one
     assert sum(rep.dims) == rep.root_count == phase_count(intervals, b, lo - 1e-6, hi + 1e-6)
+    # every located root holds at least one counted root, and roots closer
+    # than the floor are merged after they are located
+    refined = rep.stats["g_roots"] + rep.stats["angle_roots"] + rep.stats["floor_roots"]
+    assert len(rep.eigenvalues) <= refined <= rep.root_count
+    assert rep.stats["angle_roots"] >= 1
+
+
+def test_stats_say_how_each_root_was_refined():
+    # the double roots of this weighted permutation are refined on the
+    # nearest angle, or read off a floor cell where rounding puts their
+    # eigenvalues on both sides of 1; the simple roots on g
+    intervals = [(0.0, 1.25), (1.75, 2.5), (3.0, 4.25), (4.75, 5.75), (6.25, 7.0)]
+    b = np.eye(5)[[1, 0, 2, 3, 4]] * np.exp(2j * np.pi * np.array([2, 2, 0, 1, 1]) / 4)[:, None]
+    rep = compute_spectrum(new_interval_union(intervals), b, window=(-4, 4), grid_step=1.0)
+    stats = rep.stats
+    assert stats["g_roots"] == rep.dims.count(1)
+    assert stats["angle_roots"] >= 1 and stats["floor_roots"] >= 1
+    assert stats["g_roots"] + stats["angle_roots"] + stats["floor_roots"] >= len(rep.eigenvalues)
 
 
 @settings(deadline=None, max_examples=40)
@@ -293,6 +311,28 @@ def test_count_certificate_haar(n, seed, grid_step):
     assert sum(rep.dims) == rep.root_count == phase_count(intervals, b, lo, hi)
     assert all(lo - 1e-9 <= lam <= hi + 1e-9 for lam in rep.eigenvalues)
     assert all(r < 1e-8 for r in rep.residuals)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_translating_intervals_keeps_the_spectrum(n, seed):
+    # W(lambda) = diag(e^{-2 pi i lambda l}) B depends on the lengths alone:
+    # moving the intervals apart or together moves no root
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.2, 1.5, n)
+    b = unitary_group.rvs(n, random_state=rng)
+    lo = float(rng.uniform(-9, 3))
+    window = (lo, lo + float(rng.uniform(0.5, 9)))
+    reps = []
+    for _ in range(2):
+        gaps = rng.uniform(0.05, 3, n - 1)
+        lefts = rng.uniform(-50, 50) + np.concatenate([[0.0], np.cumsum(lengths[:-1] + gaps)])
+        om = new_interval_union([(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)])
+        reps.append(compute_spectrum(om, b, window=window))
+    first, moved = reps
+    assert moved.root_count == first.root_count
+    assert moved.dims == first.dims
+    assert np.max(np.abs(np.subtract(moved.eigenvalues, first.eigenvalues)), initial=0.0) < 1e-9
 
 
 def _haar_problem(seed):
@@ -337,6 +377,21 @@ def test_a_zero_of_g_on_a_grid_point_is_not_taken_for_the_next_root(pair):
     assert np.all(np.min(np.abs(frac[:, None] - np.array([0.0, 0.25, 1.0])), axis=1) < 1e-12)
 
 
+@pytest.mark.parametrize("case", [*range(50, 60), "clustered"])
+def test_anderson_bjorck_matches_illinois(monkeypatch, case):
+    if case == "clustered":
+        # B = I on lengths 1 and 1 + 1e-8: pairs of roots at most 1e-7 apart
+        om, b, window = new_interval_union([(0, 1), (2, 3 + 1e-8)]), np.eye(2), None
+    else:
+        om, b, window = _haar_problem(case)
+    rep = compute_spectrum(om, b, window=window)
+    monkeypatch.setattr(spectrum, "_solve_brackets", solve_brackets_illinois)
+    ref = compute_spectrum(om, b, window=window)
+    assert rep.root_count == ref.root_count and rep.dims == ref.dims
+    assert rep.stats["g_roots"] == ref.stats["g_roots"] >= 1
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, ref.eigenvalues))) <= 2 * spectrum.TOL_ROOT
+
+
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8])
 def test_clustered_roots_of_the_identity(delta):
     # B = I on lengths 1 and 1 + delta: the roots k and k/(1 + delta) are
@@ -373,13 +428,17 @@ def test_real_determinant_changes_sign_at_simple_roots(seed):
         assert lo * hi < 0
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_cayley_phase_data_matches_eigvals(n):
+def _random_set(n):
     rng = np.random.default_rng(n)
     lengths = rng.uniform(0.2, 1.5, n)
     lefts = np.concatenate([[0.0], np.cumsum(lengths[:-1] + rng.uniform(0.05, 1.5, n - 1))])
     om = new_interval_union([(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)])
-    b = unitary_group.rvs(n, random_state=rng)
+    return om, unitary_group.rvs(n, random_state=rng)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cayley_phase_data_matches_eigvals(n):
+    om, b = _random_set(n)
     # more lambdas than one CHUNK
     lams = np.linspace(-10, 10, 601)
     stats = {"pole_rows": 0}
@@ -387,6 +446,19 @@ def test_cayley_phase_data_matches_eigvals(n):
     for x, y in zip(got, phase_data_eigvals(om, b, lams)):
         assert np.max(np.abs(x - y)) < 1e-12
     assert 0 <= stats["pole_rows"] < len(lams)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gauge_form_has_the_phase_data_of_m(n):
+    # W(lambda) = E(lambda a) M(lambda) E(lambda a)*: the same eigenvalues,
+    # so the same phase sums, nearest angles and g (|g| <= 2^n)
+    om, b = _random_set(n)
+    lams = np.linspace(-10, 10, 601)
+    w_sums, w_nearest, w_g = phase_data_eigvals(om, b, lams)
+    m_sums, m_nearest, m_g = phase_data_eigvals(om, b, lams, matrices=transfer_matrix)
+    assert np.max(np.abs(w_sums - m_sums)) < 1e-12
+    assert np.max(np.abs(w_nearest - m_nearest)) < 1e-12
+    assert np.max(np.abs(w_g - m_g)) < 1e-12 * 2.0**n
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
