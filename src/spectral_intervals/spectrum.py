@@ -12,14 +12,18 @@ root has a bracket, and solves the brackets of simple roots on the real
 determinant g(lambda) (``_real_det``), one stacked LU per step, all open
 cells at once, by Anderson-Bjorck false position.  Eigenphases come from
 the Hermitian Cayley transform of W, one stacked solve and eigvalsh
-(``_eigenphases``).  The equal-length shortcut reads the spectrum off the
-eigenphases of B.
+(``_eigenphases``).  A root whose count-1 cell certifies that it is simple
+takes its null vector from one stacked shifted inverse of I - W
+(``_solve_null``); every other root, from stacked SVDs (``_eigenspaces``).
+The equal-length shortcut reads the spectrum off the eigenphases of B.
+Every reported vector is phase-fixed (``_fixed_phase``).
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,8 +34,18 @@ from .intervals import IntervalUnion
 #: the bracket solver stops at brackets at most 2*TOL_ROOT wide and reports
 #: their midpoint, so a located root is within TOL_ROOT
 TOL_ROOT = 1e-13
-#: singular values of I - M(lambda) below this span the eigenspace
+#: singular values of I - W(lambda) below this span the eigenspace: the
+#: SVD's null vectors, or a solved vector x with |(I - W)x| below it (see
+#: ``_eigenspaces``)
 TOL_EIG = 1e-8
+#: a root whose count-1 cell bounds sigma_2(I - W) below by this takes its
+#: null vector from the shifted solve, not the SVD
+SIMPLE_GAP = 100 * TOL_EIG
+#: the shift of the solve (see ``_solve_null``)
+SHIFT = 1e-12
+#: entries of a reported vector whose modulus is within this fraction of the
+#: largest tie for the entry made real and positive (see ``_fixed_phase``)
+PHASE_TIE = 1e-6
 #: a cell's phase count must lie this close to an integer
 TOL_COUNT = 1e-6
 #: cells narrower than this, relative to max(1, |lambda|), hold one root
@@ -170,8 +184,12 @@ def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
     return counts.astype(int)
 
 
-def _locate(omega: IntervalUnion, b, arg_det, grid, sums, nearest, g, counts, stats) -> np.ndarray:
-    """The roots in the grid cells, sorted, one per root of any multiplicity.
+def _locate(
+    omega: IntervalUnion, b, arg_det, grid, sums, nearest, g, counts, stats
+) -> tuple[np.ndarray, np.ndarray]:
+    """The roots in the grid cells, sorted, one per root of any multiplicity,
+    and a cell of each (one column per root): for a root solved on g, the
+    cell [a, c] whose phase count is 1, else the empty cell [root, root].
 
     Level by level, over all open cells at once: a cell that holds one root
     brackets it for g if g strictly changes sign across it.  A cell that g
@@ -231,13 +249,18 @@ def _locate(omega: IntervalUnion, b, arg_det, grid, sums, nearest, g, counts, st
     stats["g_roots"], stats["angle_roots"], stats["floor_roots"] = (
         simple.shape[1], angles.shape[1], len(roots)
     )
-    return np.sort(np.concatenate([
+    g_roots = _solve_brackets(lambda x: _real_det(omega, b, x, arg_det), "lu_rows", *simple, stats)
+    roots = np.concatenate([
         roots,
-        _solve_brackets(lambda x: _real_det(omega, b, x, arg_det), "lu_rows", *simple, stats),
         _solve_brackets(
             lambda x: _phase_data(omega, b, x, arg_det, stats)[1], "eig_rows", *angles, stats
         ),
-    ]))
+    ])
+    # the count-1 cell of each g root; the others get the empty cell [r, r]
+    lams = np.concatenate([g_roots, roots])
+    cells = np.stack([np.concatenate([simple[0], roots]), np.concatenate([simple[1], roots])])
+    order = np.argsort(lams, kind="stable")
+    return lams[order], cells[:, order]
 
 
 def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
@@ -296,27 +319,89 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
         x = a + (c - a) * (fa / (fa - fc))
 
 
-def _eigenspaces(omega: IntervalUnion, b, lams):
-    """Orthonormal bases of {c : B E(lambda a)c = E(lambda b)c}, from stacked
-    SVDs of I - W(lambda), and the largest boundary residual of each basis
-    (0 for an empty one).  A null vector v of I - W maps to c = E(-lambda a) v,
-    of the same norm."""
+def _eigenspaces(omega: IntervalUnion, b, lams, cells, stats: dict):
+    """Orthonormal bases of {c : B E(lambda a)c = E(lambda b)c}, and the
+    largest boundary residual of each basis (0 for an empty one).  A null
+    vector v of I - W maps to c = E(-lambda a) v, of the same norm, and every
+    c is phase-fixed (``_fixed_phase``).
+
+    ``cells`` holds, one column per root, a cell [a, c] that the phase sums
+    count one root in, or the empty cell [lambda, lambda].  A root takes its
+    null vector from a shifted solve (``_solve_null``) when two certificates
+    hold, and stacked SVDs of I - W otherwise:
+    - sigma_2(I - W) >= SIMPLE_GAP.  Every eigenphase of W falls at a rate
+      between 2 pi l_min and 2 pi l_max, and only one crosses 0 in the cell,
+      so at a distance d = min(lambda - a, c - lambda) from its ends every
+      other one is at least 2 pi l_min d away from 0 (mod 2 pi), and
+      sigma_2 >= 2 sin(min(pi/2, pi l_min d)).
+    - sigma_1 < TOL_EIG: the unit solution x has |(I - W)x| < TOL_EIG.
+    Together they prove that the SVD would find exactly one singular value
+    below TOL_EIG.  The roots are counted in ``stats["solve_rows"]`` and
+    ``stats["svd_rows"]``.
+    """
     lams = np.asarray(lams, dtype=float)
+    dist = np.minimum(lams - cells[0], cells[1] - lams)
+    simple = 2 * np.sin(np.minimum(np.pi / 2, np.pi * omega.lmin * dist)) >= SIMPLE_GAP
     bases: list[list[np.ndarray]] = []
     residuals = np.zeros(len(lams))
     for s in range(0, len(lams), CHUNK):
         lam = lams[s:s + CHUNK]
-        _, sv, vh = np.linalg.svd(np.eye(omega.n) - _gauge(omega, b, lam))
-        # rows: the right singular vectors v, mapped to c
-        vecs = np.conj(vh * cis(lam[:, None, None] * np.array(omega.lefts)))
-        null = sv < TOL_EIG
-        res = np.where(null, _boundary_residuals(omega, b, lam[:, None], vecs), 0.0)
-        residuals[s:s + CHUNK] = res.max(axis=1)
-        # the null vectors of every root in order, split root by root
-        rows = list(vecs[null])
-        ends = np.cumsum(null.sum(axis=1)).tolist()
+        mats = np.eye(omega.n) - _gauge(omega, b, lam)
+        # the null vectors v of the chunk, one per row, and the root of each
+        one = simple[s:s + CHUNK].copy()
+        vecs, ok = _solve_null(mats[one])
+        one[one] = ok
+        vecs, owner, svd = vecs[ok], np.flatnonzero(one), np.flatnonzero(~one)
+        stats["solve_rows"] += len(owner)
+        stats["svd_rows"] += len(svd)
+        if len(svd):
+            _, sv, vh = np.linalg.svd(mats[svd])
+            null = sv < TOL_EIG
+            vecs = np.concatenate([vecs, vh.conj()[null]])
+            owner = np.concatenate([owner, np.repeat(svd, null.sum(axis=1))])
+            order = np.argsort(owner, kind="stable")
+            vecs, owner = vecs[order], owner[order]
+        vecs = _fixed_phase(np.conj(cis(lam[owner, None] * np.array(omega.lefts))) * vecs)
+        np.maximum.at(residuals, s + owner, _boundary_residuals(omega, b, lam[owner], vecs))
+        # split the rows root by root
+        ends = np.cumsum(np.bincount(owner, minlength=len(lam))).tolist()
+        rows = list(vecs)
         bases += [rows[i:j] for i, j in zip([0] + ends, ends)]
     return bases, residuals.tolist()
+
+
+def _solve_null(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of I - W(lambda), a unit vector x of each by two steps of
+    inverse iteration with shift SHIFT, and whether |(I - W)x| < TOL_EIG.
+
+    I - W is normal with eigenvalues mu_k on the circle |z - 1| = 1, so
+    I - W + SHIFT*I has smallest singular value at least SHIFT: one stacked
+    inverse G never meets a singular matrix, not even at a root where I - W
+    is exactly singular in floating point.  Column j of G is
+    sum_k v_k conj(v_k[j]) / (mu_k + SHIFT), one step from e_j; the column of
+    largest norm has |v_1[j]| >= 1/sqrt(n), and a product with G is the
+    second step.
+    """
+    g = np.linalg.inv(mats + SHIFT * np.eye(mats.shape[-1]))
+    pick = np.argmax(np.linalg.norm(g, axis=-2), axis=-1)
+    x = (g @ g[np.arange(len(g)), :, pick, None])[..., 0]
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    return x, np.linalg.norm((mats @ x[..., None])[..., 0], axis=-1) < TOL_EIG
+
+
+def _fixed_phase(vecs: np.ndarray) -> np.ndarray:
+    """The rows of ``vecs``, each nonzero one rotated so that its first entry
+    of modulus within a fraction PHASE_TIE of the largest is real and
+    positive.  Ties within PHASE_TIE take the first entry, so two
+    decompositions that agree to rounding fix the same entry."""
+    mod = np.abs(vecs)
+    first = np.argmax(mod >= (1 - PHASE_TIE) * mod.max(axis=1, keepdims=True), axis=1)
+    rows = np.arange(len(vecs))
+    size = mod[rows, first]
+    out = vecs * (vecs[rows, first].conj() / size)[:, None]
+    # the rotated entry is its modulus up to rounding: set it exactly
+    out[rows, first] = size
+    return out
 
 
 def _boundary_residuals(omega: IntervalUnion, b, lams, vecs) -> np.ndarray:
@@ -365,11 +450,13 @@ class SpectrumReport:
     root_count is the number of spectrum points in the window counted with
     multiplicity; every report has sum(dims) == root_count.  stats says how
     the report was produced: grid_points, levels (stacked bisection levels),
-    bisected_cells, bracket_iterations, eig_rows (matrices decomposed, by
-    their Cayley transform, eigvals or SVD), lu_rows (matrices passed to
-    stacked determinants), pole_rows (those of the eig_rows with an
-    eigenvalue near -1, decomposed by eigvals; see ``_eigenphases``), how
-    the roots were refined: g_roots (on sign-change brackets of g),
+    bisected_cells, bracket_iterations, eig_rows (matrices whose eigenphases
+    were computed, by their Cayley transform or eigvals), lu_rows (matrices
+    passed to stacked determinants), pole_rows (those of the eig_rows with
+    an eigenvalue near -1, decomposed by eigvals; see ``_eigenphases``),
+    how each eigenspace was found: solve_rows (certified simple, by the
+    shifted solve) and svd_rows (by SVD), one per eigenvalue, how the roots
+    were refined: g_roots (on sign-change brackets of g),
     angle_roots (on brackets of the nearest angle) and floor_roots (the
     midpoints of floor-width cells), counted before roots closer than the
     floor are merged, and seconds per stage (grid, locate, eigenspaces).
@@ -401,6 +488,8 @@ def _stats(grid_points: int, eig_rows: int) -> dict:
         "eig_rows": eig_rows,
         "lu_rows": 0,
         "pole_rows": 0,
+        "svd_rows": 0,
+        "solve_rows": 0,
         "g_roots": 0,
         "angle_roots": 0,
         "floor_roots": 0,
@@ -439,16 +528,18 @@ def compute_spectrum(
     sums, nearest, g = _phase_data(omega, b, grid, arg_det, stats)
     counts = _cell_counts(omega, grid, sums)
     t1 = time.perf_counter()
-    roots = _locate(omega, b, arg_det, grid, sums, nearest, g, counts, stats)
+    roots, cells = _locate(omega, b, arg_det, grid, sums, nearest, g, counts, stats)
     # rounding can count the eigenvalues of a multiple root on both sides of
-    # a cell edge: roots closer than the bisection floor are one root
+    # a cell edge: roots closer than the bisection floor are one root, with
+    # the cell of the first (its sigma_2 bound holds whatever was merged)
     eigenvalues: list[float] = []
-    for r in roots.tolist():
+    keep: list[int] = []
+    for k, r in enumerate(roots.tolist()):
         if not eigenvalues or r - eigenvalues[-1] >= MIN_CELL * max(1.0, abs(r)):
             eigenvalues.append(r)
+            keep.append(k)
     t2 = time.perf_counter()
-    eigenspaces, residuals = _eigenspaces(omega, b, eigenvalues)
-    stats["eig_rows"] += len(eigenvalues)
+    eigenspaces, residuals = _eigenspaces(omega, b, eigenvalues, cells[:, keep], stats)
     stats["seconds"] = {"grid": t1 - t0, "locate": t2 - t1, "eigenspaces": time.perf_counter() - t2}
     report = SpectrumReport(
         eigenvalues, eigenspaces, residuals, (lo, hi), "scan", int(counts.sum()), stats
@@ -467,7 +558,8 @@ def equal_length_spectrum(
     """Spectrum via the eigenphases of B when all interval lengths are equal.
 
     lambda = (theta_j + k)/l for eigenphases theta_j; eigenspace vectors are
-    c = E(-lambda a_vec) v with v an eigenvector of B.
+    c = E(-lambda a_vec) v with v an eigenvector of B, phase-fixed
+    (``_fixed_phase``).
     """
     return _equal_length(omega, b, window)[0]
 
@@ -490,15 +582,17 @@ def _equal_length(
         kmax = math.floor(hi * ell - theta + 1e-12)
         lams.append((theta + np.arange(kmin, kmax + 1)) / ell)
     t1 = time.perf_counter()
-    # per phase group, the basis of every lambda: shape (lambdas, group, n)
-    vecs = [
-        np.conj(cis(lam[:, None, None] * np.array(omega.lefts))) * eig.vectors[:, group].T
-        for lam, group in zip(lams, groups)
-    ]
-    residuals = np.concatenate(
-        [_boundary_residuals(omega, b, lam[:, None], v).max(axis=1) for lam, v in zip(lams, vecs)]
-    )
-    bases = [list(basis) for v in vecs for basis in v]
+    # one row per lambda and eigenvector of B in its phase group, the basis
+    # of each lambda in consecutive rows
+    rows = np.concatenate([np.repeat(lam, len(group)) for lam, group in zip(lams, groups)])
+    cols = [k for lam, group in zip(lams, groups) for _ in lam for k in group]
+    vecs = _fixed_phase(np.conj(cis(rows[:, None] * np.array(omega.lefts))) * eig.vectors[:, cols].T)
+    sizes = [len(group) for lam, group in zip(lams, groups) for _ in lam]
+    ends = list(accumulate(sizes))
+    starts = np.array([0] + ends[:-1] if ends else [], dtype=int)
+    residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
+    vecs = list(vecs)
+    bases = [vecs[i:j] for i, j in zip(starts, ends)]
     lams = np.concatenate(lams)
     order = np.argsort(lams, kind="stable")
     stats = _stats(0, eig_rows=1)
@@ -576,7 +670,8 @@ def spectral_matrix_check(
             bases.append([np.conj(cis(lam * alphas)) * eig.vectors[:, idx] for idx in group])
         bad = np.flatnonzero(~_constant_flags(bases, tol_const))
         if bad.size:
-            return SpectralCheck("not_spectral", lams[bad[0]], bases[bad[0]], report)
+            witness = list(_fixed_phase(np.array(bases[bad[0]])))
+            return SpectralCheck("not_spectral", lams[bad[0]], witness, report)
         offsets = [(a - omega.lefts[0]) / ell for a in omega.lefts]
         if all(abs(o - round(o)) < omega.tol() for o in offsets):
             return SpectralCheck("spectral_exact", None, None, report)

@@ -468,8 +468,9 @@ def test_spectrum_stats(tmp_path, capsys, command):
     assert code == 0
     stats = rep["spectrum_stats"]
     assert stats["grid_points"] >= 2 and stats["bracket_iterations"] >= 1
-    decomposed = stats["grid_points"] + stats["bisected_cells"] + len(rep["eigenvalues"])
-    assert stats["eig_rows"] >= decomposed
+    assert stats["eig_rows"] >= stats["grid_points"] + stats["bisected_cells"]
+    # every eigenspace comes from the shifted solve or the SVD
+    assert stats["svd_rows"] + stats["solve_rows"] == len(rep["eigenvalues"])
     # the simple roots are solved on the real determinant, by stacked LU
     assert stats["lu_rows"] >= 1
     # matrices with an eigenvalue near -1 are among the decomposed ones

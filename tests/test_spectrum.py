@@ -106,6 +106,13 @@ def test_scan_general_lengths():
     assert rep.eigenvalues == pytest.approx(expected, abs=1e-9)
 
 
+def test_equal_length_window_without_roots(pair):
+    om, b = pair
+    rep = equal_length_spectrum(om, b, window=(0.1, 0.2))
+    assert rep.eigenvalues == rep.eigenspaces == rep.residuals == []
+    assert rep.root_count == 0
+
+
 def test_equal_length_requires_equal_lengths():
     om = new_interval_union([(0, 1), (2, 4)])
     with pytest.raises(NotEqualLength):
@@ -174,11 +181,14 @@ def test_spectral_check_decomposes_b_once(monkeypatch, case, verdict):
     assert len(calls) == 1
     assert check.verdict == verdict
     if verdict == "not_spectral":
-        # the witness is a phase class of a fresh decomposition, bit for bit
+        # the witness is a phase class of a fresh decomposition, phase-fixed,
+        # bit for bit
         eig = eig_unitary(b)
         group = next(g for g in eig.phase_groups() if eig.phases[g[0]] == check.witness_lambda)
         lam = check.witness_lambda
-        expected = [np.conj(cis(lam * np.array(om.lefts))) * eig.vectors[:, k] for k in group]
+        expected = spectrum._fixed_phase(
+            np.array([np.conj(cis(lam * np.array(om.lefts))) * eig.vectors[:, k] for k in group])
+        )
         assert len(check.witness_vectors) == len(expected)
         assert all(np.array_equal(v, w) for v, w in zip(check.witness_vectors, expected))
 
@@ -535,6 +545,80 @@ def test_stacked_eigenspaces_match_nullspace_at(seed):
         single = nullspace_at(om, np.eye(3), lam)
         assert len(single) == len(basis)
         assert np.max(np.abs(_projector(single) - _projector(basis))) < 1e-12
+
+
+def _phase_is_fixed(c):
+    # the first entry of modulus within PHASE_TIE of the largest is real and
+    # positive
+    mod = np.abs(c)
+    k = np.flatnonzero(mod >= (1 - spectrum.PHASE_TIE) * mod.max())[0]
+    return c[k].imag == 0 and c[k].real > 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_solved_eigenspaces_match_the_svd(n, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.2, 1.5, n)
+    lefts = rng.uniform(-3, 3) + np.concatenate(
+        [[0.0], np.cumsum(lengths[:-1] + rng.uniform(0.05, 1.5, n - 1))]
+    )
+    om = new_interval_union([(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)])
+    b = unitary_group.rvs(n, random_state=rng)
+    lo = float(rng.uniform(-9, 3))
+    rep = compute_spectrum(om, b, window=(lo, lo + float(rng.uniform(0.5, 6))))
+    assert rep.stats["svd_rows"] + rep.stats["solve_rows"] == len(rep.eigenvalues)
+    for lam, basis in zip(rep.eigenvalues, rep.eigenspaces):
+        single = nullspace_at(om, b, lam)
+        assert len(single) == len(basis) >= 1
+        assert np.max(np.abs(_projector(single) - _projector(basis))) < 1e-12
+        assert all(_phase_is_fixed(c) for c in basis)
+    assert max(rep.residuals, default=0.0) <= 1e-10
+
+
+def test_an_exactly_singular_root_takes_the_solve():
+    # SWAP on lengths 1 and 1.5: W(0) = SWAP, so I - W(0) is exactly singular
+    # and an unshifted solve raises; 0 is a root solved on g inside its cell
+    om = new_interval_union([(0, 1), (2, 3.5)])
+    eye = np.eye(2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(eye - spectrum._gauge(om, SWAP, 0.0), np.ones(2))
+    rep = compute_spectrum(om, SWAP, window=(-0.5, 0.7))
+    assert 0.0 in rep.eigenvalues
+    assert rep.stats["g_roots"] == rep.stats["solve_rows"] == len(rep.eigenvalues)
+    assert rep.stats["svd_rows"] == 0
+    assert rep.dims == [1] * len(rep.eigenvalues)
+    (c,) = rep.eigenspaces[rep.eigenvalues.index(0.0)]
+    assert np.max(np.abs(c - np.sqrt(0.5))) < 1e-12
+    # off the spectrum the solved vector fails the residual certificate
+    _, ok = spectrum._solve_null(eye - spectrum._gauge(om, SWAP, np.array([0.0, 0.1])))
+    assert ok.tolist() == [True, False]
+
+
+def test_a_root_near_a_grid_edge_takes_the_svd(monkeypatch):
+    om, b, _ = _haar_problem(31)
+    first = compute_spectrum(om, b, window=(-1, 1))
+    r = min(first.eigenvalues, key=abs)
+    assert abs(r) < 0.5
+    # |r +- 0.5| <= 1, so the window widens by 1e-11 on both sides and the
+    # middle of the 11 grid points is r, to rounding
+    cells = []
+    eigenspaces = spectrum._eigenspaces
+
+    def recording(omega, b, lams, cells_, stats):
+        cells.append((np.array(lams), cells_))
+        return eigenspaces(omega, b, lams, cells_, stats)
+
+    monkeypatch.setattr(spectrum, "_eigenspaces", recording)
+    rep = compute_spectrum(om, b, window=(r - 0.5, r + 0.5), grid_step=0.1000000001)
+    assert rep.stats["grid_points"] == 11
+    ((lams, ends),) = cells
+    k = int(np.argmin(np.abs(lams - r)))
+    assert min(lams[k] - ends[0, k], ends[1, k] - lams[k]) < 1e-12
+    assert rep.stats["svd_rows"] >= 1
+    assert rep.stats["svd_rows"] + rep.stats["solve_rows"] == len(rep.eigenvalues)
+    for lam, basis in zip(rep.eigenvalues, rep.eigenspaces):
+        assert len(basis) == len(nullspace_at(om, b, lam)) == 1
 
 
 def test_cli_import_loads_no_scipy_optimize():
