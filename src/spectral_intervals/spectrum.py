@@ -6,15 +6,19 @@ eigenspace is spanned by the null vectors of I - M(lambda).  The scan works
 on the gauge form W(lambda) = diag(e^{-2 pi i lambda l}) B (``_gauge``),
 unitarily similar to M: same eigenphases, same determinants, and null
 vectors v of I - W map back to c = E(-lambda a_vec) v.  The general solver
-counts the roots of every grid cell from the eigenphases of W at its ends
-(det W(lambda) = det B e^{-2 pi i lambda L}), halves the cells until each
-root has a bracket, and solves the brackets of simple roots on the real
-determinant g(lambda) (``_real_det``), one stacked LU per step, all open
-cells at once, by Anderson-Bjorck false position.  Eigenphases come from
-the Hermitian Cayley transform of W, one stacked solve and eigvalsh
-(``_eigenphases``).  A root whose count-1 cell certifies that it is simple
-takes its null vector from one stacked shifted inverse of I - W
-(``_solve_null``); every other root, from stacked SVDs (``_eigenspaces``).
+counts the roots between knots, every KNOT_CELLS-th grid point, from the
+eigenphases of W there (det W(lambda) = det B e^{-2 pi i lambda L}), and
+takes the real determinant g(lambda) (``_real_det``) at every grid point by
+stacked LU: a super-cell between two knots with as many sign changes of g as
+roots is certified, one simple root per sign change, and any other is
+counted cell by cell (``_grid_cells``).  It halves the cells until each root
+has a bracket, and solves the brackets of simple roots on g, one stacked LU
+per step, all open cells at once, by Anderson-Bjorck false position.
+Eigenphases come from the Hermitian Cayley transform of W, one stacked solve
+and eigvalsh (``_eigenphases``).  A root whose count-1 cell certifies that
+it is simple takes its null vector from one stacked shifted inverse of
+I - W (``_solve_null``); every other root, from stacked SVDs
+(``_eigenspaces``).
 The equal-length shortcut reads the spectrum off the eigenphases of B.
 Every reported vector is phase-fixed (``_fixed_phase``).
 """
@@ -31,8 +35,9 @@ from .boundary import UnitaryEigenData, cis, eig_unitary, require_unitary
 from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
-#: the bracket solver stops at brackets at most 2*TOL_ROOT wide and reports
-#: their midpoint, so a located root is within TOL_ROOT
+#: the bracket solver stops at brackets at most 2*max(TOL_ROOT, one ulp)
+#: wide and reports their midpoint, so a located root is within
+#: max(TOL_ROOT, one ulp of the root)
 TOL_ROOT = 1e-13
 #: singular values of I - W(lambda) below this span the eigenspace: the
 #: SVD's null vectors, or a solved vector x with |(I - W)x| below it (see
@@ -54,6 +59,12 @@ MIN_CELL = 1e-11
 CHUNK = 256
 #: the default grid step, in mean root spacings 1/L
 GRID_SPACINGS = 0.5
+#: grid cells per super-cell: eigenphases count the roots at every
+#: KNOT_CELLS-th grid point and the last (see ``_grid_cells``)
+KNOT_CELLS = 8
+#: a grid value of g with |g| <= SIGN_FLOOR * 2^n has no sign: g by LU and
+#: g from eigvals agreed to 8.6e-14 * 2^n on the benchmark's scan pool
+SIGN_FLOOR = 1e-11
 #: steps of the bracket solver without halving a bracket before it bisects it
 STALL = 3
 #: a matrix M with |det(I + M)| below this is decomposed by eigvals, not
@@ -184,12 +195,70 @@ def _cell_counts(omega: IntervalUnion, edges, sums) -> np.ndarray:
     return counts.astype(int)
 
 
-def _locate(
-    omega: IntervalUnion, b, arg_det, grid, sums, nearest, g, counts, stats
-) -> tuple[np.ndarray, np.ndarray]:
-    """The roots in the grid cells, sorted, one per root of any multiplicity,
-    and a cell of each (one column per root): for a root solved on g, the
-    cell [a, c] whose phase count is 1, else the empty cell [root, root].
+def _grid_cells(omega: IntervalUnion, b, grid, arg_det: float, stats: dict):
+    """The grid cells that hold roots, as ``_locate`` takes them, and the
+    number of roots on the grid.
+
+    g is taken at every grid point, by one stacked LU per CHUNK points, and
+    the eigenphases only at the knots: every KNOT_CELLS-th grid point and
+    the last.  They count the roots of each super-cell between two knots
+    exactly.  A super-cell of count C with exactly C grid cells across which
+    g strictly changes sign is certified: each of those cells holds an odd
+    number of roots, so exactly one, a simple root, and every other cell of
+    the super-cell none.  A certified cell goes to ``_locate`` with count 1
+    and no phase data (NaN) at an end that is not a knot.  Every other
+    super-cell takes eigenphases at its interior points, and each of its
+    cells is counted.  A value of g with |g| <= SIGN_FLOOR * 2^n has no sign.
+    """
+    g = _real_det(omega, b, grid, arg_det)
+    stats["lu_rows"] += len(grid)
+    knots = np.append(np.arange(0, len(grid) - 1, KNOT_CELLS), len(grid) - 1)
+    sums, nearest = np.full(len(grid), np.nan), np.full(len(grid), np.nan)
+    sums[knots], nearest[knots], _ = _phase_data(omega, b, grid[knots], arg_det, stats)
+    counts = _cell_counts(omega, grid[knots], sums[knots])
+    sign = np.where(np.abs(g) > SIGN_FLOOR * 2.0**omega.n, np.sign(g), 0.0)
+    change = sign[:-1] * sign[1:] < 0
+    # the super-cell of each grid cell, and of each point but the last
+    cell = np.arange(len(grid) - 1)
+    sup = cell // KNOT_CELLS
+    recount = np.bincount(sup[change], minlength=len(counts)) != counts
+    redo = recount[sup]
+    inner = np.flatnonzero(redo & (cell % KNOT_CELLS != 0))
+    sums[inner], nearest[inner], _ = _phase_data(omega, b, grid[inner], arg_det, stats)
+    stats["knots"], stats["recounted"] = len(knots), int(np.count_nonzero(recount))
+    stats["eig_rows"] += len(knots) + len(inner)
+    k = np.flatnonzero(redo)
+    ends = np.stack([k, k + 1], axis=1)
+    fine = _cell_counts(omega, grid[ends], sums[ends])[:, 0]
+    k, fine = k[fine > 0], fine[fine > 0]
+    one = np.flatnonzero(change & ~redo)
+    k = np.concatenate([one, k])
+    cells = [grid[k], grid[k + 1], sums[k], sums[k + 1], nearest[k], nearest[k + 1],
+             g[k], g[k + 1], np.concatenate([np.ones(len(one), dtype=int), fine])]
+    return cells, int(counts.sum())
+
+
+def _sine_root(omega: IntervalUnion, a, c, ga, gc) -> np.ndarray:
+    """The root r nearest the midpoint m of [a, c] of the sinusoid
+    A sin(pi L (x - r)) through (a, ga) and (c, gc), the first trial point
+    of a g bracket without a falling nearest angle.  It is the root of g
+    where g is one sinusoid, as for any single weighted cycle, since
+    prod_k sin(x + k pi/n) = sin(n x)/2^(n-1).
+
+    With t = pi L (c - a)/2, ga + gc = -2A cos t sin(pi L (r - m)) and
+    gc - ga = 2A sin t cos(pi L (r - m)).
+    """
+    t = 0.5 * np.pi * omega.measure * (c - a)
+    phi = np.arctan2(-(ga + gc) * np.sin(t), (gc - ga) * np.cos(t))
+    phi -= np.pi * np.round(phi / np.pi)
+    return 0.5 * (a + c) + phi / (np.pi * omega.measure)
+
+
+def _locate(omega: IntervalUnion, b, arg_det, cells, stats) -> tuple[np.ndarray, np.ndarray]:
+    """The roots in the ``cells`` (see ``_grid_cells``), sorted, one per
+    root of any multiplicity, and a cell of each (one column per root): for
+    a root solved on g, the cell [a, c] whose count is 1, else the empty
+    cell [root, root].
 
     Level by level, over all open cells at once: a cell that holds one root
     brackets it for g if g strictly changes sign across it.  A cell that g
@@ -201,11 +270,9 @@ def _locate(
     ``_phase_data`` call, and each half is counted again.  The brackets are
     solved together at the end, each kind on its own function, from the
     secant of the nearest angle where it falls through zero across the
-    bracket.
+    bracket, else from the root of the sinusoid through g at its ends
+    (``_sine_root``).
     """
-    k = np.flatnonzero(counts)
-    cells = [grid[k], grid[k + 1], sums[k], sums[k + 1], nearest[k], nearest[k + 1],
-             g[k], g[k + 1], counts[k]]
     simple, angles, roots = [np.empty((5, 0))], [np.empty((5, 0))], [np.empty(0)]
     while len(cells[0]):
         a, c, sa, sc, na, nc, ga, gc, count = cells
@@ -220,10 +287,11 @@ def _locate(
         angle = ~one & ((count == 1) | floor) & falls
         # first trial points: the secant of the nearest angle where it falls
         # through zero across the cell (the root itself where the eigenphases
-        # are linear in lambda, as for a weighted permutation), else of g
+        # are linear in lambda, as for a weighted permutation), else the
+        # root of the sinusoid through g at its ends
         with np.errstate(divide="ignore", invalid="ignore"):
             xa = a + (c - a) * (na / (na - nc))
-            xg = np.where(falls, xa, a + (c - a) * (ga / (ga - gc)))
+        xg = np.where(falls, xa, _sine_root(omega, a, c, ga, gc))
         simple.append(np.stack([a, c, ga, gc, xg])[:, one])
         angles.append(np.stack([a, c, na, nc, xa])[:, angle])
         solve = one | angle
@@ -273,8 +341,8 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
     bisected.  Every step keeps a sign change of ``fn``: for g, which is
     continuous, a root; for the nearest angle, which jumps only upwards, the
     sign change >= 0 -> < 0 kept is a root too.  A bracket with fa == 0 has
-    its root at a; one at most 2*TOL_ROOT wide, or with no float inside, has
-    it at its midpoint.
+    its root at a; one at most 2*max(TOL_ROOT, one ulp) wide, or with no
+    float inside, has it at its midpoint.
     """
     roots = np.empty(len(a))
     idx = np.arange(len(a))
@@ -285,19 +353,22 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
     stall = np.zeros(len(a), dtype=int)
     while True:
         mid = 0.5 * (a + c)
-        done = (fa == 0) | (c - a <= 2 * TOL_ROOT) | (mid <= a) | (mid >= c)
+        # from |lambda| = 512 on one ulp exceeds TOL_ROOT, and from 1024 on
+        # a + TOL_ROOT rounds back to a
+        tol = np.maximum(TOL_ROOT, np.spacing(np.abs(mid)))
+        done = (fa == 0) | (c - a <= 2 * tol) | (mid <= a) | (mid >= c)
         # the state is filtered only on a step that closes a bracket: the
         # first steps of a scan close none
         if done.any():
             roots[idx[done]] = np.where(fa == 0, a, mid)[done]
-            a, c, fa, fc, x, mid, moved, ref, stall, idx = (
-                v[~done] for v in (a, c, fa, fc, x, mid, moved, ref, stall, idx)
+            a, c, fa, fc, x, mid, tol, moved, ref, stall, idx = (
+                v[~done] for v in (a, c, fa, fc, x, mid, tol, moved, ref, stall, idx)
             )
         if not len(idx):
             return roots
-        # a step lands at least TOL_ROOT inside the bracket: once one end
-        # is at the root, the next step crosses it and closes the bracket
-        x = np.clip(x, a + TOL_ROOT, c - TOL_ROOT)
+        # a step lands at least tol inside the bracket: once one end is at
+        # the root, the next step crosses it and closes the bracket
+        x = np.clip(x, a + tol, c - tol)
         x = np.where((stall >= STALL) | (x <= a) | (x >= c), mid, x)
         fx = fn(x)
         stats["bracket_iterations"] += 1
@@ -449,7 +520,10 @@ class SpectrumReport:
 
     root_count is the number of spectrum points in the window counted with
     multiplicity; every report has sum(dims) == root_count.  stats says how
-    the report was produced: grid_points, levels (stacked bisection levels),
+    the report was produced: grid_points, knots (grid points whose
+    eigenphases count the roots of the super-cells between them), recounted
+    (super-cells whose sign changes of g did not match their count, counted
+    cell by cell), levels (stacked bisection levels),
     bisected_cells, bracket_iterations, eig_rows (matrices whose eigenphases
     were computed, by their Cayley transform or eigvals), lu_rows (matrices
     passed to stacked determinants), pole_rows (those of the eig_rows with
@@ -482,6 +556,8 @@ def _stats(grid_points: int, eig_rows: int) -> dict:
     """A report's stats before refinement; the caller adds ``seconds``."""
     return {
         "grid_points": grid_points,
+        "knots": 0,
+        "recounted": 0,
         "levels": 0,
         "bisected_cells": 0,
         "bracket_iterations": 0,
@@ -504,12 +580,12 @@ def compute_spectrum(
 ) -> SpectrumReport:
     """Count-certified solver for the spectrum in a window.
 
-    Cuts the window into grid cells of about ``grid_step``, counts the roots
-    of each cell from the eigenphases at its ends (stacked eigendecompositions
-    of the whole grid), locates the roots of the cells that hold any (see
-    ``_locate``), and attaches eigenspaces.  Raises ConvergenceFailure unless
-    every count is an integer, every eigenspace is nonempty and their
-    dimensions add up to the count of the window.
+    Cuts the window into grid cells of about ``grid_step``, finds the cells
+    that hold roots and their counts from eigenphases at the knots and the
+    sign of g at every grid point (see ``_grid_cells``), locates the roots
+    of those cells (see ``_locate``), and attaches eigenspaces.  Raises
+    ConvergenceFailure unless every count is an integer, every eigenspace is
+    nonempty and their dimensions add up to the count of the window.
     """
     b = require_unitary(b)
     lo, hi, grid_step = _checked(omega, window, grid_step)
@@ -523,12 +599,11 @@ def compute_spectrum(
             f"grid step {grid_step} gives {points} grid points, over the bound {MAX_GRID}"
         )
     grid = np.linspace(*edges, points)
-    stats = _stats(len(grid), eig_rows=len(grid))
+    stats = _stats(len(grid), eig_rows=0)
     arg_det = float(np.angle(np.linalg.det(b)))
-    sums, nearest, g = _phase_data(omega, b, grid, arg_det, stats)
-    counts = _cell_counts(omega, grid, sums)
+    cells, root_count = _grid_cells(omega, b, grid, arg_det, stats)
     t1 = time.perf_counter()
-    roots, cells = _locate(omega, b, arg_det, grid, sums, nearest, g, counts, stats)
+    roots, cells = _locate(omega, b, arg_det, cells, stats)
     # rounding can count the eigenvalues of a multiple root on both sides of
     # a cell edge: roots closer than the bisection floor are one root, with
     # the cell of the first (its sigma_2 bound holds whatever was merged)
@@ -542,7 +617,7 @@ def compute_spectrum(
     eigenspaces, residuals = _eigenspaces(omega, b, eigenvalues, cells[:, keep], stats)
     stats["seconds"] = {"grid": t1 - t0, "locate": t2 - t1, "eigenspaces": time.perf_counter() - t2}
     report = SpectrumReport(
-        eigenvalues, eigenspaces, residuals, (lo, hi), "scan", int(counts.sum()), stats
+        eigenvalues, eigenspaces, residuals, (lo, hi), "scan", root_count, stats
     )
     if sum(report.dims) != report.root_count or 0 in report.dims:
         raise ConvergenceFailure(

@@ -23,7 +23,9 @@ from spectral_intervals.spectrum import (
     STALL,
     TOL_EIG,
     TOL_ROOT,
+    _cell_counts,
     _gauge,
+    _phase_data,
     _real_det,
     transfer_matrix,
 )
@@ -216,6 +218,20 @@ def nullspace_at(omega, b, lam: float) -> list:
     off the spectrum."""
     _, sv, vh = np.linalg.svd(np.eye(omega.n) - _gauge(omega, np.asarray(b, dtype=complex), lam))
     return [np.conj(cis(lam * np.array(omega.lefts))) * v for v in vh.conj()[sv < TOL_EIG]]
+
+
+def grid_cells_all_points(omega, b, grid, arg_det: float, stats: dict):
+    """``spectrum._grid_cells`` as it was before the knots: eigenphases at
+    every grid point count the roots of every grid cell, g comes from the
+    same eigenphases, and every cell that holds a root goes to ``_locate``
+    with its phase data."""
+    sums, nearest, g = _phase_data(omega, b, grid, arg_det, stats)
+    stats["eig_rows"] += len(grid)
+    counts = _cell_counts(omega, grid, sums)
+    k = np.flatnonzero(counts)
+    cells = [grid[k], grid[k + 1], sums[k], sums[k + 1], nearest[k], nearest[k + 1],
+             g[k], g[k + 1], counts[k]]
+    return cells, int(counts.sum())
 
 
 def solve_brackets_illinois(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:

@@ -468,11 +468,14 @@ def test_spectrum_stats(tmp_path, capsys, command):
     assert code == 0
     stats = rep["spectrum_stats"]
     assert stats["grid_points"] >= 2 and stats["bracket_iterations"] >= 1
-    assert stats["eig_rows"] >= stats["grid_points"] + stats["bisected_cells"]
+    # eigenphases at the knots, g by stacked LU at every grid point
+    assert 2 <= stats["knots"] <= stats["grid_points"]
+    assert 0 <= stats["recounted"] < stats["knots"]
+    assert stats["eig_rows"] >= stats["knots"] + stats["bisected_cells"]
     # every eigenspace comes from the shifted solve or the SVD
     assert stats["svd_rows"] + stats["solve_rows"] == len(rep["eigenvalues"])
     # the simple roots are solved on the real determinant, by stacked LU
-    assert stats["lu_rows"] >= 1
+    assert stats["lu_rows"] >= stats["grid_points"]
     # matrices with an eigenvalue near -1 are among the decomposed ones
     assert 0 <= stats["pole_rows"] <= stats["eig_rows"]
     # how each root was refined: on g, on the nearest angle or at the floor
@@ -489,6 +492,7 @@ def test_equal_length_spectrum_stats(problem, capsys):
     assert code == 0
     stats = rep["spectrum_stats"]
     assert (stats["grid_points"], stats["levels"], stats["bracket_iterations"]) == (0, 0, 0)
+    assert stats["knots"] == stats["recounted"] == 0
     assert stats["eig_rows"] == 1
     assert stats["lu_rows"] == stats["pole_rows"] == 0
     assert stats["g_roots"] == stats["angle_roots"] == stats["floor_roots"] == 0

@@ -24,10 +24,23 @@ from spectral_intervals.spectrum import (
     transfer_matrix,
 )
 
-from oracles import eigenvalue_distance, nullspace_at, phase_data_eigvals, solve_brackets_illinois
+from oracles import (
+    eigenvalue_distance,
+    grid_cells_all_points,
+    nullspace_at,
+    phase_data_eigvals,
+    solve_brackets_illinois,
+)
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
+#: a weighted 3-cycle on lengths 1, sqrt 2 and 3 - sqrt 2: det(I - W) is
+#: 1 - (0.6 + 0.8i) e^{-8 pi i lambda}, so g is one sinusoid and the roots
+#: are 1/4 apart
+CYCLE = (
+    [(0, 1), (2, 3.414213562373095), (4, 5.585786437626905)],
+    np.array([[0, 0.6 + 0.8j, 0], [0, 0, 1], [1, 0, 0]]),
+)
 #: problems on which an earlier grid-dip solver missed roots or reported an
 #: eigenvalue with an empty eigenspace, without a warning
 MISSED_ROOTS = json.loads((Path(__file__).parent / "fixtures" / "missed_roots.json").read_text())
@@ -584,11 +597,18 @@ def test_an_exactly_singular_root_takes_the_solve():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(eye - spectrum._gauge(om, SWAP, 0.0), np.ones(2))
     rep = compute_spectrum(om, SWAP, window=(-0.5, 0.7))
-    assert 0.0 in rep.eigenvalues
+    k = int(np.argmin(np.abs(rep.eigenvalues)))
+    assert abs(rep.eigenvalues[k]) <= spectrum.TOL_ROOT
     assert rep.stats["g_roots"] == rep.stats["solve_rows"] == len(rep.eigenvalues)
     assert rep.stats["svd_rows"] == 0
     assert rep.dims == [1] * len(rep.eigenvalues)
-    (c,) = rep.eigenspaces[rep.eigenvalues.index(0.0)]
+    (c,) = rep.eigenspaces[k]
+    assert np.max(np.abs(c - np.sqrt(0.5))) < 1e-12
+    # the root lies within TOL_ROOT of 0, not on it: at 0 itself, in the
+    # cell [-0.1, 0.1] that holds it alone, the eigenspace takes the solve
+    stats = {"solve_rows": 0, "svd_rows": 0}
+    ((c,),), _ = spectrum._eigenspaces(om, SWAP, [0.0], np.array([[-0.1], [0.1]]), stats)
+    assert stats == {"solve_rows": 1, "svd_rows": 0}
     assert np.max(np.abs(c - np.sqrt(0.5))) < 1e-12
     # off the spectrum the solved vector fails the residual certificate
     _, ok = spectrum._solve_null(eye - spectrum._gauge(om, SWAP, np.array([0.0, 0.1])))
@@ -619,6 +639,106 @@ def test_a_root_near_a_grid_edge_takes_the_svd(monkeypatch):
     assert rep.stats["svd_rows"] + rep.stats["solve_rows"] == len(rep.eigenvalues)
     for lam, basis in zip(rep.eigenvalues, rep.eigenspaces):
         assert len(basis) == len(nullspace_at(om, b, lam)) == 1
+
+
+def _scan_with(grid_cells, om, b, window, grid_step=None):
+    """The report of a scan with ``grid_cells`` in place of
+    ``spectrum._grid_cells``, and the left ends and counts of the cells it
+    gave ``_locate``, sorted."""
+    seen = []
+
+    def recording(*args):
+        cells, root_count = grid_cells(*args)
+        seen.append(cells)
+        return cells, root_count
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_grid_cells", recording)
+        rep = compute_spectrum(om, b, window=window, grid_step=grid_step)
+    (cells,) = seen
+    order = np.argsort(cells[0], kind="stable")
+    return rep, cells[0][order], cells[-1][order]
+
+
+def _assert_same_spectrum(om, b, window, grid_step=None):
+    """The knot scan against the all-point oracle: the same cells with the
+    same counts, root count and dims, roots within 2e-13 and projectors
+    within 1e-11.  Returns the knot scan's report."""
+    rep, lefts, counts = _scan_with(spectrum._grid_cells, om, b, window, grid_step)
+    ref, ref_lefts, ref_counts = _scan_with(grid_cells_all_points, om, b, window, grid_step)
+    assert lefts.tolist() == ref_lefts.tolist() and counts.tolist() == ref_counts.tolist()
+    assert rep.root_count == ref.root_count and rep.dims == ref.dims
+    assert np.max(np.abs(np.subtract(rep.eigenvalues, ref.eigenvalues)), initial=0.0) <= 2e-13
+    for basis, ref_basis in zip(rep.eigenspaces, ref.eigenspaces):
+        assert np.max(np.abs(_projector(basis) - _projector(ref_basis))) <= 1e-11
+    assert rep.stats["knots"] >= 2
+    assert rep.stats["eig_rows"] <= ref.stats["eig_rows"]
+    return rep
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([None, 0.1, 0.5]))
+def test_knot_scan_matches_the_all_point_count(n, seed, grid_step):
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.2, 1.5, n)
+    lefts = rng.uniform(-3, 3) + np.concatenate(
+        [[0.0], np.cumsum(lengths[:-1] + rng.uniform(0.05, 1.5, n - 1))]
+    )
+    om = new_interval_union([(float(a), float(a + ell)) for a, ell in zip(lefts, lengths)])
+    b = unitary_group.rvs(n, random_state=rng)
+    lo = float(rng.uniform(-9, 3))
+    _assert_same_spectrum(om, b, (lo, lo + float(rng.uniform(0.5, 9))), grid_step)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_two_roots_in_one_cell_are_recounted():
+    # B = I on lengths 1 and 1.001: the roots k and k/1.001 share a grid
+    # cell, across which g keeps its sign
+    om = new_interval_union([(0, 1), (2, 3.001)])
+    rep = _assert_same_spectrum(om, np.eye(2), None)
+    assert rep.stats["recounted"] >= 1
+    assert rep.stats["eig_rows"] >= rep.stats["knots"] + rep.stats["bisected_cells"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_grid_value_within_the_sign_floor_has_no_sign():
+    # SWAP on lengths 1 and 1.5 has the roots 0.4k; g falls at 5 pi at 0, so
+    # 1e-14 from it |g| is below the floor, and the super-cell of that grid
+    # point is counted cell by cell
+    om = new_interval_union([(0, 1), (2, 3.5)])
+    grid = np.linspace(-0.5, 1.5, 17) + 1e-14
+    arg_det = float(np.angle(np.linalg.det(SWAP)))
+    g = spectrum._real_det(om, SWAP, grid, arg_det)
+    assert 0 < abs(g[4]) <= spectrum.SIGN_FLOOR * 2**om.n
+    stats = spectrum._stats(len(grid), eig_rows=0)
+    cells, root_count = spectrum._grid_cells(om, SWAP, grid, arg_det, stats)
+    assert (stats["knots"], stats["recounted"], root_count) == (3, 1, 5)
+    # the root 0 keeps the cell left of the grid point, counted from phase sums
+    assert grid[3] in cells[0] and not np.isnan(cells[2][cells[0] == grid[3]]).any()
+    assert cells[-1].tolist() == [1] * 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_sinusoid_starts_its_brackets_at_the_root():
+    # g is one sinusoid: the first trial point of every bracket is its root
+    # to rounding, and the next step closes the bracket
+    intervals, b = CYCLE
+    rep = _assert_same_spectrum(new_interval_union(intervals), b, (-5, 5))
+    assert rep.stats["recounted"] == 0
+    assert rep.stats["g_roots"] == len(rep.eigenvalues) == 40
+    assert rep.stats["bracket_iterations"] <= 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_brackets_close_in_a_few_steps_far_out():
+    # over (-2000, 2000) one ulp exceeds TOL_ROOT: a step TOL_ROOT inside a
+    # bracket would round back to its end
+    intervals, b = CYCLE
+    rep = compute_spectrum(new_interval_union(intervals), b, window=(-2000, 2000))
+    assert len(rep.eigenvalues) == rep.root_count == 16_000
+    assert np.max(np.abs(np.diff(rep.eigenvalues) - 0.25)) <= 1e-12
+    assert rep.stats["bracket_iterations"] <= 8
 
 
 def test_cli_import_loads_no_scipy_optimize():
