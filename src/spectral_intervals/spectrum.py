@@ -36,8 +36,8 @@ from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, Validatio
 from .intervals import IntervalUnion
 
 #: the bracket solver stops at brackets at most 2*max(TOL_ROOT, one ulp)
-#: wide and reports their midpoint, so a located root is within
-#: max(TOL_ROOT, one ulp of the root)
+#: wide and reports a point within max(TOL_ROOT, one ulp) of both their
+#: ends, so a located root is within max(TOL_ROOT, one ulp of the root)
 TOL_ROOT = 1e-13
 #: singular values of I - W(lambda) below this span the eigenspace: the
 #: SVD's null vectors, or a solved vector x with |(I - W)x| below it (see
@@ -342,7 +342,8 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
     continuous, a root; for the nearest angle, which jumps only upwards, the
     sign change >= 0 -> < 0 kept is a root too.  A bracket with fa == 0 has
     its root at a; one at most 2*max(TOL_ROOT, one ulp) wide, or with no
-    float inside, has it at its midpoint.
+    float inside, has it at its false-position point, kept within
+    max(TOL_ROOT, one ulp) of both its ends.
     """
     roots = np.empty(len(a))
     idx = np.arange(len(a))
@@ -360,7 +361,11 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
         # the state is filtered only on a step that closes a bracket: the
         # first steps of a scan close none
         if done.any():
-            roots[idx[done]] = np.where(fa == 0, a, mid)[done]
+            # x is the false-position point of the bracket: a trial point
+            # already at the root to rounding is reported there, not moved
+            # by up to tol to the midpoint
+            last = np.clip(x, c - tol, a + tol)
+            roots[idx[done]] = np.where(fa == 0, a, last)[done]
             a, c, fa, fc, x, mid, tol, moved, ref, stall, idx = (
                 v[~done] for v in (a, c, fa, fc, x, mid, tol, moved, ref, stall, idx)
             )

@@ -589,26 +589,32 @@ def test_solved_eigenspaces_match_the_svd(n, seed):
     assert max(rep.residuals, default=0.0) <= 1e-10
 
 
-def test_an_exactly_singular_root_takes_the_solve():
+def test_an_exactly_singular_root_takes_the_solve(monkeypatch):
     # SWAP on lengths 1 and 1.5: W(0) = SWAP, so I - W(0) is exactly singular
     # and an unshifted solve raises; 0 is a root solved on g inside its cell
     om = new_interval_union([(0, 1), (2, 3.5)])
     eye = np.eye(2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(eye - spectrum._gauge(om, SWAP, 0.0), np.ones(2))
+    # a closed bracket reports its false-position point: 0 to rounding, where
+    # the midpoint of the last bracket was 5e-14 off
+    first = compute_spectrum(om, SWAP, window=(-0.5, 0.7))
+    assert min(np.abs(first.eigenvalues)) < 1e-20
+    # the roots are k/2.5: handed on rounded to 12 places, 0 is exact and the
+    # scan takes its eigenspace where I - W is exactly singular
+    locate = spectrum._locate
+
+    def exact(*args):
+        lams, cells = locate(*args)
+        return np.round(lams, 12), cells
+
+    monkeypatch.setattr(spectrum, "_locate", exact)
     rep = compute_spectrum(om, SWAP, window=(-0.5, 0.7))
-    k = int(np.argmin(np.abs(rep.eigenvalues)))
-    assert abs(rep.eigenvalues[k]) <= spectrum.TOL_ROOT
+    assert 0.0 in rep.eigenvalues
     assert rep.stats["g_roots"] == rep.stats["solve_rows"] == len(rep.eigenvalues)
     assert rep.stats["svd_rows"] == 0
     assert rep.dims == [1] * len(rep.eigenvalues)
-    (c,) = rep.eigenspaces[k]
-    assert np.max(np.abs(c - np.sqrt(0.5))) < 1e-12
-    # the root lies within TOL_ROOT of 0, not on it: at 0 itself, in the
-    # cell [-0.1, 0.1] that holds it alone, the eigenspace takes the solve
-    stats = {"solve_rows": 0, "svd_rows": 0}
-    ((c,),), _ = spectrum._eigenspaces(om, SWAP, [0.0], np.array([[-0.1], [0.1]]), stats)
-    assert stats == {"solve_rows": 1, "svd_rows": 0}
+    (c,) = rep.eigenspaces[rep.eigenvalues.index(0.0)]
     assert np.max(np.abs(c - np.sqrt(0.5))) < 1e-12
     # off the spectrum the solved vector fails the residual certificate
     _, ok = spectrum._solve_null(eye - spectrum._gauge(om, SWAP, np.array([0.0, 0.1])))
