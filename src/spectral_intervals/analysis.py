@@ -220,6 +220,7 @@ def structure_suite(
     # a unimodular entry pins the spectrum to an arithmetic progression
     uni_ok, uni_applied = True, False
     uni_detail = []
+    lams = np.array(spectrum.eigenvalues)
     for i in range(omega.n):
         for j in range(omega.n):
             if abs(abs(b[i, j]) - 1.0) > tol:
@@ -229,10 +230,8 @@ def structure_suite(
                 continue
             uni_applied = True
             theta0 = (np.angle(b[i, j]) / (2 * np.pi)) % 1.0
-            contained = all(
-                abs(lam * a + theta0 - round(lam * a + theta0)) < 1e-6
-                for lam in spectrum.eigenvalues
-            )
+            phase = lams * a + theta0
+            contained = bool(np.all(np.abs(phase - np.round(phase)) < 1e-6))
             disjoint = translates_disjoint(omega, a)
             uni_detail.append((i, j, a, theta0, contained, disjoint))
             if not (contained and disjoint):

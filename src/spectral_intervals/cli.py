@@ -236,6 +236,7 @@ def cmd_verify(args) -> int:
     out.update(
         {
             "verdict": check.verdict,
+            "method": check.report.method,
             "eigenvalues": check.report.eigenvalues,
             "dims": check.report.dims,
             "root_count": check.report.root_count,

@@ -19,7 +19,9 @@ and eigvalsh (``_eigenphases``).  A root whose count-1 cell certifies that
 it is simple takes its null vector from one stacked shifted inverse of
 I - W (``_solve_null``); every other root, from stacked SVDs
 (``_eigenspaces``).
-The equal-length shortcut reads the spectrum off the eigenphases of B.
+The equal-length shortcut reads the spectrum off the eigenphases of B, and
+a B supported on a permutation has it in closed form from the cycles of the
+permutation (``_cycle_spectrum``); ``spectral_matrix_check`` takes both.
 Every reported vector is phase-fixed (``_fixed_phase``).
 """
 from __future__ import annotations
@@ -524,13 +526,17 @@ class SpectrumReport:
     """Eigenvalues of D_B in a window, with eigenspace data.
 
     root_count is the number of spectrum points in the window counted with
-    multiplicity; every report has sum(dims) == root_count.  stats says how
-    the report was produced: grid_points, knots (grid points whose
-    eigenphases count the roots of the super-cells between them), recounted
-    (super-cells whose sign changes of g did not match their count, counted
-    cell by cell), levels (stacked bisection levels),
-    bisected_cells, bracket_iterations, eig_rows (matrices whose eigenphases
-    were computed, by their Cayley transform or eigvals), lu_rows (matrices
+    multiplicity; every report has sum(dims) == root_count.  method is
+    "scan" (``compute_spectrum``), "equal_length" (``equal_length_spectrum``)
+    or "cycles" (a B supported on a permutation, read off its cycles by
+    ``spectral_matrix_check``).  stats says how the report was produced, and
+    reads 0 on the closed forms but for eig_rows = 1 (B) on equal_length:
+    grid_points, knots (grid points whose eigenphases count the roots of the
+    super-cells between them), recounted (super-cells whose sign changes of
+    g did not match their count, counted cell by cell), levels (stacked
+    bisection levels), bisected_cells, bracket_iterations, eig_rows
+    (matrices whose eigenphases were computed, by their Cayley transform or
+    eigvals), lu_rows (matrices
     passed to stacked determinants), pole_rows (those of the eig_rows with
     an eigenvalue near -1, decomposed by eigvals; see ``_eigenphases``),
     how each eigenspace was found: solve_rows (certified simple, by the
@@ -644,6 +650,41 @@ def equal_length_spectrum(
     return _equal_length(omega, b, window)[0]
 
 
+def _kspan(theta: float, period: float, lo: float, hi: float) -> tuple[int, int]:
+    """The first and last integer k with (theta + k)/period in [lo, hi], to a
+    slack of 1e-12 in k; the last is below the first when there is none."""
+    return math.ceil(lo * period - theta - 1e-12), math.floor(hi * period - theta + 1e-12)
+
+
+def _lattice_report(
+    omega: IntervalUnion, b, rows, vecs, sizes, window, method: str, stats: dict, t0, t1
+) -> SpectrumReport:
+    """The report of a spectrum read off in closed form.  ``vecs`` holds the
+    vectors c, one per row, of the roots ``rows``; the basis of each
+    eigenvalue takes ``sizes`` consecutive rows.  Every vector is
+    phase-fixed (``_fixed_phase``) and each basis reports its largest
+    boundary residual.  The window was enumerated from ``t0`` to ``t1``
+    (the ``locate`` stage)."""
+    vecs = _fixed_phase(vecs)
+    ends = list(accumulate(sizes))
+    starts = np.array([0] + ends[:-1] if ends else [], dtype=int)
+    residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
+    vecs = list(vecs)
+    bases = [vecs[i:j] for i, j in zip(starts, ends)]
+    lams = rows[starts]
+    order = np.argsort(lams, kind="stable")
+    stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
+    return SpectrumReport(
+        lams[order].tolist(),
+        [bases[k] for k in order],
+        residuals[order].tolist(),
+        window,
+        method,
+        len(rows),
+        stats,
+    )
+
+
 def _equal_length(
     omega: IntervalUnion, b, window: tuple[float, float] | None
 ) -> tuple[SpectrumReport, UnitaryEigenData]:
@@ -658,35 +699,104 @@ def _equal_length(
     groups, lams = eig.phase_groups(), []
     for group in groups:
         theta = eig.phases[group[0]]
-        kmin = math.ceil(lo * ell - theta - 1e-12)
-        kmax = math.floor(hi * ell - theta + 1e-12)
+        kmin, kmax = _kspan(theta, ell, lo, hi)
         lams.append((theta + np.arange(kmin, kmax + 1)) / ell)
     t1 = time.perf_counter()
     # one row per lambda and eigenvector of B in its phase group, the basis
     # of each lambda in consecutive rows
     rows = np.concatenate([np.repeat(lam, len(group)) for lam, group in zip(lams, groups)])
     cols = [k for lam, group in zip(lams, groups) for _ in lam for k in group]
-    vecs = _fixed_phase(np.conj(cis(rows[:, None] * np.array(omega.lefts))) * eig.vectors[:, cols].T)
+    vecs = np.conj(cis(rows[:, None] * np.array(omega.lefts))) * eig.vectors[:, cols].T
     sizes = [len(group) for lam, group in zip(lams, groups) for _ in lam]
-    ends = list(accumulate(sizes))
-    starts = np.array([0] + ends[:-1] if ends else [], dtype=int)
-    residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
-    vecs = list(vecs)
-    bases = [vecs[i:j] for i, j in zip(starts, ends)]
-    lams = np.concatenate(lams)
-    order = np.argsort(lams, kind="stable")
-    stats = _stats(0, eig_rows=1)
-    stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
-    report = SpectrumReport(
-        lams[order].tolist(),
-        [bases[k] for k in order],
-        residuals[order].tolist(),
-        (lo, hi),
-        "equal_length",
-        sum(map(len, bases)),
-        stats,
+    report = _lattice_report(
+        omega, b, rows, vecs, sizes, (lo, hi), "equal_length", _stats(0, eig_rows=1), t0, t1
     )
     return report, eig
+
+
+@dataclass(frozen=True)
+class _Cycle:
+    """A cycle i_0 -> i_1 = sigma(i_0) -> ... of the permutation sigma that
+    supports B: its intervals (``index``), the jumps b_{i_s} - a_{i_{s+1}}
+    and the weights B[i_s, i_{s+1}] along it, theta = arg prod B[i, sigma(i)]
+    / 2 pi in [0, 1) and its total length L_C (``period``).  Its roots are
+    (theta + k)/L_C."""
+
+    index: np.ndarray
+    jumps: np.ndarray
+    weights: np.ndarray
+    theta: float
+    period: float
+
+    def vectors(self, n: int, lams) -> np.ndarray:
+        """The unit vector c of each root in ``lams``, supported on the
+        cycle: c_{sigma(i)} = c_i e^{2 pi i lambda (b_i - a_sigma(i))} / B[i, sigma(i)],
+        one row per root."""
+        lams = np.asarray(lams, dtype=float)
+        offsets = np.concatenate([[0.0], np.cumsum(self.jumps[:-1])])
+        weights = np.concatenate([[1.0], np.cumprod(self.weights[:-1])])
+        out = np.zeros((len(lams), n), dtype=complex)
+        out[:, self.index] = cis(lams[:, None] * offsets) / weights
+        return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def _cycles(omega: IntervalUnion, b: np.ndarray) -> list[_Cycle] | None:
+    """The cycles of the permutation that supports ``b``, the first through
+    interval 0, or None unless ``b`` is n x n and every row and column of it
+    has exactly one nonzero entry."""
+    if b.shape != (omega.n, omega.n):
+        return None
+    support = b != 0
+    if not (np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1)):
+        return None
+    sigma = support.argmax(axis=1)
+    lefts, rights, lengths = (np.array(x) for x in (omega.lefts, omega.rights, omega.lengths))
+    cycles, seen = [], np.zeros(omega.n, dtype=bool)
+    for start in range(omega.n):
+        if seen[start]:
+            continue
+        index = [start]
+        while sigma[index[-1]] != start:
+            index.append(int(sigma[index[-1]]))
+        index = np.array(index)
+        seen[index] = True
+        weights = b[index, sigma[index]]
+        theta = float(np.angle(np.prod(weights)) / (2 * np.pi) % 1.0)
+        jumps = rights[index] - lefts[sigma[index]]
+        cycles.append(_Cycle(index, jumps, weights, theta, float(lengths[index].sum())))
+    return cycles
+
+
+def _cycle_spectrum(
+    omega: IntervalUnion, b, cycles: list[_Cycle], lo, hi, edges
+) -> SpectrumReport:
+    """The spectrum of a B supported on a permutation in the window (lo, hi),
+    counted on ``edges``: the roots (theta_C + k)/L_C of every cycle C, each
+    with the vector of its cycle.  Roots of different cycles closer than the
+    bisection floor, as the scan merges them, are one eigenvalue with one
+    vector per cycle."""
+    t0 = time.perf_counter()
+    lams, owner = [], []
+    for k, cycle in enumerate(cycles):
+        kmin, kmax = _kspan(cycle.theta, cycle.period, *edges)
+        lams.append((cycle.theta + np.arange(kmin, kmax + 1)) / cycle.period)
+        owner.append(np.full(len(lams[-1]), k))
+    lams, owner = np.concatenate(lams), np.concatenate(owner)
+    order = np.argsort(lams, kind="stable")
+    lams, owner = lams[order], owner[order]
+    # a root closer than the floor to the one before it joins its eigenvalue
+    new = np.ones(len(lams), dtype=bool)
+    new[1:] = np.diff(lams) >= MIN_CELL * np.maximum(1.0, np.abs(lams[1:]))
+    first = np.flatnonzero(new)
+    rows = lams[first][np.cumsum(new) - 1]
+    t1 = time.perf_counter()
+    vecs = np.empty((len(rows), omega.n), dtype=complex)
+    for k, cycle in enumerate(cycles):
+        vecs[owner == k] = cycle.vectors(omega.n, rows[owner == k])
+    sizes = np.diff(np.append(first, len(rows)))
+    return _lattice_report(
+        omega, b, rows, vecs, sizes, (lo, hi), "cycles", _stats(0, eig_rows=0), t0, t1
+    )
 
 
 @dataclass
@@ -695,7 +805,9 @@ class SpectralCheck:
 
     verdict is one of "spectral_exact", "spectral_on_window", "not_spectral",
     "undecided".  For not_spectral, witness_lambda and witness_vectors hold
-    an eigenvalue whose eigenspace is multidimensional or non-constant.
+    a spectrum point whose eigenspace is multidimensional or non-constant:
+    its basis for a root of the window or a phase class of B, else one
+    non-constant eigenvector of a translate.
     """
 
     verdict: str
@@ -721,6 +833,40 @@ def _constant_flags(eigenspaces: list[list[np.ndarray]], tol: float) -> np.ndarr
     return flags
 
 
+def _window_witness(report: SpectrumReport, tol: float) -> SpectralCheck | None:
+    """not_spectral with the first root of the window whose eigenspace fails
+    ``_constant_flags``, or None when every one passes."""
+    bad = np.flatnonzero(~_constant_flags(report.eigenspaces, tol))
+    if not bad.size:
+        return None
+    k = bad[0]
+    return SpectralCheck("not_spectral", report.eigenvalues[k], report.eigenspaces[k], report)
+
+
+def _translate_witness(report: SpectrumReport, candidates, vectors, tol: float) -> SpectralCheck:
+    """not_spectral with the first root of ``candidates(size)`` whose vector
+    (``vectors``, one row per root) is not constant, phase-fixed, for
+    size = 8, 16, ... until one is found.
+
+    The candidates are translates of one root whose vector turns by
+    e^{2 pi i k phi} at the k-th, phi fixed and some difference phi_j - phi_0
+    off the integers by delta >= omega.tol() >= 1e-9.  Between two
+    translates both constant to ``tol`` that difference turns by at most
+    about 2 sqrt(2n) tol, so they are at most about sqrt(2n) tol / (pi delta)
+    < 500 sqrt(n) apart, and the search ends.
+    """
+    size = 8
+    while True:
+        lams = candidates(size)
+        vecs = vectors(lams)
+        bad = np.flatnonzero(~_constant_flags([[v] for v in vecs], tol))
+        if bad.size:
+            k = bad[0]
+            witness = list(_fixed_phase(vecs[k:k + 1]))
+            return SpectralCheck("not_spectral", float(lams[k]), witness, report)
+        size *= 2
+
+
 def spectral_matrix_check(
     omega: IntervalUnion,
     b,
@@ -731,20 +877,38 @@ def spectral_matrix_check(
     """Decide whether B is a spectral boundary matrix for omega.
 
     Every spectrum point must have a one-dimensional eigenspace spanned by a
-    constant vector.  Equal-length sets whose left endpoints are congruent
-    modulo the common length admit an exact verdict from the finite
-    eigenphase set; otherwise the verdict is limited to the window.
-    ``grid_step`` is the scan's; the equal-length shortcut needs no grid but
-    still rejects a bad one, like a bad window.
+    constant vector.  Two kinds of pairs are decided on all of R from a
+    spectrum read off in closed form:
+    - equal lengths l (``equal_length_spectrum``): the eigenphases of B give
+      one root per phase class, and every root is a translate of one by
+      k/l, whose vector turns by E(-k alpha/l).  spectral_exact iff every
+      class is one-dimensional and constant and the left endpoints are
+      congruent modulo l; else not_spectral, with a non-constant class, a
+      root of the window that fails, or the smallest k >= 1 whose translate
+      fails, as witness.
+    - unequal lengths and a B with exactly one nonzero entry in every row
+      and column, so supported on a permutation sigma (method "cycles"):
+      each cycle C gives the roots (arg prod_{i in C} B[i, sigma(i)]/2 pi
+      + k)/L_C.  spectral_exact iff sigma is one cycle through all n
+      intervals, every jump b_i - a_sigma(i) is in LZ and the vector at one
+      root is constant: the translate by k/L then keeps every vector.  Else
+      not_spectral, with the first root of the window that fails as witness,
+      or else the root of the cycle through interval 0 nearest the window
+      that fails.
+    Any other pair is scanned (``compute_spectrum``), and the verdict is
+    limited to the window: spectral_on_window, not_spectral with the first
+    root that fails, or undecided when the window holds no root.
+    ``grid_step`` is the scan's; the closed forms need no grid but still
+    reject a bad one, like a bad window.
     """
-    _checked(omega, window, grid_step)
+    lo, hi, _ = _checked(omega, window, grid_step)
     if omega.equal_lengths():
         report, eig = _equal_length(omega, b, window)
         ell = omega.measure / omega.n
         # one representative lambda per phase class, plus every window point
         alphas = np.array(omega.lefts)
-        lams, bases = [], []
-        for group in eig.phase_groups():
+        groups, lams, bases = eig.phase_groups(), [], []
+        for group in groups:
             lam = eig.phases[group[0]] / ell
             lams.append(lam)
             bases.append([np.conj(cis(lam * alphas)) * eig.vectors[:, idx] for idx in group])
@@ -755,12 +919,41 @@ def spectral_matrix_check(
         offsets = [(a - omega.lefts[0]) / ell for a in omega.lefts]
         if all(abs(o - round(o)) < omega.tol() for o in offsets):
             return SpectralCheck("spectral_exact", None, None, report)
-    else:
+        theta, v = eig.phases[groups[0][0]], eig.vectors[:, groups[0][0]]
+        return _window_witness(report, tol_const) or _translate_witness(
+            report,
+            lambda size: (theta + np.arange(1, size + 1)) / ell,
+            lambda lam: np.conj(cis(lam[:, None] * alphas)) * v,
+            tol_const,
+        )
+    cycles = _cycles(omega, np.asarray(b, dtype=complex))
+    if cycles is None:
         report = compute_spectrum(omega, b, window, grid_step)
         if not report.eigenvalues:
             return SpectralCheck("undecided", None, None, report)
-    bad = np.flatnonzero(~_constant_flags(report.eigenspaces, tol_const))
-    if bad.size:
-        k = bad[0]
-        return SpectralCheck("not_spectral", report.eigenvalues[k], report.eigenspaces[k], report)
-    return SpectralCheck("spectral_on_window", None, None, report)
+        return _window_witness(report, tol_const) or SpectralCheck(
+            "spectral_on_window", None, None, report
+        )
+    b = require_unitary(b)
+    edges = (lo - MIN_CELL * max(1.0, abs(lo)), hi + MIN_CELL * max(1.0, abs(hi)))
+    report = _cycle_spectrum(omega, b, cycles, lo, hi, edges)
+    first = cycles[0]
+    jumps = first.jumps / omega.measure
+    root = first.vectors(omega.n, [first.theta / first.period])
+    if (
+        len(first.index) == omega.n
+        and np.all(np.abs(jumps - np.round(jumps)) < omega.tol())
+        and _constant_flags([list(root)], tol_const)[0]
+    ):
+        return SpectralCheck("spectral_exact", None, None, report)
+    kmin, kmax = _kspan(first.theta, first.period, *edges)
+
+    def nearest(size):
+        # the roots of the cycle outside the window, nearest first
+        ks = np.concatenate([kmax + np.arange(1, size + 1), kmin - np.arange(1, size + 1)])
+        lams = (first.theta + ks) / first.period
+        return lams[np.argsort(np.maximum(lams - hi, lo - lams), kind="stable")]
+
+    return _window_witness(report, tol_const) or _translate_witness(
+        report, nearest, lambda lam: first.vectors(omega.n, lam), tol_const
+    )

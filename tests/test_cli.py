@@ -498,6 +498,34 @@ def test_equal_length_spectrum_stats(problem, capsys):
     assert stats["g_roots"] == stats["angle_roots"] == stats["floor_roots"] == 0
 
 
+TILING = {
+    "intervals": [[0, 1], [4.03, 5.04], [8.07, 9.09]],
+    "matrix": [[[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]], [[1, 0], [0, 0], [0, 0]]],
+    "window": [-2, 2],
+}
+
+
+@pytest.mark.parametrize(
+    "data, method, verdict",
+    [
+        (PAIR, "equal_length", "spectral_exact"),
+        (dict(PAIR, intervals=[[0, 1], [2, 3.5]]), "scan", "not_spectral"),
+        (TILING, "cycles", "spectral_exact"),
+    ],
+)
+def test_verify_reports_its_method(tmp_path, capsys, data, method, verdict):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code, rep = run_json(capsys, ["verify", str(path)])
+    assert code == 0
+    assert (rep["method"], rep["verdict"]) == (method, verdict)
+    if method == "cycles":
+        # read off the cycles: no grid, no decomposition
+        stats = rep["spectrum_stats"]
+        assert all(v == 0 for k, v in stats.items() if k != "seconds")
+        assert len(rep["eigenvalues"]) == rep["root_count"] == 13
+
+
 def test_verify_trial_stage_seconds(problem, capsys):
     code, rep = run_json(capsys, ["verify", problem, "--trials", "5"])
     assert code == 0

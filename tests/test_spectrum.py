@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
 from spectral_intervals import spectrum
-from spectral_intervals.boundary import cis, eig_unitary
+from spectral_intervals.boundary import cis, eig_unitary, matrix_from_spectrum
 from spectral_intervals.errors import NotEqualLength
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.spectrum import (
@@ -211,7 +211,138 @@ def test_spectral_check_window_only():
     om = new_interval_union([(0, 1), (2.5, 3.5)])
     b = np.array([[0, 1j], [1j, 0]], dtype=complex)
     check = spectral_matrix_check(om, b, window=(-3, 3))
-    assert check.verdict in ("spectral_on_window", "not_spectral")
+    assert check.verdict == "not_spectral"
+
+
+def assert_witness(om, b, check):
+    """The witness is a spectrum point with an eigenvector of boundary
+    residual <= 1e-8 that is non-constant by more than 1e-6."""
+    assert check.verdict == "not_spectral"
+    lam = check.witness_lambda
+    for c in check.witness_vectors:
+        assert spectrum._boundary_residuals(om, b, lam, c) <= 1e-8
+    if len(check.witness_vectors) == 1:
+        (c,) = check.witness_vectors
+        u = np.ones(om.n) / math.sqrt(om.n)
+        assert abs(np.linalg.norm(c) - 1) < 1e-12
+        assert np.linalg.norm(c - (u @ c) * u) > 1e-6
+
+
+@pytest.mark.parametrize("window", [(-0.5, 0.9), (-0.2, 0.2), (-3, 3), (0.1, 0.2)])
+def test_equal_lengths_with_offsets_off_the_lattice_are_not_spectral(window):
+    # both roots in [0, 1) have constant vectors, but the translate by k of a
+    # root turns its vector by E(-k alpha): not spectral on any window
+    om = new_interval_union([(0, 1), (math.sqrt(2), math.sqrt(2) + 1)])
+    b = matrix_from_spectrum(om, [0, 1 / (2 * math.sqrt(2))])
+    check = spectral_matrix_check(om, b, window=window)
+    assert_witness(om, b, check)
+    inside = [lam for lam, ok in zip(check.report.eigenvalues, check.report.constant_flags()) if not ok]
+    if inside:
+        # a root of the window that fails is the witness
+        assert check.witness_lambda == inside[0]
+    else:
+        # else the smallest translate k >= 1 of the first phase class
+        assert check.witness_lambda == pytest.approx(1.0, abs=1e-12)
+
+
+#: lengths 1, 1.01, 1.02 cut from [0, 3.03) and moved by multiples of 3.03,
+#: with the 3-cycle that puts them back: a spectral pair
+TILING = (
+    [(0, 1), (4.03, 5.04), (8.07, 9.09)],
+    np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex),
+)
+
+
+@pytest.mark.parametrize("window", [(-2, 2), (0.1, 0.2), None])
+def test_a_tiling_pair_is_spectral_exact_from_its_cycle(window):
+    om, b = new_interval_union(TILING[0]), TILING[1]
+    check = spectral_matrix_check(om, b, window=window)
+    assert check.verdict == "spectral_exact"
+    assert check.report.method == "cycles"
+    assert all(check.report.constant_flags())
+    lo, hi = check.report.window
+    ks = range(math.ceil(lo * 3.03), math.floor(hi * 3.03) + 1)
+    assert check.report.eigenvalues == pytest.approx([k / 3.03 for k in ks], abs=1e-13)
+    stats = check.report.stats
+    assert all(v == 0 for k, v in stats.items() if k != "seconds")
+
+
+@pytest.mark.parametrize("window", [(-2, 2), (0.1, 0.2)])
+@pytest.mark.parametrize(
+    "intervals, b",
+    [
+        # the tiling pair with one weight skewed off the law
+        (TILING[0], TILING[1] * np.array([1, cis(0.2), 1])[:, None]),
+        # a 2-cycle and a 1-cycle
+        ([(0, 1), (2, 3.5), (4, 4.7)], np.array([[0, 1, 0], [1j, 0, 0], [0, 0, -1]])),
+        # one cycle whose vector is constant at the root 0 but whose jumps
+        # are not in LZ: every other translate turns it
+        ([(0, 1), (4.53, 5.54), (8.07, 9.09)], TILING[1]),
+    ],
+)
+def test_cycles_that_fail_are_not_spectral_on_any_window(intervals, b, window):
+    om = new_interval_union(intervals)
+    check = spectral_matrix_check(om, b, window=window)
+    assert check.report.method == "cycles"
+    assert_witness(om, b, check)
+    flags = check.report.constant_flags()
+    if not all(flags):
+        assert check.witness_lambda == check.report.eigenvalues[flags.index(False)]
+    else:
+        lo, hi = check.report.window
+        assert not lo <= check.witness_lambda <= hi
+
+
+def test_an_entry_off_the_permutation_takes_the_scan():
+    om = new_interval_union(TILING[0])
+    b = TILING[1].copy()
+    b[0, 0] = 1e-13
+    check = spectral_matrix_check(om, b, window=(-2, 2))
+    assert check.report.method == "scan"
+    assert check.verdict == "spectral_on_window"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.floats(-10, 10),
+    st.sampled_from([0.01, 0.3, 4.0]),
+)
+def test_cycle_spectrum_matches_the_scan(n, cycles, seed, lo, width):
+    rng = np.random.default_rng(seed)
+    # a permutation with the given number of cycles (at most n), 1-cycles
+    # included: cut a random order of the intervals into runs
+    cycles = min(cycles, n)
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), cycles - 1, replace=False))
+    sigma = np.empty(n, dtype=int)
+    for run in np.split(order, cuts):
+        sigma[run] = np.roll(run, -1)
+    b = np.zeros((n, n), dtype=complex)
+    b[np.arange(n), sigma] = cis(rng.uniform(0, 1, n))
+    lengths = rng.uniform(0.3, 2.0, n)
+    gaps = rng.uniform(0.1, 2.0, n)
+    starts = np.cumsum(gaps) + np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    om = new_interval_union([(float(a), float(a + l)) for a, l in zip(starts, lengths)])
+    window = (lo, lo + width)
+    rep = spectral_matrix_check(om, b, window=window).report
+    scan = compute_spectrum(om, b, window=window)
+    assert rep.method == "cycles"
+    assert rep.dims == scan.dims and rep.root_count == scan.root_count
+    assert rep.constant_flags() == scan.constant_flags()
+    assert np.allclose(rep.eigenvalues, scan.eigenvalues, rtol=0, atol=2e-13)
+    # the scan's roots are within TOL_ROOT, and its vector at a root off by d
+    # turns by up to 2 pi d (b_n - a_1): with 1e-12 alone, 19 of 3,000 draws
+    # failed, at up to 1.85e-12 (scan residuals 4e-13 to 8e-13, closed form
+    # at most 7e-14)
+    span = om.endpoints[-1][1] - om.endpoints[0][0]
+    for lam, other, basis, vecs in zip(rep.eigenvalues, scan.eigenvalues, rep.eigenspaces, scan.eigenspaces):
+        p, q = np.array(basis), np.array(vecs)
+        turn = 4 * np.pi * abs(lam - other) * span
+        assert np.abs(p.T @ p.conj() - q.T @ q.conj()).max() < 1e-12 + turn
+    assert max(rep.residuals, default=0) < 1e-12
 
 
 def test_spectral_check_undecided():
