@@ -19,9 +19,10 @@ and eigvalsh (``_eigenphases``).  A root whose count-1 cell certifies that
 it is simple takes its null vector from one stacked shifted inverse of
 I - W (``_solve_null``); every other root, from stacked SVDs
 (``_eigenspaces``).
-The equal-length shortcut reads the spectrum off the eigenphases of B, and
-a B supported on a permutation has it in closed form from the cycles of the
-permutation (``_cycle_spectrum``); ``spectral_matrix_check`` takes both.
+Equal lengths, and a B supported on a permutation, have the spectrum in
+closed form as lattices of modes (``_modes``): one per eigenvector of B, or
+one per cycle of the permutation.  ``spectral_matrix_check`` reads them off
+(``_lattice``) and decides those pairs on all of R.
 Every reported vector is phase-fixed (``_fixed_phase``).
 """
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
-from .boundary import UnitaryEigenData, cis, eig_unitary, require_unitary
+from .boundary import cis, eig_unitary, require_unitary
 from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
@@ -473,7 +473,7 @@ def _fixed_phase(vecs: np.ndarray) -> np.ndarray:
     positive.  Ties within PHASE_TIE take the first entry, so two
     decompositions that agree to rounding fix the same entry."""
     mod = np.abs(vecs)
-    first = np.argmax(mod >= (1 - PHASE_TIE) * mod.max(axis=1, keepdims=True), axis=1)
+    first = (mod >= (1 - PHASE_TIE) * mod.max(axis=1, keepdims=True)).argmax(axis=1)
     rows = np.arange(len(vecs))
     size = mod[rows, first]
     out = vecs * (vecs[rows, first].conj() / size)[:, None]
@@ -521,15 +521,31 @@ def _checked(omega: IntervalUnion, window, grid_step) -> tuple[float, float, flo
     return lo, hi, step
 
 
+def _boundary(omega: IntervalUnion, b) -> np.ndarray:
+    """B as a complex array; raises ValidationError unless it is unitary
+    (NotUnitary) of order n."""
+    b = require_unitary(b)
+    if len(b) != omega.n:
+        raise ValidationError(f"matrix is {len(b)}x{len(b)} but the set has {omega.n} intervals")
+    return b
+
+
+def _edges(lo: float, hi: float) -> tuple[float, float]:
+    """The window (lo, hi) widened by the bisection floor at both ends: the
+    window is closed, and the counted range holds a root on its edge."""
+    return lo - MIN_CELL * max(1.0, abs(lo)), hi + MIN_CELL * max(1.0, abs(hi))
+
+
 @dataclass
 class SpectrumReport:
     """Eigenvalues of D_B in a window, with eigenspace data.
 
     root_count is the number of spectrum points in the window counted with
     multiplicity; every report has sum(dims) == root_count.  method is
-    "scan" (``compute_spectrum``), "equal_length" (``equal_length_spectrum``)
-    or "cycles" (a B supported on a permutation, read off its cycles by
-    ``spectral_matrix_check``).  stats says how the report was produced, and
+    "scan" (``compute_spectrum``), or "equal_length" or "cycles", the
+    lattices of modes of equal lengths or of a B supported on a permutation
+    (``_modes``), read off by ``equal_length_spectrum`` and
+    ``spectral_matrix_check``.  stats says how the report was produced, and
     reads 0 on the closed forms but for eig_rows = 1 (B) on equal_length:
     grid_points, knots (grid points whose eigenphases count the roots of the
     super-cells between them), recounted (super-cells whose sign changes of
@@ -598,12 +614,10 @@ def compute_spectrum(
     ConvergenceFailure unless every count is an integer, every eigenspace is
     nonempty and their dimensions add up to the count of the window.
     """
-    b = require_unitary(b)
+    b = _boundary(omega, b)
     lo, hi, grid_step = _checked(omega, window, grid_step)
     t0 = time.perf_counter()
-    # the window is closed: widened by the bisection floor, the counted range
-    # holds a root on its edge
-    edges = (lo - MIN_CELL * max(1.0, abs(lo)), hi + MIN_CELL * max(1.0, abs(hi)))
+    edges = _edges(lo, hi)
     points = max(2, math.ceil((hi - lo) / grid_step) + 1)
     if points > MAX_GRID:
         raise GuardExceeded(
@@ -641,13 +655,14 @@ def compute_spectrum(
 def equal_length_spectrum(
     omega: IntervalUnion, b, window: tuple[float, float] | None = None
 ) -> SpectrumReport:
-    """Spectrum via the eigenphases of B when all interval lengths are equal.
-
-    lambda = (theta_j + k)/l for eigenphases theta_j; eigenspace vectors are
-    c = E(-lambda a_vec) v with v an eigenvector of B, phase-fixed
-    (``_fixed_phase``).
-    """
-    return _equal_length(omega, b, window)[0]
+    """Spectrum via the eigenphases of B when all interval lengths are equal:
+    lambda = (theta_j + k)/l for eigenphases theta_j, with vectors
+    c = E(-lambda a_vec) v for v an eigenvector of B (see ``_modes``)."""
+    if not omega.equal_lengths():
+        raise NotEqualLength("intervals do not all have the same length")
+    b = _boundary(omega, b)
+    lo, hi, _ = _checked(omega, window, None)
+    return _lattice(omega, b, *_modes(omega, b), lo, hi)
 
 
 def _kspan(theta: float, period: float, lo: float, hi: float) -> tuple[int, int]:
@@ -656,146 +671,99 @@ def _kspan(theta: float, period: float, lo: float, hi: float) -> tuple[int, int]
     return math.ceil(lo * period - theta - 1e-12), math.floor(hi * period - theta + 1e-12)
 
 
-def _lattice_report(
-    omega: IntervalUnion, b, rows, vecs, sizes, window, method: str, stats: dict, t0, t1
-) -> SpectrumReport:
-    """The report of a spectrum read off in closed form.  ``vecs`` holds the
-    vectors c, one per row, of the roots ``rows``; the basis of each
-    eigenvalue takes ``sizes`` consecutive rows.  Every vector is
-    phase-fixed (``_fixed_phase``) and each basis reports its largest
-    boundary residual.  The window was enumerated from ``t0`` to ``t1``
-    (the ``locate`` stage)."""
-    vecs = _fixed_phase(vecs)
-    ends = list(accumulate(sizes))
-    starts = np.array([0] + ends[:-1] if ends else [], dtype=int)
-    residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
-    vecs = list(vecs)
-    bases = [vecs[i:j] for i, j in zip(starts, ends)]
-    lams = rows[starts]
-    order = np.argsort(lams, kind="stable")
-    stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
-    return SpectrumReport(
-        lams[order].tolist(),
-        [bases[k] for k in order],
-        residuals[order].tolist(),
-        window,
-        method,
-        len(rows),
-        stats,
-    )
+def _modes(omega: IntervalUnion, b: np.ndarray):
+    """The spectrum of (omega, B) in closed form, as lattices of modes, with
+    its method; None when it has none and is scanned.  ``b`` is checked
+    (``_boundary``).
 
-
-def _equal_length(
-    omega: IntervalUnion, b, window: tuple[float, float] | None
-) -> tuple[SpectrumReport, UnitaryEigenData]:
-    """``equal_length_spectrum`` and the eigendata of B it was read from."""
-    if not omega.equal_lengths():
-        raise NotEqualLength("intervals do not all have the same length")
-    b = require_unitary(b)
-    lo, hi, _ = _checked(omega, window, None)
-    t0 = time.perf_counter()
-    ell = omega.measure / omega.n
-    eig = eig_unitary(b)
-    groups, lams = eig.phase_groups(), []
-    for group in groups:
-        theta = eig.phases[group[0]]
-        kmin, kmax = _kspan(theta, ell, lo, hi)
-        lams.append((theta + np.arange(kmin, kmax + 1)) / ell)
-    t1 = time.perf_counter()
-    # one row per lambda and eigenvector of B in its phase group, the basis
-    # of each lambda in consecutive rows
-    rows = np.concatenate([np.repeat(lam, len(group)) for lam, group in zip(lams, groups)])
-    cols = [k for lam, group in zip(lams, groups) for _ in lam for k in group]
-    vecs = np.conj(cis(rows[:, None] * np.array(omega.lefts))) * eig.vectors[:, cols].T
-    sizes = [len(group) for lam, group in zip(lams, groups) for _ in lam]
-    report = _lattice_report(
-        omega, b, rows, vecs, sizes, (lo, hi), "equal_length", _stats(0, eig_rows=1), t0, t1
-    )
-    return report, eig
-
-
-@dataclass(frozen=True)
-class _Cycle:
-    """A cycle i_0 -> i_1 = sigma(i_0) -> ... of the permutation sigma that
-    supports B: its intervals (``index``), the jumps b_{i_s} - a_{i_{s+1}}
-    and the weights B[i_s, i_{s+1}] along it, theta = arg prod B[i, sigma(i)]
-    / 2 pi in [0, 1) and its total length L_C (``period``).  Its roots are
-    (theta + k)/L_C."""
-
-    index: np.ndarray
-    jumps: np.ndarray
-    weights: np.ndarray
-    theta: float
-    period: float
-
-    def vectors(self, n: int, lams) -> np.ndarray:
-        """The unit vector c of each root in ``lams``, supported on the
-        cycle: c_{sigma(i)} = c_i e^{2 pi i lambda (b_i - a_sigma(i))} / B[i, sigma(i)],
-        one row per root."""
-        lams = np.asarray(lams, dtype=float)
-        offsets = np.concatenate([[0.0], np.cumsum(self.jumps[:-1])])
-        weights = np.concatenate([[1.0], np.cumprod(self.weights[:-1])])
-        out = np.zeros((len(lams), n), dtype=complex)
-        out[:, self.index] = cis(lams[:, None] * offsets) / weights
-        return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
-def _cycles(omega: IntervalUnion, b: np.ndarray) -> list[_Cycle] | None:
-    """The cycles of the permutation that supports ``b``, the first through
-    interval 0, or None unless ``b`` is n x n and every row and column of it
-    has exactly one nonzero entry."""
-    if b.shape != (omega.n, omega.n):
-        return None
+    Mode m has the roots (theta[m] + k)/period[m], k in Z, with the vector
+    cis(lambda rate[m]) base[m] at each; they come as the arrays
+    (theta, period, rate, base), one row of rate and base per mode.
+    - Equal lengths l ("equal_length"): one mode per eigenvector v of B,
+      phase group by phase group, theta the eigenphase of the group's first,
+      period l, rate -a_vec and base v.
+    - Exactly one nonzero entry in every row and column of B, so B is
+      supported on a permutation sigma ("cycles"): one mode per cycle C of
+      sigma, in the order of its first interval, theta =
+      arg prod_{i in C} B[i, sigma(i)] / 2 pi in [0, 1) and period L_C, the
+      length of C.  Along C from its first interval, rate sums the jumps
+      b_i - a_sigma(i) and base the inverse products of the weights
+      B[i, sigma(i)], over sqrt|C|: c_sigma(i) = c_i
+      e^{2 pi i lambda (b_i - a_sigma(i))} / B[i, sigma(i)].  Both are 0
+      off C.
+    """
+    n = omega.n
+    if omega.equal_lengths():
+        eig = eig_unitary(b)
+        groups = eig.phase_groups()
+        theta = np.array([eig.phases[group[0]] for group in groups for _ in group])
+        rate = -np.array([omega.lefts] * n)
+        base = eig.vectors[:, [k for group in groups for k in group]].T
+        return (theta, np.full(n, omega.measure / n), rate, base), "equal_length"
     support = b != 0
     if not (np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1)):
         return None
     sigma = support.argmax(axis=1)
-    lefts, rights, lengths = (np.array(x) for x in (omega.lefts, omega.rights, omega.lengths))
-    cycles, seen = [], np.zeros(omega.n, dtype=bool)
-    for start in range(omega.n):
+    weights = b[np.arange(n), sigma]
+    jumps = np.array(omega.rights) - np.array(omega.lefts)[sigma]
+    lengths = np.array(omega.lengths)
+    theta, period = [], []
+    rate, base = np.zeros((n, n)), np.zeros((n, n), dtype=complex)
+    seen = np.zeros(n, dtype=bool)
+    for start in range(n):
         if seen[start]:
             continue
         index = [start]
         while sigma[index[-1]] != start:
             index.append(int(sigma[index[-1]]))
-        index = np.array(index)
         seen[index] = True
-        weights = b[index, sigma[index]]
-        theta = float(np.angle(np.prod(weights)) / (2 * np.pi) % 1.0)
-        jumps = rights[index] - lefts[sigma[index]]
-        cycles.append(_Cycle(index, jumps, weights, theta, float(lengths[index].sum())))
-    return cycles
+        m, w = len(theta), weights[index]
+        theta.append(float(np.angle(np.prod(w)) / (2 * np.pi) % 1.0))
+        period.append(float(lengths[index].sum()))
+        rate[m, index[1:]] = np.cumsum(jumps[index[:-1]])
+        base[m, index] = 1 / np.concatenate([[1.0], np.cumprod(w[:-1])]) / math.sqrt(len(index))
+    m = len(theta)
+    return (np.array(theta), np.array(period), rate[:m], base[:m]), "cycles"
 
 
-def _cycle_spectrum(
-    omega: IntervalUnion, b, cycles: list[_Cycle], lo, hi, edges
-) -> SpectrumReport:
-    """The spectrum of a B supported on a permutation in the window (lo, hi),
-    counted on ``edges``: the roots (theta_C + k)/L_C of every cycle C, each
-    with the vector of its cycle.  Roots of different cycles closer than the
-    bisection floor, as the scan merges them, are one eigenvalue with one
-    vector per cycle."""
+def _lattice(omega: IntervalUnion, b, modes, method: str, lo: float, hi: float) -> SpectrumReport:
+    """The report of the spectrum read off the lattices of ``modes`` (see
+    ``_modes``) in the window (lo, hi), closed as the scan's is
+    (``_edges``).  Roots closer than the bisection floor, as the scan merges
+    them, are one eigenvalue with the vectors of their modes, in mode order.
+    Every vector is phase-fixed (``_fixed_phase``), each basis reports its
+    largest boundary residual, and the stats read 0 but for eig_rows = 1
+    (B) on equal lengths."""
     t0 = time.perf_counter()
-    lams, owner = [], []
-    for k, cycle in enumerate(cycles):
-        kmin, kmax = _kspan(cycle.theta, cycle.period, *edges)
-        lams.append((cycle.theta + np.arange(kmin, kmax + 1)) / cycle.period)
-        owner.append(np.full(len(lams[-1]), k))
-    lams, owner = np.concatenate(lams), np.concatenate(owner)
-    order = np.argsort(lams, kind="stable")
+    theta, period, rate, base = modes
+    edges = _edges(lo, hi)
+    lams = []
+    for t, p in zip(theta.tolist(), period.tolist()):
+        kmin, kmax = _kspan(t, p, *edges)
+        lams.append((t + np.arange(kmin, kmax + 1)) / p)
+    owner = np.arange(len(lams)).repeat([len(lam) for lam in lams])
+    lams = np.concatenate(lams)
+    order = lams.argsort(kind="stable")
     lams, owner = lams[order], owner[order]
     # a root closer than the floor to the one before it joins its eigenvalue
     new = np.ones(len(lams), dtype=bool)
-    new[1:] = np.diff(lams) >= MIN_CELL * np.maximum(1.0, np.abs(lams[1:]))
-    first = np.flatnonzero(new)
-    rows = lams[first][np.cumsum(new) - 1]
+    new[1:] = lams[1:] - lams[:-1] >= MIN_CELL * np.maximum(1.0, np.abs(lams[1:]))
+    starts = new.nonzero()[0]
+    rows = lams[starts][new.cumsum() - 1]
     t1 = time.perf_counter()
-    vecs = np.empty((len(rows), omega.n), dtype=complex)
-    for k, cycle in enumerate(cycles):
-        vecs[owner == k] = cycle.vectors(omega.n, rows[owner == k])
-    sizes = np.diff(np.append(first, len(rows)))
-    return _lattice_report(
-        omega, b, rows, vecs, sizes, (lo, hi), "cycles", _stats(0, eig_rows=0), t0, t1
+    vecs = _fixed_phase(cis(rows[:, None] * rate[owner]) * base[owner])
+    residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
+    vecs, ends = list(vecs), starts[1:].tolist() + [len(rows)]
+    stats = _stats(0, eig_rows=int(method == "equal_length"))
+    stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
+    return SpectrumReport(
+        rows[starts].tolist(),
+        [vecs[i:j] for i, j in zip(starts.tolist(), ends)],
+        residuals.tolist(),
+        (lo, hi),
+        method,
+        len(rows),
+        stats,
     )
 
 
@@ -806,8 +774,9 @@ class SpectralCheck:
     verdict is one of "spectral_exact", "spectral_on_window", "not_spectral",
     "undecided".  For not_spectral, witness_lambda and witness_vectors hold
     a spectrum point whose eigenspace is multidimensional or non-constant:
-    its basis for a root of the window or a phase class of B, else one
-    non-constant eigenvector of a translate.
+    its basis for the first root of a mode or a root of the window, else
+    one non-constant eigenvector of a translate (see
+    ``spectral_matrix_check``).
     """
 
     verdict: str
@@ -820,16 +789,20 @@ class SpectralCheck:
         return self.verdict in ("spectral_exact", "spectral_on_window")
 
 
+def _constant_rows(vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row v of ``vecs`` is constant: |v - (u*v)u| < tol for the
+    constant unit vector u, where (u*v)u is the mean of v, all rows at once."""
+    dev = vecs - vecs.sum(axis=1, keepdims=True) / vecs.shape[1]
+    return (dev.real**2 + dev.imag**2).sum(axis=1) < tol * tol
+
+
 def _constant_flags(eigenspaces: list[list[np.ndarray]], tol: float) -> np.ndarray:
     """Per eigenspace, whether it is one-dimensional and spanned by a
-    constant vector: every one-dimensional basis vector v is projected on
-    the constant unit vector u at once, and v is constant when
-    |v - (u*v)u| < tol."""
+    constant vector (``_constant_rows``)."""
     flags = np.array([len(basis) == 1 for basis in eigenspaces], dtype=bool)
     if flags.any():
-        v = np.array([basis[0] for basis in eigenspaces if len(basis) == 1])
-        u = np.ones(v.shape[1]) / math.sqrt(v.shape[1])
-        flags[flags] = np.linalg.norm(v - np.outer(v @ u, u), axis=1) < tol
+        vecs = np.array([basis[0] for basis in eigenspaces if len(basis) == 1])
+        flags[flags] = _constant_rows(vecs, tol)
     return flags
 
 
@@ -843,23 +816,28 @@ def _window_witness(report: SpectrumReport, tol: float) -> SpectralCheck | None:
     return SpectralCheck("not_spectral", report.eigenvalues[k], report.eigenspaces[k], report)
 
 
-def _translate_witness(report: SpectrumReport, candidates, vectors, tol: float) -> SpectralCheck:
-    """not_spectral with the first root of ``candidates(size)`` whose vector
-    (``vectors``, one row per root) is not constant, phase-fixed, for
-    size = 8, 16, ... until one is found.
+def _translate_witness(report: SpectrumReport, theta, period, rate, base, tol: float) -> SpectralCheck:
+    """not_spectral with the root nearest the report's window, outside it,
+    of the mode (theta, period, rate, base) (see ``_modes``) whose vector is
+    not constant, phase-fixed: among the 2 size nearest, for size = 8, 16,
+    ... until one is found.
 
-    The candidates are translates of one root whose vector turns by
-    e^{2 pi i k phi} at the k-th, phi fixed and some difference phi_j - phi_0
-    off the integers by delta >= omega.tol() >= 1e-9.  Between two
-    translates both constant to ``tol`` that difference turns by at most
-    about 2 sqrt(2n) tol, so they are at most about sqrt(2n) tol / (pi delta)
-    < 500 sqrt(n) apart, and the search ends.
+    The mode's vector turns by e^{2 pi i k phi} from its root k to the
+    next, phi = rate/period, and some difference phi_j - phi_0 is off the
+    integers by delta >= omega.tol() >= 1e-9.  Between two roots both
+    constant to ``tol`` that difference turns by at most about
+    2 sqrt(2n) tol, so they are at most about sqrt(2n) tol / (pi delta)
+    < 500 sqrt(n) roots apart, and the search ends.
     """
+    lo, hi = report.window
+    kmin, kmax = _kspan(theta, period, *_edges(lo, hi))
     size = 8
     while True:
-        lams = candidates(size)
-        vecs = vectors(lams)
-        bad = np.flatnonzero(~_constant_flags([[v] for v in vecs], tol))
+        ks = np.concatenate([kmax + np.arange(1, size + 1), kmin - np.arange(1, size + 1)])
+        lams = (theta + ks) / period
+        lams = lams[np.argsort(np.maximum(lams - hi, lo - lams), kind="stable")]
+        vecs = cis(lams[:, None] * rate) * base
+        bad = np.flatnonzero(~_constant_rows(vecs, tol))
         if bad.size:
             k = bad[0]
             witness = list(_fixed_phase(vecs[k:k + 1]))
@@ -877,24 +855,17 @@ def spectral_matrix_check(
     """Decide whether B is a spectral boundary matrix for omega.
 
     Every spectrum point must have a one-dimensional eigenspace spanned by a
-    constant vector.  Two kinds of pairs are decided on all of R from a
-    spectrum read off in closed form:
-    - equal lengths l (``equal_length_spectrum``): the eigenphases of B give
-      one root per phase class, and every root is a translate of one by
-      k/l, whose vector turns by E(-k alpha/l).  spectral_exact iff every
-      class is one-dimensional and constant and the left endpoints are
-      congruent modulo l; else not_spectral, with a non-constant class, a
-      root of the window that fails, or the smallest k >= 1 whose translate
-      fails, as witness.
-    - unequal lengths and a B with exactly one nonzero entry in every row
-      and column, so supported on a permutation sigma (method "cycles"):
-      each cycle C gives the roots (arg prod_{i in C} B[i, sigma(i)]/2 pi
-      + k)/L_C.  spectral_exact iff sigma is one cycle through all n
-      intervals, every jump b_i - a_sigma(i) is in LZ and the vector at one
-      root is constant: the translate by k/L then keeps every vector.  Else
-      not_spectral, with the first root of the window that fails as witness,
-      or else the root of the cycle through interval 0 nearest the window
-      that fails.
+    constant vector.  Equal lengths, and a B supported on a permutation,
+    have the spectrum in closed form as lattices of modes (``_modes``): the
+    k-th root of mode m is its first root theta/period translated by
+    k/period, where its vector has turned by cis(k rate/period).  Their
+    verdict holds on all of R: spectral_exact iff at every mode's first
+    root the eigenspace is one-dimensional and constant and rate/period is
+    an integer, up to one turn common to the mode, within omega.tol(), so
+    that every translate keeps the vector.  Else not_spectral, with the
+    witness: the first root of the first mode that fails, else the first
+    root of the window that fails, else the root nearest the window of the
+    first mode whose turn fails.
     Any other pair is scanned (``compute_spectrum``), and the verdict is
     limited to the window: spectral_on_window, not_spectral with the first
     root that fails, or undecided when the window holds no root.
@@ -902,58 +873,37 @@ def spectral_matrix_check(
     reject a bad one, like a bad window.
     """
     lo, hi, _ = _checked(omega, window, grid_step)
-    if omega.equal_lengths():
-        report, eig = _equal_length(omega, b, window)
-        ell = omega.measure / omega.n
-        # one representative lambda per phase class, plus every window point
-        alphas = np.array(omega.lefts)
-        groups, lams, bases = eig.phase_groups(), [], []
-        for group in groups:
-            lam = eig.phases[group[0]] / ell
-            lams.append(lam)
-            bases.append([np.conj(cis(lam * alphas)) * eig.vectors[:, idx] for idx in group])
-        bad = np.flatnonzero(~_constant_flags(bases, tol_const))
-        if bad.size:
-            witness = list(_fixed_phase(np.array(bases[bad[0]])))
-            return SpectralCheck("not_spectral", lams[bad[0]], witness, report)
-        offsets = [(a - omega.lefts[0]) / ell for a in omega.lefts]
-        if all(abs(o - round(o)) < omega.tol() for o in offsets):
-            return SpectralCheck("spectral_exact", None, None, report)
-        theta, v = eig.phases[groups[0][0]], eig.vectors[:, groups[0][0]]
-        return _window_witness(report, tol_const) or _translate_witness(
-            report,
-            lambda size: (theta + np.arange(1, size + 1)) / ell,
-            lambda lam: np.conj(cis(lam[:, None] * alphas)) * v,
-            tol_const,
-        )
-    cycles = _cycles(omega, np.asarray(b, dtype=complex))
-    if cycles is None:
+    b = _boundary(omega, b)
+    found = _modes(omega, b)
+    if found is None:
         report = compute_spectrum(omega, b, window, grid_step)
         if not report.eigenvalues:
             return SpectralCheck("undecided", None, None, report)
         return _window_witness(report, tol_const) or SpectralCheck(
             "spectral_on_window", None, None, report
         )
-    b = require_unitary(b)
-    edges = (lo - MIN_CELL * max(1.0, abs(lo)), hi + MIN_CELL * max(1.0, abs(hi)))
-    report = _cycle_spectrum(omega, b, cycles, lo, hi, edges)
-    first = cycles[0]
-    jumps = first.jumps / omega.measure
-    root = first.vectors(omega.n, [first.theta / first.period])
-    if (
-        len(first.index) == omega.n
-        and np.all(np.abs(jumps - np.round(jumps)) < omega.tol())
-        and _constant_flags([list(root)], tol_const)[0]
-    ):
+    report = _lattice(omega, b, *found, lo, hi)
+    theta, period, rate, base = found[0]
+    first = theta / period
+    # modes that share a root have orthogonal vectors there, so at most one
+    # of them is constant: when every mode is constant at its first root,
+    # every first-root eigenspace is one-dimensional and constant
+    passed = _constant_rows(cis(first[:, None] * rate) * base, tol_const)
+    if not passed.all():
+        m = int(np.argmin(passed))
+        # the eigenspace there: the modes with a root there, as ``_lattice``
+        # merges roots
+        k = first[m] * period - theta
+        there = np.abs(k - np.rint(k)) < MIN_CELL * max(1.0, first[m]) * period
+        witness = _fixed_phase(cis(first[m] * rate[there]) * base[there])
+        return SpectralCheck("not_spectral", float(first[m]), list(witness), report)
+    # each mode's turn from one root to the next, relative to its first entry
+    turns = rate / period[:, None]
+    turns = turns - turns[:, :1]
+    steady = (np.abs(turns - np.rint(turns)) < omega.tol()).all(axis=1)
+    if steady.all():
         return SpectralCheck("spectral_exact", None, None, report)
-    kmin, kmax = _kspan(first.theta, first.period, *edges)
-
-    def nearest(size):
-        # the roots of the cycle outside the window, nearest first
-        ks = np.concatenate([kmax + np.arange(1, size + 1), kmin - np.arange(1, size + 1)])
-        lams = (first.theta + ks) / first.period
-        return lams[np.argsort(np.maximum(lams - hi, lo - lams), kind="stable")]
-
+    m = int(np.argmin(steady))
     return _window_witness(report, tol_const) or _translate_witness(
-        report, nearest, lambda lam: first.vectors(omega.n, lam), tol_const
+        report, theta[m], period[m], rate[m], base[m], tol_const
     )

@@ -14,7 +14,7 @@ from scipy.stats import unitary_group
 
 from spectral_intervals import spectrum
 from spectral_intervals.boundary import cis, eig_unitary, matrix_from_spectrum
-from spectral_intervals.errors import NotEqualLength
+from spectral_intervals.errors import NotEqualLength, ValidationError
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.spectrum import (
     compute_spectrum,
@@ -286,11 +286,46 @@ def test_cycles_that_fail_are_not_spectral_on_any_window(intervals, b, window):
     assert check.report.method == "cycles"
     assert_witness(om, b, check)
     flags = check.report.constant_flags()
-    if not all(flags):
+    # the first root theta/L_C of the cycle C through interval 0, and its
+    # eigenspace there
+    sigma = np.abs(b).argmax(axis=1)
+    cycle = [0]
+    while sigma[cycle[-1]] != 0:
+        cycle.append(sigma[cycle[-1]])
+    theta = np.angle(np.prod(b[cycle, sigma[cycle]])) / (2 * np.pi) % 1
+    first = theta / sum(om.lengths[i] for i in cycle)
+    basis = nullspace_at(om, b, first)
+    u = np.ones(om.n) / math.sqrt(om.n)
+    if len(basis) != 1 or np.linalg.norm(basis[0] - (u @ basis[0]) * u) > 1e-6:
+        # a cycle whose first root fails is the witness there, on every window
+        assert check.witness_lambda == pytest.approx(first, abs=1e-15)
+    elif not all(flags):
         assert check.witness_lambda == check.report.eigenvalues[flags.index(False)]
     else:
         lo, hi = check.report.window
         assert not lo <= check.witness_lambda <= hi
+
+
+@pytest.mark.parametrize("shift", [0.37, -2.5])
+def test_a_translated_spectral_pair_is_spectral_exact(shift):
+    # every mode's vector turns by e^{2 pi i rate/period} from one root to the
+    # next: a turn common to all its entries is a phase, so -a/l need not be
+    # an integer on equal lengths
+    lattice4, b4 = _lattice4()
+    for intervals, b in [([(0, 1), (2, 3)], SQRT_SWAP), TILING, (lattice4.endpoints, b4)]:
+        om = new_interval_union([(a + shift, c + shift) for a, c in intervals])
+        assert spectral_matrix_check(om, b, window=(-2, 2)).verdict == "spectral_exact"
+
+
+@pytest.mark.parametrize("intervals", [[(0, 1), (2, 3)], [(0, 1), (2, 3.5)]])
+def test_a_first_root_of_two_modes_is_the_witness_with_both(intervals):
+    # B = I: on equal lengths one phase class of two eigenvectors, on unequal
+    # lengths two 1-cycles; both have the root 0, the first of each mode
+    om = new_interval_union(intervals)
+    check = spectral_matrix_check(om, np.eye(2), window=(0.1, 0.2))
+    assert check.witness_lambda == 0.0
+    assert len(check.witness_vectors) == 2
+    assert_witness(om, np.eye(2), check)
 
 
 def test_an_entry_off_the_permutation_takes_the_scan():
@@ -302,15 +337,16 @@ def test_an_entry_off_the_permutation_takes_the_scan():
     assert check.verdict == "spectral_on_window"
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=100)
 @given(
     st.integers(2, 6),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
     st.floats(-10, 10),
     st.sampled_from([0.01, 0.3, 4.0]),
+    st.booleans(),
 )
-def test_cycle_spectrum_matches_the_scan(n, cycles, seed, lo, width):
+def test_cycle_spectrum_matches_the_scan(n, cycles, seed, lo, width, equal):
     rng = np.random.default_rng(seed)
     # a permutation with the given number of cycles (at most n), 1-cycles
     # included: cut a random order of the intervals into runs
@@ -324,12 +360,16 @@ def test_cycle_spectrum_matches_the_scan(n, cycles, seed, lo, width):
     b[np.arange(n), sigma] = cis(rng.uniform(0, 1, n))
     lengths = rng.uniform(0.3, 2.0, n)
     gaps = rng.uniform(0.1, 2.0, n)
+    if equal:
+        # equal lengths and a Haar B: one mode per eigenvector of B
+        lengths = np.full(n, lengths[0])
+        b = unitary_group.rvs(n, random_state=rng)
     starts = np.cumsum(gaps) + np.concatenate([[0], np.cumsum(lengths)[:-1]])
     om = new_interval_union([(float(a), float(a + l)) for a, l in zip(starts, lengths)])
     window = (lo, lo + width)
     rep = spectral_matrix_check(om, b, window=window).report
     scan = compute_spectrum(om, b, window=window)
-    assert rep.method == "cycles"
+    assert rep.method == ("equal_length" if equal else "cycles")
     assert rep.dims == scan.dims and rep.root_count == scan.root_count
     assert rep.constant_flags() == scan.constant_flags()
     assert np.allclose(rep.eigenvalues, scan.eigenvalues, rtol=0, atol=2e-13)
@@ -343,6 +383,19 @@ def test_cycle_spectrum_matches_the_scan(n, cycles, seed, lo, width):
         turn = 4 * np.pi * abs(lam - other) * span
         assert np.abs(p.T @ p.conj() - q.T @ q.conj()).max() < 1e-12 + turn
     assert max(rep.residuals, default=0) < 1e-12
+
+
+@pytest.mark.parametrize("intervals", [[(0, 1), (2, 3)], [(0, 1), (2, 3.5)]])
+def test_a_matrix_of_another_order_is_refused(intervals):
+    # equal and unequal lengths: I of order 3, unitary and supported on a
+    # permutation, on two intervals
+    om = new_interval_union(intervals)
+    calls = [compute_spectrum, spectral_matrix_check]
+    if om.equal_lengths():
+        calls.append(equal_length_spectrum)
+    for call in calls:
+        with pytest.raises(ValidationError, match="matrix is 3x3 but the set has 2 intervals"):
+            call(om, np.eye(3))
 
 
 def test_spectral_check_undecided():
