@@ -2,9 +2,11 @@
 
 The boundary matrix B relates boundary values of functions in the domain of
 the self-adjoint extension by B f(a_vec) = f(b_vec).  This module holds the
-diagonal exponential matrices E(z), structural classification (permutation /
-weighted permutation / general), eigenphase extraction, and reconstruction
-of B from a candidate spectrum.
+diagonal exponential matrices E(z), the validation of B, the one reading of
+whether B is supported on a permutation (``_support``) and of its cycles
+(``_cycles``), structural classification (permutation / weighted
+permutation / general), eigenphase extraction, and reconstruction of B
+from a candidate spectrum.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .errors import (
     DeficientSpan,
     Inconsistent,
     NotUnitary,
+    ValidationError,
     WrongStructure,
 )
 from .intervals import IntervalUnion
@@ -48,13 +51,69 @@ def require_unitary(b, tol: float = UNITARITY_TOL) -> np.ndarray:
     return b
 
 
+def require_boundary(omega: IntervalUnion, b) -> np.ndarray:
+    """B as a complex array; raises ValidationError unless it is unitary
+    (NotUnitary) of order n."""
+    b = require_unitary(b)
+    if len(b) != omega.n:
+        raise ValidationError(f"matrix is {len(b)}x{len(b)} but the set has {omega.n} intervals")
+    return b
+
+
+def _support(b: np.ndarray, tol: float = UNITARITY_TOL):
+    """Whether B is supported on a permutation: (sigma, weights, B', support
+    residual), or None.
+
+    Entries of modulus below ``tol`` are off the support, and the rest must
+    be exactly one entry in every row and every column: B[i, sigma(i)].  The
+    weights are those entries scaled to modulus 1.  B' is B with the
+    off-support entries set to 0, so it is supported exactly on sigma, and
+    the support residual is max|B - B'|.  ``b`` is a unitary complex array.
+
+    The closed form of the spectrum (``spectrum._modes``) reads B', and its
+    roots depend only on the arguments of the weights: they are the roots of
+    U, the weighted permutation with the unimodular weights.  U is unitary,
+    so diag(e^{-2 pi i lambda l}) U is normal, and by Bauer-Fike every
+    eigenvalue of diag(e^{-2 pi i lambda l}) B lies within
+    eps = ||B - U||_2 of one of diag(e^{-2 pi i lambda l}) U, whose
+    eigenphases fall at a rate of at least 2 pi l_min: every root of B lies
+    within about eps / (2 pi l_min) of a root of U.  eps is at most
+    ||B - B'||_2 <= n * (support residual) plus the largest distance of a
+    weight's modulus from 1, below UNITARITY_TOL when B is unitary to it.
+    """
+    big = np.abs(b) >= tol
+    rows, sigma = np.arange(len(b)), big.argmax(axis=1)
+    # n entries in all, the first of each row in it and in a column of its own
+    if np.count_nonzero(big) != len(b) or not big[rows, sigma].all() or len(set(sigma.tolist())) != len(b):
+        return None
+    support = np.zeros_like(b)
+    support[rows, sigma] = weights = b[rows, sigma]
+    return sigma, weights / np.abs(weights), support, float(np.abs(b - support).max())
+
+
+def _cycles(sigma) -> list[list[int]]:
+    """The cycles of the permutation sigma, in the order of their first
+    index, each walked from it: i, sigma(i), sigma(sigma(i)), ..."""
+    cycles, seen = [], set()
+    for start in range(len(sigma)):
+        if start not in seen:
+            cycle = [start]
+            while sigma[cycle[-1]] != start:
+                cycle.append(int(sigma[cycle[-1]]))
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
 @dataclass(frozen=True)
 class MatrixStructure:
     """Classification of a unitary matrix.
 
     kind is one of "permutation", "weighted_permutation", "general".  For the
-    first two, sigma maps row index i to the column of its unimodular entry,
-    and weights holds those entries.  multiplicative_everywhere mirrors the
+    first two, sigma maps row index i to the column of its support entry,
+    weights holds those entries scaled to modulus exactly 1, and
+    support_residual the largest modulus off the support (see ``_support``);
+    all three are None for "general".  multiplicative_everywhere mirrors the
     fact that the associated unitary group is multiplicative for all t iff B
     is a permutation matrix; forelli_everywhere the analogous weighted
     permutation criterion.
@@ -63,17 +122,13 @@ class MatrixStructure:
     kind: str
     sigma: tuple[int, ...] | None = None
     weights: tuple[complex, ...] | None = None
+    support_residual: float | None = None
 
     @property
     def is_cycle(self) -> bool | None:
         if self.sigma is None:
             return None
-        seen = {0}
-        k = self.sigma[0]
-        while k not in seen:
-            seen.add(k)
-            k = self.sigma[k]
-        return len(seen) == len(self.sigma)
+        return len(_cycles(self.sigma)) == 1
 
     @property
     def multiplicative_everywhere(self) -> bool:
@@ -85,24 +140,20 @@ class MatrixStructure:
 
 
 def classify_structure(b, tol: float = UNITARITY_TOL) -> MatrixStructure:
-    """Classify B as permutation, weighted permutation, or general."""
+    """Classify B as permutation, weighted permutation, or general.
+
+    B is supported on a permutation when its entries of modulus at least
+    ``tol`` are one in every row and column (``_support``); it is a
+    permutation when every weight is within ``tol`` of 1.
+    """
     b = require_unitary(b, max(tol, UNITARITY_TOL))
-    n = b.shape[0]
-    sigma = []
-    weights = []
-    for i in range(n):
-        row = b[i]
-        unimod = [j for j in range(n) if abs(abs(row[j]) - 1.0) < tol]
-        zero = [j for j in range(n) if abs(row[j]) < tol]
-        if len(unimod) != 1 or len(zero) != n - 1 or unimod[0] in zero:
-            return MatrixStructure("general")
-        sigma.append(unimod[0])
-        weights.append(complex(row[unimod[0]]))
-    if len(set(sigma)) != n:
+    support = _support(b, tol)
+    if support is None:
         return MatrixStructure("general")
-    if all(abs(w - 1.0) < tol for w in weights):
-        return MatrixStructure("permutation", tuple(sigma), tuple(weights))
-    return MatrixStructure("weighted_permutation", tuple(sigma), tuple(weights))
+    sigma, weights, _, residual = support
+    weights = tuple(weights.tolist())
+    kind = "permutation" if all(abs(w - 1.0) < tol for w in weights) else "weighted_permutation"
+    return MatrixStructure(kind, tuple(sigma.tolist()), weights, residual)
 
 
 def permutation_matrix(sigma) -> np.ndarray:

@@ -25,7 +25,7 @@ from .analysis import (
     spectral_pair_evidence,
     structure_suite,
 )
-from .boundary import classify_structure, require_unitary
+from .boundary import classify_structure, require_boundary
 from .errors import GuardExceeded, NumericalError, ValidationError
 from .evolution import (
     PiecewiseExpPoly,
@@ -86,11 +86,7 @@ def load_problem(path: str):
     omega = new_interval_union([_pair(p, "an interval") for p in data["intervals"]])
     b = None
     if "matrix" in data:
-        b = require_unitary(_matrix_in(data["matrix"]))
-        if b.shape[0] != omega.n:
-            raise ValidationError(
-                f"matrix is {b.shape[0]}x{b.shape[1]} but the set has {omega.n} intervals"
-            )
+        b = require_boundary(omega, _matrix_in(data["matrix"]))
     digest = hashlib.sha256(raw.encode()).hexdigest()
     return omega, b, data, digest
 
@@ -292,6 +288,7 @@ def cmd_classify(args) -> int:
             "kind": structure.kind,
             "sigma": list(structure.sigma) if structure.sigma else None,
             "is_cycle": structure.is_cycle,
+            "support_residual": structure.support_residual,
         }
     )
     window = _window(args, data)

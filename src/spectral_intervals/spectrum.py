@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import cis, eig_unitary, require_unitary
+from .boundary import _cycles, _support, cis, eig_unitary, require_boundary
 from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
@@ -521,15 +521,6 @@ def _checked(omega: IntervalUnion, window, grid_step) -> tuple[float, float, flo
     return lo, hi, step
 
 
-def _boundary(omega: IntervalUnion, b) -> np.ndarray:
-    """B as a complex array; raises ValidationError unless it is unitary
-    (NotUnitary) of order n."""
-    b = require_unitary(b)
-    if len(b) != omega.n:
-        raise ValidationError(f"matrix is {len(b)}x{len(b)} but the set has {omega.n} intervals")
-    return b
-
-
 def _edges(lo: float, hi: float) -> tuple[float, float]:
     """The window (lo, hi) widened by the bisection floor at both ends: the
     window is closed, and the counted range holds a root on its edge."""
@@ -546,7 +537,10 @@ class SpectrumReport:
     lattices of modes of equal lengths or of a B supported on a permutation
     (``_modes``), read off by ``equal_length_spectrum`` and
     ``spectral_matrix_check``.  stats says how the report was produced, and
-    reads 0 on the closed forms but for eig_rows = 1 (B) on equal_length:
+    reads 0 on the closed forms but for eig_rows = 1 (B) on equal_length
+    and support_residual, the distance max|B - B'| from the B given to the
+    B' the report was computed from (``boundary._support``; 0.0 but on
+    cycles):
     grid_points, knots (grid points whose eigenphases count the roots of the
     super-cells between them), recounted (super-cells whose sign changes of
     g did not match their count, counted cell by cell), levels (stacked
@@ -579,7 +573,7 @@ class SpectrumReport:
         return _constant_flags(self.eigenspaces, tol).tolist()
 
 
-def _stats(grid_points: int, eig_rows: int) -> dict:
+def _stats(grid_points: int, eig_rows: int, support_residual: float = 0.0) -> dict:
     """A report's stats before refinement; the caller adds ``seconds``."""
     return {
         "grid_points": grid_points,
@@ -596,6 +590,7 @@ def _stats(grid_points: int, eig_rows: int) -> dict:
         "g_roots": 0,
         "angle_roots": 0,
         "floor_roots": 0,
+        "support_residual": support_residual,
     }
 
 
@@ -614,8 +609,13 @@ def compute_spectrum(
     ConvergenceFailure unless every count is an integer, every eigenspace is
     nonempty and their dimensions add up to the count of the window.
     """
-    b = _boundary(omega, b)
-    lo, hi, grid_step = _checked(omega, window, grid_step)
+    b = require_boundary(omega, b)
+    return _scan(omega, b, *_checked(omega, window, grid_step))
+
+
+def _scan(omega: IntervalUnion, b: np.ndarray, lo: float, hi: float, grid_step: float) -> SpectrumReport:
+    """``compute_spectrum`` on a checked B (``require_boundary``), window and
+    grid step (``_checked``)."""
     t0 = time.perf_counter()
     edges = _edges(lo, hi)
     points = max(2, math.ceil((hi - lo) / grid_step) + 1)
@@ -660,7 +660,7 @@ def equal_length_spectrum(
     c = E(-lambda a_vec) v for v an eigenvector of B (see ``_modes``)."""
     if not omega.equal_lengths():
         raise NotEqualLength("intervals do not all have the same length")
-    b = _boundary(omega, b)
+    b = require_boundary(omega, b)
     lo, hi, _ = _checked(omega, window, None)
     return _lattice(omega, b, *_modes(omega, b), lo, hi)
 
@@ -673,8 +673,8 @@ def _kspan(theta: float, period: float, lo: float, hi: float) -> tuple[int, int]
 
 def _modes(omega: IntervalUnion, b: np.ndarray):
     """The spectrum of (omega, B) in closed form, as lattices of modes, with
-    its method; None when it has none and is scanned.  ``b`` is checked
-    (``_boundary``).
+    its method and its support residual; None when it has none and is
+    scanned.  ``b`` is checked (``require_boundary``).
 
     Mode m has the roots (theta[m] + k)/period[m], k in Z, with the vector
     cis(lambda rate[m]) base[m] at each; they come as the arrays
@@ -682,14 +682,16 @@ def _modes(omega: IntervalUnion, b: np.ndarray):
     - Equal lengths l ("equal_length"): one mode per eigenvector v of B,
       phase group by phase group, theta the eigenphase of the group's first,
       period l, rate -a_vec and base v.
-    - Exactly one nonzero entry in every row and column of B, so B is
-      supported on a permutation sigma ("cycles"): one mode per cycle C of
-      sigma, in the order of its first interval, theta =
-      arg prod_{i in C} B[i, sigma(i)] / 2 pi in [0, 1) and period L_C, the
-      length of C.  Along C from its first interval, rate sums the jumps
-      b_i - a_sigma(i) and base the inverse products of the weights
-      B[i, sigma(i)], over sqrt|C|: c_sigma(i) = c_i
-      e^{2 pi i lambda (b_i - a_sigma(i))} / B[i, sigma(i)].  Both are 0
+    - One entry of modulus at least UNITARITY_TOL in every row and column
+      of B, so B is supported on a permutation sigma ("cycles"; see
+      ``boundary._support``): the modes of B', B with the entries off sigma
+      set to 0, and the support residual max|B - B'|, 0.0 on equal
+      lengths.  One mode per cycle C of sigma, in the order of its first
+      interval, theta = arg prod_{i in C} B'[i, sigma(i)] / 2 pi in [0, 1)
+      and period L_C, the length of C.  Along C from its first interval,
+      rate sums the jumps b_i - a_sigma(i) and base the inverse products of
+      the weights B'[i, sigma(i)], over sqrt|C|: c_sigma(i) = c_i
+      e^{2 pi i lambda (b_i - a_sigma(i))} / B'[i, sigma(i)].  Both are 0
       off C.
     """
     n = omega.n
@@ -699,41 +701,35 @@ def _modes(omega: IntervalUnion, b: np.ndarray):
         theta = np.array([eig.phases[group[0]] for group in groups for _ in group])
         rate = -np.array([omega.lefts] * n)
         base = eig.vectors[:, [k for group in groups for k in group]].T
-        return (theta, np.full(n, omega.measure / n), rate, base), "equal_length"
-    support = b != 0
-    if not (np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1)):
+        return (theta, np.full(n, omega.measure / n), rate, base), "equal_length", 0.0
+    found = _support(b)
+    if found is None:
         return None
-    sigma = support.argmax(axis=1)
-    weights = b[np.arange(n), sigma]
+    sigma, _, support, residual = found
+    cycles = _cycles(sigma)
     jumps = np.array(omega.rights) - np.array(omega.lefts)[sigma]
     lengths = np.array(omega.lengths)
-    theta, period = [], []
-    rate, base = np.zeros((n, n)), np.zeros((n, n), dtype=complex)
-    seen = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if seen[start]:
-            continue
-        index = [start]
-        while sigma[index[-1]] != start:
-            index.append(int(sigma[index[-1]]))
-        seen[index] = True
-        m, w = len(theta), weights[index]
-        theta.append(float(np.angle(np.prod(w)) / (2 * np.pi) % 1.0))
-        period.append(float(lengths[index].sum()))
+    theta, period = np.empty(len(cycles)), np.empty(len(cycles))
+    rate, base = np.zeros((len(cycles), n)), np.zeros((len(cycles), n), dtype=complex)
+    for m, index in enumerate(cycles):
+        w = support[index, sigma[index]]
+        theta[m] = np.angle(np.prod(w)) / (2 * np.pi) % 1.0
+        period[m] = lengths[index].sum()
         rate[m, index[1:]] = np.cumsum(jumps[index[:-1]])
         base[m, index] = 1 / np.concatenate([[1.0], np.cumprod(w[:-1])]) / math.sqrt(len(index))
-    m = len(theta)
-    return (np.array(theta), np.array(period), rate[:m], base[:m]), "cycles"
+    return (theta, period, rate, base), "cycles", residual
 
 
-def _lattice(omega: IntervalUnion, b, modes, method: str, lo: float, hi: float) -> SpectrumReport:
+def _lattice(
+    omega: IntervalUnion, b, modes, method: str, residual: float, lo: float, hi: float
+) -> SpectrumReport:
     """The report of the spectrum read off the lattices of ``modes`` (see
     ``_modes``) in the window (lo, hi), closed as the scan's is
     (``_edges``).  Roots closer than the bisection floor, as the scan merges
     them, are one eigenvalue with the vectors of their modes, in mode order.
     Every vector is phase-fixed (``_fixed_phase``), each basis reports its
-    largest boundary residual, and the stats read 0 but for eig_rows = 1
-    (B) on equal lengths."""
+    largest boundary residual against the given B, and the stats read 0 but
+    for eig_rows = 1 (B) on equal lengths and the support residual."""
     t0 = time.perf_counter()
     theta, period, rate, base = modes
     edges = _edges(lo, hi)
@@ -754,7 +750,7 @@ def _lattice(omega: IntervalUnion, b, modes, method: str, lo: float, hi: float) 
     vecs = _fixed_phase(cis(rows[:, None] * rate[owner]) * base[owner])
     residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
     vecs, ends = list(vecs), starts[1:].tolist() + [len(rows)]
-    stats = _stats(0, eig_rows=int(method == "equal_length"))
+    stats = _stats(0, eig_rows=int(method == "equal_length"), support_residual=residual)
     stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
     return SpectrumReport(
         rows[starts].tolist(),
@@ -855,8 +851,9 @@ def spectral_matrix_check(
     """Decide whether B is a spectral boundary matrix for omega.
 
     Every spectrum point must have a one-dimensional eigenspace spanned by a
-    constant vector.  Equal lengths, and a B supported on a permutation,
-    have the spectrum in closed form as lattices of modes (``_modes``): the
+    constant vector.  Equal lengths, and a B supported on a permutation up
+    to entries below UNITARITY_TOL (``boundary._support``), have the
+    spectrum in closed form as lattices of modes (``_modes``): the
     k-th root of mode m is its first root theta/period translated by
     k/period, where its vector has turned by cis(k rate/period).  Their
     verdict holds on all of R: spectral_exact iff at every mode's first
@@ -866,17 +863,18 @@ def spectral_matrix_check(
     witness: the first root of the first mode that fails, else the first
     root of the window that fails, else the root nearest the window of the
     first mode whose turn fails.
-    Any other pair is scanned (``compute_spectrum``), and the verdict is
-    limited to the window: spectral_on_window, not_spectral with the first
-    root that fails, or undecided when the window holds no root.
+    Any other pair is scanned (``compute_spectrum``, B validated once), and
+    the verdict is limited to the window: spectral_on_window, not_spectral
+    with the first root that fails, or undecided when the window holds no
+    root.  The report's stats carry the support residual (``_stats``).
     ``grid_step`` is the scan's; the closed forms need no grid but still
     reject a bad one, like a bad window.
     """
-    lo, hi, _ = _checked(omega, window, grid_step)
-    b = _boundary(omega, b)
+    lo, hi, step = _checked(omega, window, grid_step)
+    b = require_boundary(omega, b)
     found = _modes(omega, b)
     if found is None:
-        report = compute_spectrum(omega, b, window, grid_step)
+        report = _scan(omega, b, lo, hi, step)
         if not report.eigenvalues:
             return SpectralCheck("undecided", None, None, report)
         return _window_witness(report, tol_const) or SpectralCheck(

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from spectral_intervals.boundary import cis
+from spectral_intervals.boundary import UNITARITY_TOL, cis, require_unitary
 from spectral_intervals.errors import XNotInOmega
 from spectral_intervals.evolution import (
     _CHUNK_PHASE,
@@ -37,6 +37,35 @@ def boundary_condition_check(b, f, tol: float = 1e-8) -> bool:
     b = np.asarray(b, dtype=complex)
     f_alpha, f_beta = f.boundary_values()
     return bool(np.linalg.norm(b @ f_alpha - f_beta) < tol)
+
+
+def classify_structure_per_entry(b, tol: float = UNITARITY_TOL):
+    """(kind, sigma, weights, is_cycle) of a unitary B, entry by entry: a
+    row of B supported on a permutation has one entry within ``tol`` of
+    modulus 1 and every other entry below ``tol``, and the columns of those
+    entries are distinct; the weights are the entries as given, and
+    is_cycle walks sigma from 0."""
+    b = require_unitary(b, max(tol, UNITARITY_TOL))
+    n = b.shape[0]
+    sigma = []
+    weights = []
+    for i in range(n):
+        row = b[i]
+        unimod = [j for j in range(n) if abs(abs(row[j]) - 1.0) < tol]
+        zero = [j for j in range(n) if abs(row[j]) < tol]
+        if len(unimod) != 1 or len(zero) != n - 1 or unimod[0] in zero:
+            return "general", None, None, None
+        sigma.append(unimod[0])
+        weights.append(complex(row[unimod[0]]))
+    if len(set(sigma)) != n:
+        return "general", None, None, None
+    seen = {0}
+    k = sigma[0]
+    while k not in seen:
+        seen.add(k)
+        k = sigma[k]
+    kind = "permutation" if all(abs(w - 1.0) < tol for w in weights) else "weighted_permutation"
+    return kind, tuple(sigma), tuple(weights), len(seen) == n
 
 
 def rational_order_check(b, d: int, n: int) -> bool:

@@ -27,7 +27,7 @@ from spectral_intervals.errors import (
 from spectral_intervals.intervals import move_interval, new_interval_union
 from spectral_intervals.spectrum import compute_spectrum, equal_length_spectrum
 
-from oracles import rational_order_check
+from oracles import classify_structure_per_entry, rational_order_check
 
 SQRT_SWAP = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
@@ -78,6 +78,54 @@ def test_permutation_matrix_roundtrip():
     p = permutation_matrix((2, 0, 1))
     s = classify_structure(p)
     assert s.sigma == (2, 0, 1) and s.is_cycle
+
+
+def _weighted_permutation(n: int, rng, weighted: bool) -> np.ndarray:
+    b = np.zeros((n, n), dtype=complex)
+    b[np.arange(n), rng.permutation(n)] = cis(rng.uniform(0, 1, n)) if weighted else 1.0
+    return b
+
+
+def _structured_unitary(kind: str, n: int, rng) -> np.ndarray:
+    """A unitary of order n: Haar, a (weighted) permutation, a block-diagonal
+    mix of a Haar block and a weighted permutation with its rows and columns
+    shuffled, or a (weighted) permutation with entries of modulus 1e-15 to
+    1e-11 off its support."""
+    if kind == "haar":
+        return unitary_group.rvs(n, random_state=rng) if n > 1 else cis(rng.uniform(0, 1, (1, 1)))
+    if kind in ("permutation", "weighted"):
+        return _weighted_permutation(n, rng, kind == "weighted")
+    if kind == "block":
+        k = int(rng.integers(1, n + 1))
+        haar = unitary_group.rvs(k, random_state=rng) if k > 1 else cis(rng.uniform(0, 1, (1, 1)))
+        b = scipy.linalg.block_diag(haar, _weighted_permutation(n - k, rng, True))
+        return b[rng.permutation(n)][:, rng.permutation(n)]
+    b = _weighted_permutation(n, rng, bool(rng.integers(2)))
+    dust = 10.0 ** rng.uniform(-15, -11, (n, n)) * cis(rng.uniform(0, 1, (n, n)))
+    return np.where(b == 0, dust * (rng.uniform(size=(n, n)) < 0.5), b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["haar", "permutation", "weighted", "block", "dust"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_classify_structure_matches_the_per_entry_reading(kind, n, seed):
+    b = _structured_unitary(kind, n, np.random.default_rng(seed))
+    s = classify_structure(b)
+    want_kind, sigma, weights, is_cycle = classify_structure_per_entry(b)
+    assert (s.kind, s.sigma, s.is_cycle) == (want_kind, sigma, is_cycle)
+    if sigma is None:
+        assert s.weights is None and s.support_residual is None
+    else:
+        # the weights are the support entries scaled to modulus 1, and the
+        # support residual is the largest entry off the support
+        assert np.allclose(s.weights, weights, rtol=0, atol=1e-10)
+        assert np.abs(np.abs(s.weights) - 1).max() < 1e-15
+        off = np.abs(b)
+        off[np.arange(n), list(sigma)] = 0
+        assert s.support_residual == off.max()
 
 
 @settings(deadline=None)

@@ -12,8 +12,14 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy.stats import unitary_group
 
-from spectral_intervals import spectrum
-from spectral_intervals.boundary import cis, eig_unitary, matrix_from_spectrum
+from spectral_intervals import boundary, spectrum
+from spectral_intervals.boundary import (
+    cis,
+    classify_structure,
+    eig_unitary,
+    is_unitary,
+    matrix_from_spectrum,
+)
 from spectral_intervals.errors import NotEqualLength, ValidationError
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.spectrum import (
@@ -328,13 +334,93 @@ def test_a_first_root_of_two_modes_is_the_witness_with_both(intervals):
     assert_witness(om, np.eye(2), check)
 
 
-def test_an_entry_off_the_permutation_takes_the_scan():
-    om = new_interval_union(TILING[0])
-    b = TILING[1].copy()
-    b[0, 0] = 1e-13
+def _dusted_cycle(dust: float) -> np.ndarray:
+    """CYCLE's B with one entry off its permutation of modulus ``dust``."""
+    b = CYCLE[1].astype(complex)
+    b[0, 0] = dust
+    return b
+
+
+@pytest.mark.parametrize("dust", [1e-13, 5e-11])
+def test_an_entry_off_the_permutation_below_the_tolerance_takes_the_cycles(dust):
+    om, b = new_interval_union(CYCLE[0]), _dusted_cycle(dust)
+    check = spectral_matrix_check(om, b, window=(-2, 2))
+    assert check.report.method == "cycles"
+    assert abs(check.report.stats["support_residual"] - dust) < 2e-13
+    assert classify_structure(b).support_residual == check.report.stats["support_residual"]
+    # the closed form is exact for U, the weighted permutation of the
+    # unimodular weights: by Bauer-Fike every root of B is within
+    # ||B - U||_2 / (2 pi l_min) of a root of U, and the scan's within
+    # TOL_ROOT of a root of B
+    u = np.divide(b, np.abs(b), out=np.zeros_like(b), where=np.abs(b) >= 1e-10)
+    bound = np.linalg.norm(b - u, 2) / (2 * np.pi * min(om.lengths)) + spectrum.TOL_ROOT
+    scan = compute_spectrum(om, b, window=(-2, 2))
+    assert len(check.report.eigenvalues) == len(scan.eigenvalues) == 16
+    assert np.abs(np.subtract(check.report.eigenvalues, scan.eigenvalues)).max() <= bound
+    # each basis residual is measured against the given B, and shows the dust
+    assert max(check.report.residuals) >= dust / 2
+
+
+def test_rows_mixed_by_a_small_rotation_take_the_scan():
+    om, b = new_interval_union(CYCLE[0]), _dusted_cycle(1e-13)
+    c, s = math.cos(1e-6), math.sin(1e-6)
+    b[[0, 1]] = np.array([[c, -s], [s, c]]) @ b[[0, 1]]
     check = spectral_matrix_check(om, b, window=(-2, 2))
     assert check.report.method == "scan"
-    assert check.verdict == "spectral_on_window"
+    assert check.report.stats["support_residual"] == 0.0
+    assert classify_structure(b).kind == "general"
+
+
+@pytest.mark.parametrize("intervals, b, method", [(*CYCLE, "cycles"), ([(0, 1), (2, 3.5)], SQRT_SWAP, "scan")])
+def test_spectral_check_validates_b_once(monkeypatch, intervals, b, method):
+    calls = []
+
+    def counting(u, *args):
+        calls.append(u)
+        return is_unitary(u, *args)
+
+    monkeypatch.setattr(boundary, "is_unitary", counting)
+    check = spectral_matrix_check(new_interval_union(intervals), b, window=(-2, 2))
+    assert check.report.method == method
+    assert len(calls) == 1
+
+
+def _fitted_check(om, b, window):
+    """classify and verify agree on a B fitted to a spectrum of a tiling
+    set: supported on a permutation, read off its cycles, spectral_exact,
+    with the scan's roots."""
+    structure = classify_structure(b)
+    check = spectral_matrix_check(om, b, window=window)
+    assert structure.kind in ("permutation", "weighted_permutation")
+    assert check.report.method == "cycles"
+    assert check.verdict == "spectral_exact"
+    assert check.report.stats["support_residual"] < 1e-12
+    assert structure.support_residual == check.report.stats["support_residual"]
+    scan = compute_spectrum(om, b, window=window)
+    assert len(check.report.eigenvalues) == len(scan.eigenvalues) > 0
+    assert np.abs(np.subtract(check.report.eigenvalues, scan.eigenvalues)).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_a_matrix_fitted_to_a_tiling_set_is_read_off_its_cycles(n, seed):
+    # [0, 1) cut into n pieces of unequal lengths, piece k moved by 2 c_k for
+    # distinct integers c_k: the set tiles by Z, with spectrum Z, and B
+    # fitted to Z is a permutation up to the rounding of the fit
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n)
+    cuts = np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+    cells = 2 * rng.permutation(n)
+    om = new_interval_union(sorted((float(cuts[k] + cells[k]), float(cuts[k + 1] + cells[k])) for k in range(n)))
+    _fitted_check(om, matrix_from_spectrum(om, range(-2 * n, 2 * n + 1)), (-2.1, 3.3))
+
+
+def test_the_matrix_fitted_to_the_tiling_set_0_2_3_5_is_read_off_its_cycles():
+    # A = {0, 2, 3, 5} has the spectrum {k/4}: Omega = A + [0, 1] is
+    # [0, 1] u [2, 4] u [5, 6], with the spectrum {k/4} + Z
+    om = new_interval_union([(0, 1), (2, 4), (5, 6)])
+    b = matrix_from_spectrum(om, np.arange(-8, 9) / 4)
+    _fitted_check(om, b, (-2.1, 3.3))
 
 
 @settings(deadline=None, max_examples=100)
