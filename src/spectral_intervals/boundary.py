@@ -193,9 +193,14 @@ def eig_unitary(b, residual_tol: float = 1e-8) -> UnitaryEigenData:
     columns, sorted by phase, are orthonormalised by one QR.  B is normal, so
     eigenvectors of distinct eigenvalues are orthogonal and the QR only mixes
     columns inside a phase group.  Raises ConvergenceFailure when a column
-    misses its eigenvalue by more than ``residual_tol``.
+    misses its eigenvalue by more than ``residual_tol``, and NotUnitary
+    unless B is unitary (``_eig_unitary`` takes a checked B).
     """
-    b = require_unitary(b)
+    return _eig_unitary(require_unitary(b), residual_tol)
+
+
+def _eig_unitary(b: np.ndarray, residual_tol: float = 1e-8) -> UnitaryEigenData:
+    """``eig_unitary`` of a unitary complex array, not checked again."""
     eigvals, eigvecs = np.linalg.eig(b)
     phases = (np.angle(eigvals) / (2 * np.pi)) % 1.0
     # snap phases that rounded up to 1.0

@@ -36,7 +36,7 @@ from .evolution import (
 )
 from .intervals import new_interval_union, translation_congruence_to_interval
 from .paths import end_states, enumerate_paths, local_translation_identities
-from .spectrum import compute_spectrum, spectral_matrix_check
+from .spectrum import _spectrum, spectral_matrix_check
 
 
 def _is_number(value) -> bool:
@@ -152,7 +152,7 @@ def cmd_spectrum(args) -> int:
     omega, b, data, digest = load_problem(args.problem)
     b = _require_matrix(b)
     t0 = time.perf_counter()
-    report = compute_spectrum(omega, b, window=_window(args, data), grid_step=args.grid_step)
+    report, _ = _spectrum(omega, b, _window(args, data), args.grid_step)
     flags = report.constant_flags()
     out = _base_report("spectrum", args, digest)
     out.update(
@@ -182,7 +182,7 @@ def _build_function(spec: str, omega, b, window, grid_step):
             k = int(spec.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"eigenfunction index must be an integer, got {spec!r}") from None
-        report = spectral_matrix_check(omega, b, window, grid_step=grid_step).report
+        report, _ = _spectrum(omega, b, window, grid_step)
         if not 0 <= k < len(report.eigenvalues):
             raise ValidationError(
                 f"eigenfunction index {k} out of range (found {len(report.eigenvalues)})"

@@ -21,8 +21,11 @@ I - W (``_solve_null``); every other root, from stacked SVDs
 (``_eigenspaces``).
 Equal lengths, and a B supported on a permutation, have the spectrum in
 closed form as lattices of modes (``_modes``): one per eigenvector of B, or
-one per cycle of the permutation.  ``spectral_matrix_check`` reads them off
-(``_lattice``) and decides those pairs on all of R.
+one per cycle of the permutation.  ``_spectrum`` is the one choice of
+method: it reads the modes off (``_lattice``) where they exist and scans
+otherwise, for ``spectral_matrix_check``, which decides the closed-form
+pairs on all of R, ``equal_length_spectrum`` and the command line.
+``compute_spectrum`` is the scan alone, on any pair.
 Every reported vector is phase-fixed (``_fixed_phase``).
 """
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import _cycles, _support, cis, eig_unitary, require_boundary
+from .boundary import _cycles, _eig_unitary, _support, cis, require_boundary
 from .errors import ConvergenceFailure, GuardExceeded, NotEqualLength, ValidationError
 from .intervals import IntervalUnion
 
@@ -535,12 +538,11 @@ class SpectrumReport:
     multiplicity; every report has sum(dims) == root_count.  method is
     "scan" (``compute_spectrum``), or "equal_length" or "cycles", the
     lattices of modes of equal lengths or of a B supported on a permutation
-    (``_modes``), read off by ``equal_length_spectrum`` and
-    ``spectral_matrix_check``.  stats says how the report was produced, and
-    reads 0 on the closed forms but for eig_rows = 1 (B) on equal_length
-    and support_residual, the distance max|B - B'| from the B given to the
-    B' the report was computed from (``boundary._support``; 0.0 but on
-    cycles):
+    (``_modes``), read off wherever they exist (``_spectrum``).  stats says
+    how the report was produced, and reads 0 on the closed forms but for
+    eig_rows = 1 (B) on equal_length and support_residual, the distance
+    max|B - B'| from the B given to the B' the report was computed from
+    (``boundary._support``; 0.0 but on cycles):
     grid_points, knots (grid points whose eigenphases count the roots of the
     super-cells between them), recounted (super-cells whose sign changes of
     g did not match their count, counted cell by cell), levels (stacked
@@ -660,9 +662,7 @@ def equal_length_spectrum(
     c = E(-lambda a_vec) v for v an eigenvector of B (see ``_modes``)."""
     if not omega.equal_lengths():
         raise NotEqualLength("intervals do not all have the same length")
-    b = require_boundary(omega, b)
-    lo, hi, _ = _checked(omega, window, None)
-    return _lattice(omega, b, *_modes(omega, b), lo, hi)
+    return _spectrum(omega, b, window, None)[0]
 
 
 def _kspan(theta: float, period: float, lo: float, hi: float) -> tuple[int, int]:
@@ -696,7 +696,7 @@ def _modes(omega: IntervalUnion, b: np.ndarray):
     """
     n = omega.n
     if omega.equal_lengths():
-        eig = eig_unitary(b)
+        eig = _eig_unitary(b)
         groups = eig.phase_groups()
         theta = np.array([eig.phases[group[0]] for group in groups for _ in group])
         rate = -np.array([omega.lefts] * n)
@@ -761,6 +761,21 @@ def _lattice(
         len(rows),
         stats,
     )
+
+
+def _spectrum(omega: IntervalUnion, b, window, grid_step):
+    """The spectrum of (omega, B) in the window, with the lattices of modes
+    it was read off (see ``_modes``), or None when it was scanned: the one
+    choice of method.  The window, the grid step and B are checked once
+    (``_checked``, ``require_boundary``); ``grid_step`` is the scan's, and
+    the closed forms need no grid but still reject a bad one, like a bad
+    window.  The report's stats carry the support residual (``_stats``)."""
+    lo, hi, step = _checked(omega, window, grid_step)
+    b = require_boundary(omega, b)
+    found = _modes(omega, b)
+    if found is None:
+        return _scan(omega, b, lo, hi, step), None
+    return _lattice(omega, b, *found, lo, hi), found[0]
 
 
 @dataclass
@@ -863,25 +878,19 @@ def spectral_matrix_check(
     witness: the first root of the first mode that fails, else the first
     root of the window that fails, else the root nearest the window of the
     first mode whose turn fails.
-    Any other pair is scanned (``compute_spectrum``, B validated once), and
-    the verdict is limited to the window: spectral_on_window, not_spectral
-    with the first root that fails, or undecided when the window holds no
-    root.  The report's stats carry the support residual (``_stats``).
-    ``grid_step`` is the scan's; the closed forms need no grid but still
-    reject a bad one, like a bad window.
+    Any other pair is scanned, and the verdict is limited to the window:
+    spectral_on_window, not_spectral with the first root that fails, or
+    undecided when the window holds no root.  The report, with its method,
+    is ``_spectrum``'s.
     """
-    lo, hi, step = _checked(omega, window, grid_step)
-    b = require_boundary(omega, b)
-    found = _modes(omega, b)
-    if found is None:
-        report = _scan(omega, b, lo, hi, step)
+    report, modes = _spectrum(omega, b, window, grid_step)
+    if modes is None:
         if not report.eigenvalues:
             return SpectralCheck("undecided", None, None, report)
         return _window_witness(report, tol_const) or SpectralCheck(
             "spectral_on_window", None, None, report
         )
-    report = _lattice(omega, b, *found, lo, hi)
-    theta, period, rate, base = found[0]
+    theta, period, rate, base = modes
     first = theta / period
     # modes that share a root have orthogonal vectors there, so at most one
     # of them is constant: when every mode is constant at its first root,

@@ -384,9 +384,13 @@ def test_bad_problem_files_exit_1_without_traceback(tmp_path, capsys, text):
         ["--window", "-2", "2", "--grid-step", "1e-12"],
     ],
 )
-def test_oversized_scan_exits_3_at_once(problem, capsys, argv):
-    # the guard trips before a grid is allocated
-    assert main(["spectrum", problem, *argv]) == 3
+def test_oversized_scan_exits_3_at_once(tmp_path, capsys, argv):
+    # the guard trips before a grid is allocated.  The root guard trips
+    # before the method is chosen; the grid guard only where the spectrum
+    # is scanned, so the pair has unequal lengths and no closed form
+    path = tmp_path / "scanned.json"
+    path.write_text(json.dumps(dict(PAIR, intervals=[[0, 1], [2, 3.5]])))
+    assert main(["spectrum", str(path), *argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("guard exceeded:")
     assert "Traceback" not in err
@@ -524,6 +528,15 @@ def test_verify_reports_its_method(tmp_path, capsys, data, method, verdict):
         stats = rep["spectrum_stats"]
         assert all(v == 0 for k, v in stats.items() if k != "seconds")
         assert len(rep["eigenvalues"]) == rep["root_count"] == 13
+        code = main(["evolve", str(path), "--t", "0.7", "--function", "eigenfunction:0"])
+        capsys.readouterr()
+        assert code == 0
+    # spectrum takes the method verify takes, and gives the same spectrum
+    code, spec = run_json(capsys, ["spectrum", str(path)])
+    assert code == 0
+    assert spec["method"] == method
+    assert spec["eigenvalues"] == rep["eigenvalues"]
+    assert spec["dims"] == rep["dims"]
 
 
 def test_verify_trial_stage_seconds(problem, capsys):

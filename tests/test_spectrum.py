@@ -195,7 +195,8 @@ def test_spectral_check_decomposes_b_once(monkeypatch, case, verdict):
         calls.append(u)
         return eig_unitary(u)
 
-    monkeypatch.setattr(spectrum, "eig_unitary", counting)
+    # the closed form decomposes the checked B without checking it again
+    monkeypatch.setattr(spectrum, "_eig_unitary", counting)
     check = spectral_matrix_check(om, b, window=(-2.2, 2.2))
     assert len(calls) == 1
     assert check.verdict == verdict
@@ -371,7 +372,10 @@ def test_rows_mixed_by_a_small_rotation_take_the_scan():
     assert classify_structure(b).kind == "general"
 
 
-@pytest.mark.parametrize("intervals, b, method", [(*CYCLE, "cycles"), ([(0, 1), (2, 3.5)], SQRT_SWAP, "scan")])
+@pytest.mark.parametrize(
+    "intervals, b, method",
+    [(*CYCLE, "cycles"), ([(0, 1), (2, 3.5)], SQRT_SWAP, "scan"), ([(0, 1), (2, 3)], SQRT_SWAP, "equal_length")],
+)
 def test_spectral_check_validates_b_once(monkeypatch, intervals, b, method):
     calls = []
 
