@@ -23,6 +23,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -534,10 +535,12 @@ def evolve_point(omega: IntervalUnion, b, x: float, t: float, f: PiecewiseExpPol
 def eigenfunction(
     omega: IntervalUnion, report: SpectrumReport, k: int, which: int = 0
 ) -> PiecewiseExpPoly:
-    """The eigenfunction e^{2*pi*i*lambda_k*x} * sum_i c_i chi_i."""
+    """The eigenfunction e^{2*pi*i*lambda_k*x} * sum_i c_i chi_i, c the
+    vector ``which`` of the k-th basis."""
     try:
-        lam = report.eigenvalues[k]
-        c = report.eigenspaces[k][which]
+        # the basis first, so that no index reads another basis
+        lam, end = report.eigenvalues[k], list(accumulate(report.dims))[k]
+        c = report.vectors[end - report.dims[k]:end][which]
     except IndexError as exc:
         raise NotEigenCombination(str(exc)) from exc
     return PiecewiseExpPoly.exponential(omega, lam, list(c))
@@ -552,6 +555,7 @@ def apply_U_spectral(
     eigenvalues/eigenspace bases of the spectrum report.
     """
     atoms_by_interval = [[] for _ in range(omega.n)]
+    ends = list(accumulate(report.dims))
     for entry in combination:
         if len(entry) == 2:
             k, a = entry
@@ -559,8 +563,8 @@ def apply_U_spectral(
         else:
             k, a, which = entry
         try:
-            lam = report.eigenvalues[k]
-            c = report.eigenspaces[k][which]
+            lam, end = report.eigenvalues[k], ends[k]
+            c = report.vectors[end - report.dims[k]:end][which]
         except (IndexError, TypeError) as exc:
             raise NotEigenCombination(str(exc)) from exc
         phase = complex(a) * complex(cis(lam * t))

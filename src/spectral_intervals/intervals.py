@@ -360,8 +360,8 @@ def translation_congruence_to_interval(
     Returns the congruence map, or None if no assignment of shifts in a*Z
     tiles the target interval with the intervals of omega.
     """
-    if not a > 0:
-        raise ValidationError(f"modulus must be positive, got {a}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValidationError(f"modulus must be positive and finite, got {a}")
     tol = omega.tol() if tol is None else tol
     target_lo = omega.endpoints[0][0]
     lengths = omega.lengths

@@ -26,13 +26,19 @@ method: it reads the modes off (``_lattice``) where they exist and scans
 otherwise, for ``spectral_matrix_check``, which decides the closed-form
 pairs on all of R, ``equal_length_spectrum`` and the command line.
 ``compute_spectrum`` is the scan alone, on any pair.
-Every reported vector is phase-fixed (``_fixed_phase``).
+Both producers, ``_scan`` and ``_lattice``, merge roots by one rule
+(``_starts``) and hand their eigenvectors, one per row with the index of
+its eigenvalue, to one finisher (``_finish``): it phase-fixes every vector
+(``_fixed_phase``), stacks the bases in eigenvalue order in one block
+(``SpectrumReport.vectors``), measures each basis's residual and certifies
+that every eigenspace is nonempty and the dimensions add up to the count.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -401,10 +407,11 @@ def _solve_brackets(fn, rows: str, a, c, fa, fc, x, stats) -> np.ndarray:
 
 
 def _eigenspaces(omega: IntervalUnion, b, lams, cells, stats: dict):
-    """Orthonormal bases of {c : B E(lambda a)c = E(lambda b)c}, and the
-    largest boundary residual of each basis (0 for an empty one).  A null
-    vector v of I - W maps to c = E(-lambda a) v, of the same norm, and every
-    c is phase-fixed (``_fixed_phase``).
+    """The eigenvectors at the roots ``lams``: unit vectors c, one per row,
+    of {c : B E(lambda a)c = E(lambda b)c}, and the index of the root of
+    each, for ``_finish``.  A null vector v of I - W maps to
+    c = E(-lambda a) v, of the same norm.  The rows of one root come in the
+    order the SVD gives them.
 
     ``cells`` holds, one column per root, a cell [a, c] that the phase sums
     count one root in, or the empty cell [lambda, lambda].  A root takes its
@@ -423,32 +430,24 @@ def _eigenspaces(omega: IntervalUnion, b, lams, cells, stats: dict):
     lams = np.asarray(lams, dtype=float)
     dist = np.minimum(lams - cells[0], cells[1] - lams)
     simple = 2 * np.sin(np.minimum(np.pi / 2, np.pi * omega.lmin * dist)) >= SIMPLE_GAP
-    bases: list[list[np.ndarray]] = []
-    residuals = np.zeros(len(lams))
+    rows, owner = [np.empty((0, omega.n), dtype=complex)], [np.empty(0, dtype=int)]
     for s in range(0, len(lams), CHUNK):
-        lam = lams[s:s + CHUNK]
-        mats = np.eye(omega.n) - _gauge(omega, b, lam)
-        # the null vectors v of the chunk, one per row, and the root of each
+        mats = np.eye(omega.n) - _gauge(omega, b, lams[s:s + CHUNK])
         one = simple[s:s + CHUNK].copy()
         vecs, ok = _solve_null(mats[one])
         one[one] = ok
-        vecs, owner, svd = vecs[ok], np.flatnonzero(one), np.flatnonzero(~one)
-        stats["solve_rows"] += len(owner)
+        solved, svd = np.flatnonzero(one), np.flatnonzero(~one)
+        rows.append(vecs[ok])
+        owner.append(s + solved)
+        stats["solve_rows"] += len(solved)
         stats["svd_rows"] += len(svd)
         if len(svd):
             _, sv, vh = np.linalg.svd(mats[svd])
             null = sv < TOL_EIG
-            vecs = np.concatenate([vecs, vh.conj()[null]])
-            owner = np.concatenate([owner, np.repeat(svd, null.sum(axis=1))])
-            order = np.argsort(owner, kind="stable")
-            vecs, owner = vecs[order], owner[order]
-        vecs = _fixed_phase(np.conj(cis(lam[owner, None] * np.array(omega.lefts))) * vecs)
-        np.maximum.at(residuals, s + owner, _boundary_residuals(omega, b, lam[owner], vecs))
-        # split the rows root by root
-        ends = np.cumsum(np.bincount(owner, minlength=len(lam))).tolist()
-        rows = list(vecs)
-        bases += [rows[i:j] for i, j in zip([0] + ends, ends)]
-    return bases, residuals.tolist()
+            rows.append(vh.conj()[null])
+            owner.append(s + np.repeat(svd, null.sum(axis=1)))
+    owner = np.concatenate(owner)
+    return np.conj(cis(lams[owner, None] * np.array(omega.lefts))) * np.concatenate(rows), owner
 
 
 def _solve_null(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,6 +493,38 @@ def _boundary_residuals(omega: IntervalUnion, b, lams, vecs) -> np.ndarray:
     return np.linalg.norm(lhs - rhs, axis=-1)
 
 
+def _starts(roots: np.ndarray) -> np.ndarray:
+    """Whether each of the sorted ``roots`` starts an eigenvalue: a root
+    closer than the bisection floor MIN_CELL * max(1, |lambda|) to the one
+    before it joins that one's eigenvalue, so a chain of such roots is one."""
+    new = np.ones(len(roots), dtype=bool)
+    new[1:] = roots[1:] - roots[:-1] >= MIN_CELL * np.maximum(1.0, np.abs(roots[1:]))
+    return new
+
+
+def _finish(omega, b, lams, rows, owner, window, method, root_count, stats) -> SpectrumReport:
+    """The report of the sorted eigenvalues ``lams`` whose eigenvectors are
+    the ``rows``, row r one of the basis of lams[owner[r]]: every report is
+    built here (``_scan``, ``_lattice``).  The rows are phase-fixed
+    (``_fixed_phase``) and stacked basis by basis, each basis in the order
+    given; each basis reports its largest boundary residual against the
+    given B.  Raises ConvergenceFailure unless every basis is nonempty and
+    their dimensions add up to root_count."""
+    order = np.argsort(owner, kind="stable")
+    owner, vecs = owner[order], _fixed_phase(rows[order])
+    dims = np.bincount(owner, minlength=len(lams))
+    if dims.sum() != root_count or not dims.all():
+        raise ConvergenceFailure(
+            f"eigenspace dimensions {dims.tolist()} do not add up to the "
+            f"{root_count} roots counted in ({window[0]}, {window[1]})"
+        )
+    residuals = np.zeros(len(lams))
+    np.maximum.at(residuals, owner, _boundary_residuals(omega, b, lams[owner], vecs))
+    return SpectrumReport(
+        lams.tolist(), vecs, dims.tolist(), residuals.tolist(), window, method, root_count, stats
+    )
+
+
 def default_grid_step(omega: IntervalUnion) -> float:
     """GRID_SPACINGS mean root spacings 1/L.  The count certificate, not the
     grid, makes the spectrum complete: the step only trades grid points
@@ -534,8 +565,15 @@ def _edges(lo: float, hi: float) -> tuple[float, float]:
 class SpectrumReport:
     """Eigenvalues of D_B in a window, with eigenspace data.
 
+    vectors holds every eigenspace basis, one unit vector c per row, basis
+    after basis in eigenvalue order: shape (root_count, n), the basis of the
+    k-th eigenvalue in the dims[k] rows from sum(dims[:k]) on, each
+    phase-fixed (``_fixed_phase``).  residuals[k] is the largest boundary
+    residual |B E(lambda a)c - E(lambda b)c| of that basis.  eigenspaces is
+    a read-only view of the same rows, one list per eigenvalue.
     root_count is the number of spectrum points in the window counted with
-    multiplicity; every report has sum(dims) == root_count.  method is
+    multiplicity; every report has nonempty bases and
+    sum(dims) == root_count (``_finish``).  method is
     "scan" (``compute_spectrum``), or "equal_length" or "cycles", the
     lattices of modes of equal lengths or of a B supported on a permutation
     (``_modes``), read off wherever they exist (``_spectrum``).  stats says
@@ -560,7 +598,8 @@ class SpectrumReport:
     """
 
     eigenvalues: list[float]
-    eigenspaces: list[list[np.ndarray]]
+    vectors: np.ndarray
+    dims: list[int]
     residuals: list[float]
     window: tuple[float, float]
     method: str
@@ -568,11 +607,13 @@ class SpectrumReport:
     stats: dict = field(default_factory=dict)
 
     @property
-    def dims(self) -> list[int]:
-        return [len(basis) for basis in self.eigenspaces]
+    def eigenspaces(self) -> list[list[np.ndarray]]:
+        ends = list(accumulate(self.dims))
+        rows = list(self.vectors)
+        return [rows[i:j] for i, j in zip([0] + ends, ends)]
 
     def constant_flags(self, tol: float = 1e-6) -> list[bool]:
-        return _constant_flags(self.eigenspaces, tol).tolist()
+        return _constant_flags(self, tol).tolist()
 
 
 def _stats(grid_points: int, eig_rows: int, support_residual: float = 0.0) -> dict:
@@ -632,25 +673,15 @@ def _scan(omega: IntervalUnion, b: np.ndarray, lo: float, hi: float, grid_step: 
     t1 = time.perf_counter()
     roots, cells = _locate(omega, b, arg_det, cells, stats)
     # rounding can count the eigenvalues of a multiple root on both sides of
-    # a cell edge: roots closer than the bisection floor are one root, with
-    # the cell of the first (its sigma_2 bound holds whatever was merged)
-    eigenvalues: list[float] = []
-    keep: list[int] = []
-    for k, r in enumerate(roots.tolist()):
-        if not eigenvalues or r - eigenvalues[-1] >= MIN_CELL * max(1.0, abs(r)):
-            eigenvalues.append(r)
-            keep.append(k)
+    # a cell edge: a chain of roots closer than the bisection floor is one
+    # root, with the cell of the first (its sigma_2 bound holds whatever was
+    # merged)
+    new = _starts(roots)
+    lams = roots[new]
     t2 = time.perf_counter()
-    eigenspaces, residuals = _eigenspaces(omega, b, eigenvalues, cells[:, keep], stats)
+    rows, owner = _eigenspaces(omega, b, lams, cells[:, new], stats)
+    report = _finish(omega, b, lams, rows, owner, (lo, hi), "scan", root_count, stats)
     stats["seconds"] = {"grid": t1 - t0, "locate": t2 - t1, "eigenspaces": time.perf_counter() - t2}
-    report = SpectrumReport(
-        eigenvalues, eigenspaces, residuals, (lo, hi), "scan", root_count, stats
-    )
-    if sum(report.dims) != report.root_count or 0 in report.dims:
-        raise ConvergenceFailure(
-            f"eigenspace dimensions {report.dims} do not add up to the "
-            f"{report.root_count} roots counted in ({lo}, {hi})"
-        )
     return report
 
 
@@ -726,41 +757,29 @@ def _lattice(
     """The report of the spectrum read off the lattices of ``modes`` (see
     ``_modes``) in the window (lo, hi), closed as the scan's is
     (``_edges``).  Roots closer than the bisection floor, as the scan merges
-    them, are one eigenvalue with the vectors of their modes, in mode order.
-    Every vector is phase-fixed (``_fixed_phase``), each basis reports its
-    largest boundary residual against the given B, and the stats read 0 but
-    for eig_rows = 1 (B) on equal lengths and the support residual."""
+    them (``_starts``), are one eigenvalue with the vectors of their modes,
+    in mode order, each taken at that eigenvalue (``_finish``).  The stats
+    read 0 but for eig_rows = 1 (B) on equal lengths and the support
+    residual."""
     t0 = time.perf_counter()
     theta, period, rate, base = modes
     edges = _edges(lo, hi)
-    lams = []
+    roots = []
     for t, p in zip(theta.tolist(), period.tolist()):
         kmin, kmax = _kspan(t, p, *edges)
-        lams.append((t + np.arange(kmin, kmax + 1)) / p)
-    owner = np.arange(len(lams)).repeat([len(lam) for lam in lams])
-    lams = np.concatenate(lams)
-    order = lams.argsort(kind="stable")
-    lams, owner = lams[order], owner[order]
-    # a root closer than the floor to the one before it joins its eigenvalue
-    new = np.ones(len(lams), dtype=bool)
-    new[1:] = lams[1:] - lams[:-1] >= MIN_CELL * np.maximum(1.0, np.abs(lams[1:]))
-    starts = new.nonzero()[0]
-    rows = lams[starts][new.cumsum() - 1]
+        roots.append((t + np.arange(kmin, kmax + 1)) / p)
+    mode = np.arange(len(roots)).repeat([len(r) for r in roots])
+    roots = np.concatenate(roots)
+    order = roots.argsort(kind="stable")
+    roots, mode = roots[order], mode[order]
+    new = _starts(roots)
+    lams, owner = roots[new], new.cumsum() - 1
     t1 = time.perf_counter()
-    vecs = _fixed_phase(cis(rows[:, None] * rate[owner]) * base[owner])
-    residuals = np.maximum.reduceat(_boundary_residuals(omega, b, rows, vecs), starts)
-    vecs, ends = list(vecs), starts[1:].tolist() + [len(rows)]
+    rows = cis(lams[owner, None] * rate[mode]) * base[mode]
     stats = _stats(0, eig_rows=int(method == "equal_length"), support_residual=residual)
+    report = _finish(omega, b, lams, rows, owner, (lo, hi), method, len(roots), stats)
     stats["seconds"] = {"grid": 0.0, "locate": t1 - t0, "eigenspaces": time.perf_counter() - t1}
-    return SpectrumReport(
-        rows[starts].tolist(),
-        [vecs[i:j] for i, j in zip(starts.tolist(), ends)],
-        residuals.tolist(),
-        (lo, hi),
-        method,
-        len(rows),
-        stats,
-    )
+    return report
 
 
 def _spectrum(omega: IntervalUnion, b, window, grid_step):
@@ -787,12 +806,12 @@ class SpectralCheck:
     a spectrum point whose eigenspace is multidimensional or non-constant:
     its basis for the first root of a mode or a root of the window, else
     one non-constant eigenvector of a translate (see
-    ``spectral_matrix_check``).
+    ``spectral_matrix_check``), one vector per row.
     """
 
     verdict: str
     witness_lambda: float | None
-    witness_vectors: list[np.ndarray] | None
+    witness_vectors: np.ndarray | None
     report: SpectrumReport
 
     @property
@@ -807,24 +826,26 @@ def _constant_rows(vecs: np.ndarray, tol: float) -> np.ndarray:
     return (dev.real**2 + dev.imag**2).sum(axis=1) < tol * tol
 
 
-def _constant_flags(eigenspaces: list[list[np.ndarray]], tol: float) -> np.ndarray:
-    """Per eigenspace, whether it is one-dimensional and spanned by a
-    constant vector (``_constant_rows``)."""
-    flags = np.array([len(basis) == 1 for basis in eigenspaces], dtype=bool)
+def _constant_flags(report: SpectrumReport, tol: float) -> np.ndarray:
+    """Per eigenspace of ``report``, whether it is one-dimensional and
+    spanned by a constant vector (``_constant_rows``)."""
+    dims = np.array(report.dims, dtype=int)
+    flags = dims == 1
     if flags.any():
-        vecs = np.array([basis[0] for basis in eigenspaces if len(basis) == 1])
-        flags[flags] = _constant_rows(vecs, tol)
+        flags[flags] = _constant_rows(report.vectors[dims.cumsum()[flags] - 1], tol)
     return flags
 
 
 def _window_witness(report: SpectrumReport, tol: float) -> SpectralCheck | None:
     """not_spectral with the first root of the window whose eigenspace fails
     ``_constant_flags``, or None when every one passes."""
-    bad = np.flatnonzero(~_constant_flags(report.eigenspaces, tol))
+    bad = np.flatnonzero(~_constant_flags(report, tol))
     if not bad.size:
         return None
     k = bad[0]
-    return SpectralCheck("not_spectral", report.eigenvalues[k], report.eigenspaces[k], report)
+    start = sum(report.dims[:k])
+    basis = report.vectors[start:start + report.dims[k]]
+    return SpectralCheck("not_spectral", report.eigenvalues[k], basis, report)
 
 
 def _translate_witness(report: SpectrumReport, theta, period, rate, base, tol: float) -> SpectralCheck:
@@ -851,7 +872,7 @@ def _translate_witness(report: SpectrumReport, theta, period, rate, base, tol: f
         bad = np.flatnonzero(~_constant_rows(vecs, tol))
         if bad.size:
             k = bad[0]
-            witness = list(_fixed_phase(vecs[k:k + 1]))
+            witness = _fixed_phase(vecs[k:k + 1])
             return SpectralCheck("not_spectral", float(lams[k]), witness, report)
         size *= 2
 
@@ -903,7 +924,7 @@ def spectral_matrix_check(
         k = first[m] * period - theta
         there = np.abs(k - np.rint(k)) < MIN_CELL * max(1.0, first[m]) * period
         witness = _fixed_phase(cis(first[m] * rate[there]) * base[there])
-        return SpectralCheck("not_spectral", float(first[m]), list(witness), report)
+        return SpectralCheck("not_spectral", float(first[m]), witness, report)
     # each mode's turn from one root to the next, relative to its first entry
     turns = rate / period[:, None]
     turns = turns - turns[:, :1]

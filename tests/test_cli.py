@@ -327,6 +327,7 @@ def test_bad_path_cap_exits_1(problem, monkeypatch, capsys, cap):
         ["paths", "--x", "0.5", "--t", "inf"],
         ["paths", "--x", "0.5", "--t", "nan"],
         ["evolve", "--t", "0.3", "--function", "eigenfunction:x"],
+        ["congruence", "--modulus", "inf"],
     ],
 )
 def test_bad_numbers_exit_1_without_traceback(problem, capsys, argv):

@@ -32,7 +32,7 @@ from spectral_intervals.evolution import (
 )
 from spectral_intervals.intervals import new_interval_union
 from spectral_intervals.paths import MAX_PATHS_ENV, enumerate_paths
-from spectral_intervals.spectrum import compute_spectrum
+from spectral_intervals.spectrum import compute_spectrum, equal_length_spectrum
 
 from oracles import (
     add_per_piece,
@@ -387,6 +387,30 @@ def test_bad_eigen_combination():
         apply_U_spectral(OM, rep, 0.1, [(999, 1.0)])
     with pytest.raises(NotEigenCombination):
         eigenfunction(OM, rep, 999)
+
+
+@pytest.mark.parametrize("solver", [compute_spectrum, equal_length_spectrum])
+def test_an_eigenvector_index_stays_in_its_basis(solver):
+    # B = diag(1, 1, -1) on three unit intervals: the integers are double
+    # roots and the half-integers simple, so the bases alternate 2 and 1
+    om = new_interval_union([(0, 1), (2, 3), (4, 5)])
+    b = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    rep = solver(om, b, window=(-1.2, 1.2))
+    assert rep.dims == [2, 1, 2, 1, 2]
+    xs = np.array([0.3, 2.6, 4.1])
+    for k, dim in enumerate(rep.dims):
+        basis = rep.eigenspaces[k]
+        for which in (dim, dim + 1):
+            with pytest.raises(NotEigenCombination):
+                eigenfunction(om, rep, k, which)
+            with pytest.raises(NotEigenCombination):
+                apply_U_spectral(om, rep, 0.1, [(k, 1.0, which)])
+        # a negative index counts from the end of the basis itself
+        for which in (-1, -dim):
+            want = PiecewiseExpPoly.exponential(om, rep.eigenvalues[k], list(basis[which]))
+            assert np.array_equal(eigenfunction(om, rep, k, which)(xs), want(xs))
+            got = apply_U_spectral(om, rep, 0.0, [(k, 1.0, which)])
+            assert np.max(np.abs(got(xs) - want(xs))) < 1e-15
 
 
 def test_local_translation_pass_and_fail():

@@ -9,6 +9,7 @@ from spectral_intervals.errors import (
     MoveCollision,
     NonFinite,
     OverlappingIntervals,
+    ValidationError,
 )
 from spectral_intervals.intervals import (
     commensurability,
@@ -118,6 +119,15 @@ def test_congruence_three_intervals():
     assert images[-1][1] == pytest.approx(3.0)
     for (_, b1), (a2, _) in zip(images, images[1:]):
         assert a2 == pytest.approx(b1)
+
+
+@pytest.mark.parametrize("modulus", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_congruence_rejects_a_bad_modulus(modulus):
+    # round(shift / inf) * inf is NaN, which no tolerance test rejects: an
+    # infinite modulus accepted every shift
+    om = new_interval_union([(0, 1), (2, 3)])
+    with pytest.raises(ValidationError, match="modulus must be positive"):
+        translation_congruence_to_interval(om, modulus)
 
 
 def test_move_interval():

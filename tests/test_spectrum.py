@@ -842,6 +842,58 @@ def _phase_is_fixed(c):
     return c[k].imag == 0 and c[k].real > 0
 
 
+#: one problem per producer of a report: (intervals, B, window, closed form
+#: allowed); the identity on lengths 1, 1 and 1.5 has roots of dimension 1,
+#: 2 and 3
+LAYOUTS = {
+    "scan": ([(0, 1), (2, 3.5)], SQRT_SWAP, (-3.1, 3.1), False),
+    "scan-multiple": ([(0, 1), (1.5, 2.5), (4, 5.5)], np.eye(3), (-2.2, 2.2), False),
+    "equal_length": ([(0, 1), (2, 3)], SQRT_SWAP, (-3.1, 3.1), True),
+    "equal_length-multiple": ([(0, 1), (2, 3)], np.eye(2), (-3.1, 3.1), True),
+    "cycles": (*CYCLE, (-3.1, 3.1), True),
+    "cycles-multiple": ([(0, 1), (1.5, 2.5), (4, 5.5)], np.eye(3), (-2.2, 2.2), True),
+    "scan-empty": ([(0, 1), (2, 3.5)], SQRT_SWAP, (0.05, 0.06), False),
+    "equal_length-empty": ([(0, 1), (2, 3)], SQRT_SWAP, (0.1, 0.2), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_every_report_stacks_its_bases_in_one_block(name):
+    intervals, b, window, closed = LAYOUTS[name]
+    om = new_interval_union(intervals)
+    if closed:
+        rep, _ = spectrum._spectrum(om, b, window, None)
+    else:
+        rep = compute_spectrum(om, b, window=window)
+    assert rep.method == name.split("-")[0]
+    assert rep.vectors.shape == (rep.root_count, om.n)
+    assert sum(rep.dims) == rep.root_count
+    assert len(rep.dims) == len(rep.eigenvalues) == len(rep.residuals)
+    assert ("empty" in name) == (rep.root_count == 0)
+    assert ("multiple" in name) == (max(rep.dims, default=0) > 1)
+    ends = np.cumsum([0] + rep.dims)
+    assert len(rep.eigenspaces) == len(rep.dims)
+    for basis, i, j in zip(rep.eigenspaces, ends[:-1], ends[1:]):
+        assert np.array_equal(np.array(basis), rep.vectors[i:j])
+    assert np.allclose(np.linalg.norm(rep.vectors, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert all(_phase_is_fixed(c) for c in rep.vectors)
+    # each residual is the largest of its basis, row by row against B itself
+    for lam, basis, res in zip(rep.eigenvalues, rep.eigenspaces, rep.residuals):
+        rows = [
+            np.linalg.norm(b @ (cis(lam * np.array(om.lefts)) * c) - cis(lam * np.array(om.rights)) * c)
+            for c in basis
+        ]
+        assert res == pytest.approx(max(rows), rel=1e-9, abs=1e-15)
+
+
+def test_a_chain_of_roots_closer_than_the_floor_is_one_eigenvalue():
+    # each root is within the floor of the one before it, the last not of
+    # the first: the chain is one eigenvalue all the same
+    roots = np.array([-1.0, 0.0, 6e-12, 1.2e-11, 1.0])
+    assert spectrum._starts(roots).tolist() == [True, True, False, False, True]
+    assert spectrum._starts(np.empty(0)).tolist() == []
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_solved_eigenspaces_match_the_svd(n, seed):
